@@ -1,8 +1,11 @@
-"""Batch submission with bounded concurrency, retries and caching.
+"""Batch submission with retries, caching and, for remote providers, threads.
 
 Every request yields exactly one response or one failure entry; results
 come back in input order (keyed by request_id, never by arrival). Schema
-validation runs on every payload, including cache hits.
+validation runs on every payload, including cache hits. Each request is
+looked up in the cache exactly once. Only providers whose calls wait on
+I/O (``waits_on_io``) get a thread pool, bounded by ``max_in_flight`` and
+fed the cache misses alone; every other provider runs in one ordered loop.
 """
 
 from __future__ import annotations
@@ -83,11 +86,26 @@ class BatchManager:
         if not requests:
             return [], report
 
-        if policy.max_in_flight == 1:
-            outcomes = [self._run_one(request, policy) for request in requests]
-        else:
-            with ThreadPoolExecutor(max_workers=policy.max_in_flight) as pool:
-                outcomes = list(pool.map(lambda req: self._run_one(req, policy), requests))
+        fingerprints = [request.fingerprint() for request in requests]
+        # threads help only while calls wait on the network; for in-process
+        # providers they would contend for the GIL, and the ordered loop lets
+        # a duplicate later in the batch hit the first one's answer
+        pooled = policy.max_in_flight > 1 and getattr(self.provider, "waits_on_io", False)
+        outcomes: list[_Outcome | None] = []
+        for request, fingerprint in zip(requests, fingerprints):
+            outcome = self._from_cache(request, fingerprint)
+            if outcome is None and not pooled:
+                outcome = self._fetch(request, fingerprint, policy)
+            outcomes.append(outcome)
+        misses = [index for index, outcome in enumerate(outcomes) if outcome is None]
+        if misses:
+            with ThreadPoolExecutor(max_workers=min(policy.max_in_flight, len(misses))) as pool:
+                fetched = pool.map(
+                    lambda index: self._fetch(requests[index], fingerprints[index], policy),
+                    misses,
+                )
+                for index, outcome in zip(misses, fetched):
+                    outcomes[index] = outcome
 
         responses: list[StructuredResponse] = []
         for request, outcome in zip(requests, outcomes):
@@ -109,20 +127,24 @@ class BatchManager:
         _, error_class = report.failed[0]
         raise ProviderError(f"request {request.request_id} failed: {error_class}")
 
-    def _run_one(self, request: StructuredRequest, policy: RetryPolicy) -> _Outcome:
-        fingerprint = request.fingerprint()
-        if self.cache is not None:
-            raw = self.cache.get(fingerprint)
-            if raw is not None:
-                try:
-                    payload = validate_payload(raw, request.output_schema)
-                    return _Outcome(
-                        response=StructuredResponse(request.request_id, payload, raw),
-                        cache_hit=True,
-                    )
-                except SchemaInvalid:
-                    log.warning("cache entry for %s is invalid; refetching", request.request_id)
+    def _from_cache(self, request: StructuredRequest, fingerprint: str) -> _Outcome | None:
+        if self.cache is None:
+            return None
+        raw = self.cache.get(fingerprint)
+        if raw is None:
+            return None
+        try:
+            payload = validate_payload(raw, request.output_schema)
+        except SchemaInvalid:
+            log.warning("cache entry for %s is invalid; refetching", request.request_id)
+            return None
+        return _Outcome(
+            response=StructuredResponse(request.request_id, payload, raw), cache_hit=True
+        )
 
+    def _fetch(
+        self, request: StructuredRequest, fingerprint: str, policy: RetryPolicy
+    ) -> _Outcome:
         outcome = _Outcome()
         last_error = "ProviderError"
         for attempt in range(1, policy.max_attempts + 1):

@@ -17,7 +17,7 @@ import urllib.error
 import urllib.request
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import ClassVar, Protocol, Sequence
 
 import numpy as np
 
@@ -70,7 +70,11 @@ def stable_hash(text: str) -> int:
 
 
 class Provider(Protocol):
-    """Anything that can answer structured requests and embed text."""
+    """Anything that can answer structured requests and embed text.
+
+    A provider whose calls wait on the network sets a true class attribute
+    ``waits_on_io``; the batch manager runs only those on threads.
+    """
 
     def complete(self, request: StructuredRequest) -> ProviderResult: ...
 
@@ -86,6 +90,8 @@ class MockProvider:
     builds a payload from the request text and schema. Embeddings are
     hash-seeded pseudo-random vectors, identical for identical strings.
     """
+
+    waits_on_io: ClassVar[bool] = False
 
     fixtures: dict[str, dict] = field(default_factory=dict)
     strict: bool = False
@@ -238,6 +244,8 @@ class HttpProvider:
     sampling is pinned to the most deterministic settings the endpoint
     offers (temperature 0).
     """
+
+    waits_on_io: ClassVar[bool] = True
 
     base_url: str
     model: str

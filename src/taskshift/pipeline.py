@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import statistics
 import time
 from dataclasses import dataclass
@@ -165,7 +166,10 @@ def make_manager(config: PipelineConfig) -> BatchManager:
         max_in_flight=config.max_in_flight,
         backoff_base=config.backoff_base,
     )
-    return BatchManager(provider, cache=ResponseCache(config.cache_dir), policy=policy)
+    # cached answers are replayed only for the provider identity that gave them
+    scope = hashlib.sha256(_canonical(_provider_params(config)).encode("utf-8")).hexdigest()
+    cache = ResponseCache(config.cache_dir, scope=scope)
+    return BatchManager(provider, cache=cache, policy=policy)
 
 
 def _provider_params(config: PipelineConfig) -> dict:
@@ -275,7 +279,11 @@ class Pipeline:
         path = self._manifest_path(stage)
         if not path.exists():
             return None
-        return json.loads(path.read_text("utf-8"))
+        try:
+            return json.loads(path.read_text("utf-8"))
+        except ValueError:
+            log.warning("manifest %s is unreadable; treating stage %s as not run", path, stage)
+            return None
 
     def _outputs_valid(self, manifest: dict) -> bool:
         for name, expected in manifest["outputs"].items():
@@ -374,7 +382,10 @@ class Pipeline:
             "produced_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         self.manifest_dir.mkdir(parents=True, exist_ok=True)
-        self._manifest_path(stage).write_text(json.dumps(manifest, indent=1, sort_keys=True), "utf-8")
+        path = self._manifest_path(stage)
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        temp.write_text(json.dumps(manifest, indent=1, sort_keys=True), "utf-8")
+        os.replace(temp, path)
         return StageArtifact(
             stage=stage,
             params_fingerprint=fingerprint,
@@ -696,9 +707,12 @@ class Pipeline:
             raise DataError("no roles available for the savings sweep")
         curve = savings.sweep(inputs, theta_grid=config.theta_grid, delta=config.delta)
         write_jsonl(self.out_dir / "sweep.jsonl", curve.to_rows())
+        # the main curve is the sensitivity curve at config.delta; sweep it once
+        other_deltas = [delta for delta in config.sensitivity_deltas if delta != config.delta]
         sensitivity = savings.decay_sensitivity(
-            inputs, deltas=config.sensitivity_deltas, theta_grid=config.theta_grid
+            inputs, deltas=other_deltas, theta_grid=config.theta_grid
         )
+        sensitivity[config.delta] = curve
         sensitivity_rows = []
         for delta in config.sensitivity_deltas:
             for row in sensitivity[delta].to_rows():

@@ -1,5 +1,8 @@
 import json
-from dataclasses import dataclass
+import sys
+import threading
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -237,6 +240,110 @@ class TestCaching:
         responses, report = manager.submit_batch([request])
         assert len(responses) == 1
         assert report.cache_hits == 0
+
+    def test_batch_of_pure_hits_creates_no_file(self, tmp_path):
+        requests = [extraction_request(f"r{i}", f"- p {i}\n- q {i}") for i in range(4)]
+        BatchManager(MockProvider(), cache=ResponseCache(tmp_path)).submit_batch(requests)
+        before = sorted(tmp_path.iterdir())
+        provider = MockProvider()
+        _, report = BatchManager(provider, cache=ResponseCache(tmp_path)).submit_batch(requests)
+        assert report.cache_hits == 4 and provider.calls == 0
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_torn_last_line_skipped_and_refetched(self, tmp_path):
+        requests = [extraction_request(f"r{i}", f"- p {i}\n- q {i}") for i in range(2)]
+        first, _ = BatchManager(MockProvider(), cache=ResponseCache(tmp_path)).submit_batch(requests)
+        (segment,) = tmp_path.glob("*.jsonl")
+        data = segment.read_bytes()
+        segment.write_bytes(data[: len(data) - 20])  # a crash mid-append
+        provider = MockProvider()
+        second, report = BatchManager(provider, cache=ResponseCache(tmp_path)).submit_batch(
+            requests
+        )
+        assert provider.calls == 1 and report.cache_hits == 1
+        assert [r.raw for r in second] == [r.raw for r in first]
+
+    def test_two_writers_write_two_segments_a_reader_sees_both(self, tmp_path):
+        one, two = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        assert one.get("a") is None and two.get("b") is None
+        one.put("a", "first")
+        two.put("b", "second")
+        assert len(list(tmp_path.glob("*.jsonl"))) == 2
+        reader = ResponseCache(tmp_path)
+        assert (reader.get("a"), reader.get("b")) == ("first", "second")
+
+    def test_scope_separates_providers(self, tmp_path):
+        ResponseCache(tmp_path, scope="mock:").put("k", "answer")
+        assert ResponseCache(tmp_path, scope="remote:").get("k") is None
+        assert ResponseCache(tmp_path, scope="mock:").get("k") == "answer"
+
+    def test_duplicates_in_inline_batch_make_one_call(self, tmp_path):
+        provider = MockProvider()
+        manager = BatchManager(provider, cache=ResponseCache(tmp_path))
+        requests = [extraction_request("first"), extraction_request("again")]
+        responses, report = manager.submit_batch(requests)
+        assert [r.request_id for r in responses] == ["first", "again"]
+        assert provider.calls == 1 and report.cache_hits == 1
+        assert report.reconciles()
+
+
+@dataclass
+class SleepyProvider:
+    """Waits briefly per call, as a remote provider waits on the network."""
+
+    waits_on_io = True
+    threads: set = field(default_factory=set)
+
+    def complete(self, request):
+        self.threads.add(threading.get_ident())
+        time.sleep(0.005)
+        return MockProvider().complete(request)
+
+    def embed(self, texts):
+        raise NotImplementedError
+
+
+class TestConcurrency:
+    def test_io_bound_provider_uses_pool_and_keeps_order(self, tmp_path):
+        requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(32)]
+        cache = ResponseCache(tmp_path)
+        BatchManager(MockProvider(), cache=cache).submit_batch(requests[:8])
+        provider = SleepyProvider()
+        manager = BatchManager(provider, cache=cache, policy=RetryPolicy(max_in_flight=4))
+        responses, report = manager.submit_batch(requests)
+        assert [r.request_id for r in responses] == [r.request_id for r in requests]
+        assert threading.get_ident() not in provider.threads
+        assert len(provider.threads) > 1
+        assert report.cache_hits == 8 and report.submitted == report.succeeded == 32
+        assert report.reconciles()
+
+    def test_concurrent_puts_land_whole_in_one_segment(self, tmp_path):
+        requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(200)]
+        manager = BatchManager(
+            SleepyProvider(), cache=ResponseCache(tmp_path), policy=RetryPolicy(max_in_flight=8)
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            responses, _ = manager.submit_batch(requests)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(list(tmp_path.iterdir())) == 1
+        reader = ResponseCache(tmp_path)
+        for request, response in zip(requests, responses):
+            assert reader.get(request.fingerprint()) == response.raw
+
+    def test_in_process_provider_runs_on_calling_thread(self):
+        seen = set()
+
+        class Recording(MockProvider):
+            def complete(self, request):
+                seen.add(threading.get_ident())
+                return super().complete(request)
+
+        requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(8)]
+        BatchManager(Recording(), policy=RetryPolicy(max_in_flight=8)).submit_batch(requests)
+        assert seen == {threading.get_ident()}
 
 
 @dataclass

@@ -7,8 +7,10 @@ import pytest
 
 from taskshift.cli import main
 from taskshift.config import PipelineConfig
+from taskshift.corpus import Vacancy
 from taskshift.errors import DataError, UsageError
 from taskshift.pipeline import STAGE_DEPS, STAGES, Pipeline, read_jsonl
+from taskshift.prompts import task_extraction_request
 
 from conftest import write_config
 
@@ -54,7 +56,7 @@ class TestEndToEnd:
             write_config(tmp_path, out_dir=str(tmp_path / "out1"), cache_dir=shared_cache)
         )
         run_all(first)
-        assert any(Path(shared_cache).glob("*.json"))  # cache got warmed
+        assert any(Path(shared_cache).glob("*.jsonl"))  # cache got warmed
         second = PipelineConfig.load(
             write_config(tmp_path, out_dir=str(tmp_path / "out2"), cache_dir=shared_cache)
         )
@@ -87,6 +89,45 @@ class TestEndToEnd:
         # savings depends on weight, which was built under the old delta
         with pytest.raises(DataError, match="different parameters"):
             pipeline.run_stage("savings")
+
+    def test_pinned_fixture_not_shadowed_by_cached_answer(self, tmp_path):
+        # the cache is keyed by provider identity too: a new fixture table
+        # must reach the provider, not replay the synthesized answer
+        assert main(["ingest", "--config", str(write_config(tmp_path))]) == 0
+        assert main(["extract", "--config", str(write_config(tmp_path))]) == 0
+        out = tmp_path / "out"
+        record = next(r for r in read_jsonl(out / "vacancies.jsonl") if r["vacancy_id"] == "V001")
+        request = task_extraction_request("pin", Vacancy.from_record(record).job_description)
+        pinned = [f"Pinned duty number {i}" for i in (1, 2, 3)]
+        payload = {
+            "tasks": [
+                {"task_number": i, "task_details": text, "exposure_score": 0.5}
+                for i, text in enumerate(pinned, start=1)
+            ]
+        }
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({request.fingerprint(): payload}))
+
+        pipeline = Pipeline(
+            PipelineConfig.load(write_config(tmp_path, fixtures_path=str(fixtures)))
+        )
+        assert not pipeline.run_stage("extract").reused
+        assert pipeline.manager.provider.calls > 0
+        tasks = read_jsonl(out / "tasks.jsonl")
+        assert [row["task_details"] for row in tasks if row["vacancy_id"] == "V001"] == pinned
+
+    def test_truncated_manifest_rebuilds_stage(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["all", "--config", str(config)]) == 0
+        manifest = tmp_path / "out" / "manifests" / "weight.json"
+        text = manifest.read_text()
+        manifest.write_text(text[: len(text) // 2])
+        capsys.readouterr()
+        assert main(["all", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("weight: built") for line in lines)
+        assert any(line.startswith("report: reused") for line in lines)
+        json.loads(manifest.read_text())
 
     def test_stale_upstream_refused(self, fixture_config):
         pipeline = run_all(fixture_config)
