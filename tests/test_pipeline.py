@@ -29,6 +29,26 @@ class TestStageGraph:
             for dep in deps:
                 assert position[dep] < position[stage]
 
+    def test_fixture_fingerprints_are_pinned(self, fixture_config):
+        # a stage's fingerprint covers its parameters, its input files and
+        # every upstream output hash, so these pin the whole chain up to the
+        # report's own outputs; they do not depend on the out or cache paths
+        expected = {
+            "ingest": "7f275efeb89855974344a280bf0f32a92354fa38d475623c5bed12370c9a8ea4",
+            "extract": "05e5018da564b03448a7574a1c17e0724fbaa0b4d759cbe6af45139df17f6ce4",
+            "weight": "3c927ded5d21d37425d12ddbebd0ee14e50bc9cccbca8acc47707dcca448e228",
+            "cluster": "e791d103ed3eefdfa3ac6f541a6a75d4e74e62c4f172fd4aa9efa76955c4bb65",
+            "rake": "5d7bbe302531cd88c903da221b78d3b984637ee38737cc9d659975b8215c5308",
+            "savings": "fe69e3fe1bd07803aefb5fc64b0b31548c8deeeda3494fab9474b49a4a867d20",
+            "redesign": "1e4f52602c039ac470f4dbecf11a68fac6075195be996a5ed521030e7092532f",
+            "report": "a5f5a75046a703b97cfc81516481c8b4c41df4046ca5b1fde0bc001534e3d0d2",
+        }
+        run_all(fixture_config)
+        manifests = Path(fixture_config.out_dir) / "manifests"
+        for stage in STAGES:
+            manifest = json.loads((manifests / f"{stage}.json").read_text())
+            assert manifest["params_fingerprint"] == expected[stage], stage
+
     def test_unknown_stage_rejected(self, fixture_config):
         with pytest.raises(UsageError):
             Pipeline(fixture_config).run_stage("nonsense")
