@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import UsageError
 
-DEFAULT_THETA_GRID = [round(step * 0.05, 2) for step in range(21)]
+DEFAULT_THETA_GRID = tuple(round(step * 0.05, 2) for step in range(21))
 
 
 @dataclass

@@ -215,21 +215,13 @@ class ExtractionResult:
     reports: list[BatchReport]
 
 
-def extract_role_tasks(vacancy: Vacancy, manager: BatchManager) -> list[TaskRecord]:
-    """Extract one role's tasks, falling back to the summary field.
-
-    The description is queried first; if it yields fewer than two tasks
-    the summary is tried once. Still under two tasks raises
-    :class:`DataError` (the role is dropped from the analysis).
-    """
-    result = extract_corpus([vacancy], manager)
-    if vacancy.vacancy_id in result.tasks_by_vacancy:
-        return result.tasks_by_vacancy[vacancy.vacancy_id]
-    raise DataError(f"vacancy {vacancy.vacancy_id}: {result.dropped[0][1]}")
-
-
 def extract_corpus(vacancies: Sequence[Vacancy], manager: BatchManager) -> ExtractionResult:
-    """Batch task extraction with summary fallback for the whole corpus."""
+    """Batch task extraction with summary fallback for the whole corpus.
+
+    Each description is queried first; a role whose description yields
+    fewer than two tasks has its summary tried once. A role still under
+    two tasks is listed in ``dropped`` with the reason.
+    """
     reports: list[BatchReport] = []
     tasks_by_vacancy: dict[str, list[TaskRecord]] = {}
     dropped: list[tuple[str, str]] = []

@@ -5,6 +5,11 @@ recording input hashes, a parameter fingerprint and output hashes.
 Downstream stages verify upstream manifests before running; a rerun with
 unchanged inputs and parameters is a no-op, and any upstream content or
 parameter change invalidates everything below it.
+
+``STAGE_TABLE`` at the end of this module is the single place where a
+stage's dependencies, outputs, parameters and input files are declared,
+next to the method that runs it; the manifest machinery reads nothing
+else.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import clustering, redesign, savings
 from .config import PipelineConfig
@@ -48,42 +54,23 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-STAGES = ("ingest", "extract", "weight", "cluster", "rake", "savings", "redesign", "report")
 
-STAGE_DEPS: dict[str, tuple[str, ...]] = {
-    "ingest": (),
-    "extract": ("ingest",),
-    "weight": ("ingest", "extract"),
-    "cluster": ("weight",),
-    "rake": ("ingest", "weight"),
-    "savings": ("weight", "rake"),
-    # redesign and report rebuild profiles from the ingest/extract outputs,
-    # so those must be hash-checked too, not just their weight-stage view
-    "redesign": ("ingest", "extract", "weight"),
-    "report": ("ingest", "extract", "weight", "cluster", "rake", "savings", "redesign"),
-}
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage.
 
-STAGE_OUTPUTS: dict[str, tuple[str, ...]] = {
-    "ingest": ("vacancies.jsonl", "ingest_issues.json"),
-    "extract": ("tasks.jsonl", "extract_summary.json"),
-    "weight": ("roles.jsonl", "task_weights.jsonl"),
-    "cluster": ("role_clusters.jsonl", "taxonomy.jsonl", "projection.json"),
-    "rake": ("raked_weights.jsonl", "rake_summary.json"),
-    "savings": ("sweep.jsonl", "sensitivity.jsonl", "savings_summary.json"),
-    "redesign": ("plans.jsonl", "redesign_summary.json"),
-    "report": (
-        "report/exposure_histogram.csv",
-        "report/band_shares.csv",
-        "report/tasks_per_role.csv",
-        "report/cluster_summary.csv",
-        "report/taxonomy_summary.csv",
-        "report/sweep.csv",
-        "report/decay_sensitivity.csv",
-        "report/redesign_comparison.csv",
-        "report/theme_shares.csv",
-        "report/focus_by_decile.csv",
-    ),
-}
+    Its fingerprint covers ``params(config)``, the contents of the files
+    ``files(config)`` names (name -> path; an unset path is left out) and
+    the output hashes of every stage in ``deps``. ``run(pipeline)`` must
+    write each of ``outputs`` under the output directory.
+    """
+
+    name: str
+    deps: tuple[str, ...]
+    outputs: tuple[str, ...]
+    params: Callable[[PipelineConfig], dict]
+    run: Callable[["Pipeline"], None]
+    files: Callable[[PipelineConfig], dict[str, str | None]] = lambda config: {}
 
 
 @dataclass(frozen=True)
@@ -95,6 +82,18 @@ class StageArtifact:
     schema_version: int
     produced_at: str
     reused: bool = False
+
+    @classmethod
+    def from_manifest(cls, manifest: dict, reused: bool) -> "StageArtifact":
+        return cls(
+            stage=manifest["stage"],
+            params_fingerprint=manifest["params_fingerprint"],
+            content_hash=manifest["content_hash"],
+            outputs=dict(manifest["outputs"]),
+            schema_version=manifest["schema_version"],
+            produced_at=manifest["produced_at"],
+            reused=reused,
+        )
 
 
 def _sha256_file(path: Path) -> str:
@@ -191,77 +190,6 @@ def _provider_params(config: PipelineConfig) -> dict:
     return params
 
 
-def _external_inputs(config: PipelineConfig, stage: str) -> dict[str, str]:
-    paths: dict[str, str] = {}
-    if stage == "ingest":
-        paths = {
-            "corpus": config.corpus_path,
-            "fte": config.fte_path,
-            "salary": config.salary_path,
-            "grade_totals": config.grade_totals_path,
-            "professions": config.profession_totals_path,
-        }
-        if config.grade_map_path:
-            paths["grade_map"] = config.grade_map_path
-        if config.vocab_path:
-            paths["vocab"] = config.vocab_path
-    elif stage == "rake":
-        paths = {
-            "fte": config.fte_path,
-            "grade_totals": config.grade_totals_path,
-            "professions": config.profession_totals_path,
-        }
-    hashes = {}
-    for name, raw in paths.items():
-        path = Path(raw)
-        if not path.exists():
-            raise DataError(f"input file for stage {stage!r} missing: {path}")
-        hashes[f"file:{name}"] = _sha256_file(path)
-    return hashes
-
-
-def _stage_params(config: PipelineConfig, stage: str) -> dict:
-    if stage == "ingest":
-        return {
-            "min_department_vacancies": config.min_department_vacancies,
-            "population_total": config.population_total,
-        }
-    if stage == "extract":
-        return {"truncate_chars": config.truncate_chars, **_provider_params(config)}
-    if stage == "weight":
-        return {"delta": config.delta}
-    if stage == "cluster":
-        return {
-            "seed": config.seed,
-            "categories": config.taxonomy_categories,
-            "subclusters": config.taxonomy_subclusters,
-            "pca_dim": config.pca_dim,
-            "label_cap": config.label_sample_cap,
-            "stopwords": config.stopwords_path,
-            **_provider_params(config),
-        }
-    if stage == "rake":
-        return {"population_total": config.population_total}
-    if stage == "savings":
-        return {
-            "delta": config.delta,
-            "theta": config.theta,
-            "grid": config.theta_grid,
-            "sensitivity": config.sensitivity_deltas,
-        }
-    if stage == "redesign":
-        return {
-            "theta": config.theta,
-            "delta": config.delta,
-            "seed": config.seed,
-            "fraction": config.new_tasks_fraction,
-            **_provider_params(config),
-        }
-    if stage == "report":
-        return {"theta": config.theta}
-    raise UsageError(f"unknown stage {stage!r}")
-
-
 class Pipeline:
     def __init__(self, config: PipelineConfig):
         config.validate()
@@ -292,39 +220,47 @@ class Pipeline:
                 return False
         return True
 
-    def _collect_inputs(self, stage: str, _memo: dict | None = None) -> dict[str, str]:
+    def _collect_inputs(self, stage: Stage, _memo: dict | None = None) -> dict[str, str]:
         if _memo is None:
             _memo = {}
-        if stage in _memo:
-            return _memo[stage]
-        inputs = dict(_external_inputs(self.config, stage))
-        for dep in STAGE_DEPS[stage]:
+        if stage.name in _memo:
+            return _memo[stage.name]
+        inputs = {}
+        for name, raw in stage.files(self.config).items():
+            if not raw:
+                continue
+            path = Path(raw)
+            if not path.exists():
+                raise DataError(f"input file for stage {stage.name!r} missing: {path}")
+            inputs[f"file:{name}"] = _sha256_file(path)
+        for dep in stage.deps:
             manifest = self._load_manifest(dep)
             if manifest is None:
-                raise DataError(f"stage {stage!r} needs {dep!r}, which has not been run")
+                raise DataError(f"stage {stage.name!r} needs {dep!r}, which has not been run")
             if not self._outputs_valid(manifest):
                 raise DataError(
-                    f"stage {stage!r} refuses to run: upstream {dep!r} outputs do not "
+                    f"stage {stage.name!r} refuses to run: upstream {dep!r} outputs do not "
                     "match their manifest (stale or modified); rerun the upstream stage"
                 )
-            expected = self._fingerprint(dep, self._collect_inputs(dep, _memo))
+            upstream = _STAGE_BY_NAME[dep]
+            expected = self._fingerprint(upstream, self._collect_inputs(upstream, _memo))
             if expected != manifest["params_fingerprint"]:
                 raise DataError(
-                    f"stage {stage!r} refuses to run: upstream {dep!r} was built with "
+                    f"stage {stage.name!r} refuses to run: upstream {dep!r} was built with "
                     "different parameters or inputs than the current configuration; "
                     "rerun the upstream stage first"
                 )
             for name, digest in manifest["outputs"].items():
                 inputs[f"{dep}:{name}"] = digest
-        _memo[stage] = inputs
+        _memo[stage.name] = inputs
         return inputs
 
-    def _fingerprint(self, stage: str, inputs: dict[str, str]) -> str:
+    def _fingerprint(self, stage: Stage, inputs: dict[str, str]) -> str:
         blob = _canonical(
             {
-                "stage": stage,
+                "stage": stage.name,
                 "schema_version": SCHEMA_VERSION,
-                "params": _stage_params(self.config, stage),
+                "params": stage.params(self.config),
                 "inputs": inputs,
             }
         )
@@ -338,11 +274,11 @@ class Pipeline:
 
     def run_stage(self, stage: str, force: bool = False) -> StageArtifact:
         """Run one stage, or no-op when its fingerprint already matches."""
-        if stage not in STAGES:
+        spec = _STAGE_BY_NAME.get(stage)
+        if spec is None:
             raise UsageError(f"unknown stage {stage!r}; expected one of {STAGES}")
-        assert stage not in STAGE_DEPS[stage]
-        inputs = self._collect_inputs(stage)
-        fingerprint = self._fingerprint(stage, inputs)
+        inputs = self._collect_inputs(spec)
+        fingerprint = self._fingerprint(spec, inputs)
 
         existing = self._load_manifest(stage)
         if (
@@ -352,21 +288,12 @@ class Pipeline:
             and self._outputs_valid(existing)
         ):
             log.info("stage %s is up to date; skipping", stage)
-            return StageArtifact(
-                stage=stage,
-                params_fingerprint=fingerprint,
-                content_hash=existing["content_hash"],
-                outputs=dict(existing["outputs"]),
-                schema_version=existing["schema_version"],
-                produced_at=existing["produced_at"],
-                reused=True,
-            )
+            return StageArtifact.from_manifest(existing, reused=True)
 
-        runner = getattr(self, f"_run_{stage}")
-        runner()
+        spec.run(self)
 
         outputs = {}
-        for name in STAGE_OUTPUTS[stage]:
+        for name in spec.outputs:
             path = self.out_dir / name
             if not path.exists():
                 raise DataError(f"stage {stage!r} did not produce {name}")
@@ -386,14 +313,7 @@ class Pipeline:
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         temp.write_text(json.dumps(manifest, indent=1, sort_keys=True), "utf-8")
         os.replace(temp, path)
-        return StageArtifact(
-            stage=stage,
-            params_fingerprint=fingerprint,
-            content_hash=content_hash,
-            outputs=outputs,
-            schema_version=SCHEMA_VERSION,
-            produced_at=manifest["produced_at"],
-        )
+        return StageArtifact.from_manifest(manifest, reused=False)
 
     def run_all(self, force: bool = False) -> list[StageArtifact]:
         return [self.run_stage(stage, force=force) for stage in STAGES]
@@ -782,27 +702,7 @@ class Pipeline:
             for key in sorted(collection):
                 plan = collection[key]
                 redesign.check_plan(plan)
-                plans.append(
-                    {
-                        "role_key": plan.role_key,
-                        "variant": plan.variant,
-                        "automated": list(plan.automated),
-                        "freed_share": plan.freed_share,
-                        "post_weights": {str(n): w for n, w in sorted(plan.post_weights.items())},
-                        "focus_task": plan.focus_task,
-                        "reasoning": plan.reasoning,
-                        "themes": list(plan.themes),
-                        "new_tasks": [
-                            {
-                                "task_number": new.task_number,
-                                "task_details": new.task_details,
-                                "task_category": new.task_category,
-                            }
-                            for new in plan.new_tasks
-                        ],
-                        "new_details": {str(n): d for n, d in sorted(plan.new_details.items())},
-                    }
-                )
+                plans.append(plan.to_record())
         plans.sort(key=lambda record: (record["role_key"], record["variant"]))
         write_jsonl(self.out_dir / "plans.jsonl", plans)
 
@@ -952,21 +852,7 @@ class Pipeline:
         }
         plans_by_variant: dict[str, dict[str, redesign.RedesignPlan]] = {}
         for record in read_jsonl(self.out_dir / "plans.jsonl"):
-            plan = redesign.RedesignPlan(
-                role_key=record["role_key"],
-                variant=record["variant"],
-                automated=tuple(record["automated"]),
-                freed_share=record["freed_share"],
-                post_weights={int(k): v for k, v in record["post_weights"].items()},
-                focus_task=record["focus_task"],
-                reasoning=record["reasoning"],
-                themes=tuple(record["themes"]),
-                new_tasks=tuple(
-                    redesign.NewTask(n["task_number"], n["task_details"], n["task_category"])
-                    for n in record["new_tasks"]
-                ),
-                new_details={int(k): v for k, v in record["new_details"].items()},
-            )
+            plan = redesign.RedesignPlan.from_record(record)
             plans_by_variant.setdefault(plan.variant, {})[plan.role_key] = plan
         shift = redesign.time_shift_report(
             list(eligible.values()), plans_by_variant, category_of
@@ -1031,3 +917,121 @@ class Pipeline:
             ["group", "kind", "label", "share_percent"],
             decile_rows,
         )
+
+
+STAGE_TABLE: tuple[Stage, ...] = (
+    Stage(
+        "ingest",
+        deps=(),
+        outputs=("vacancies.jsonl", "ingest_issues.json"),
+        params=lambda config: {
+            "min_department_vacancies": config.min_department_vacancies,
+            "population_total": config.population_total,
+        },
+        files=lambda config: {
+            "corpus": config.corpus_path,
+            "fte": config.fte_path,
+            "salary": config.salary_path,
+            "grade_totals": config.grade_totals_path,
+            "professions": config.profession_totals_path,
+            "grade_map": config.grade_map_path,
+            "vocab": config.vocab_path,
+        },
+        run=Pipeline._run_ingest,
+    ),
+    Stage(
+        "extract",
+        deps=("ingest",),
+        outputs=("tasks.jsonl", "extract_summary.json"),
+        params=lambda config: {
+            "truncate_chars": config.truncate_chars,
+            **_provider_params(config),
+        },
+        run=Pipeline._run_extract,
+    ),
+    Stage(
+        "weight",
+        deps=("ingest", "extract"),
+        outputs=("roles.jsonl", "task_weights.jsonl"),
+        params=lambda config: {"delta": config.delta},
+        run=Pipeline._run_weight,
+    ),
+    Stage(
+        "cluster",
+        deps=("weight",),
+        outputs=("role_clusters.jsonl", "taxonomy.jsonl", "projection.json"),
+        params=lambda config: {
+            "seed": config.seed,
+            "categories": config.taxonomy_categories,
+            "subclusters": config.taxonomy_subclusters,
+            "pca_dim": config.pca_dim,
+            "label_cap": config.label_sample_cap,
+            # the path stays here so existing fingerprints hold; the file's
+            # contents are hashed through ``files``
+            "stopwords": config.stopwords_path,
+            **_provider_params(config),
+        },
+        files=lambda config: {"stopwords": config.stopwords_path},
+        run=Pipeline._run_cluster,
+    ),
+    Stage(
+        "rake",
+        deps=("ingest", "weight"),
+        outputs=("raked_weights.jsonl", "rake_summary.json"),
+        params=lambda config: {"population_total": config.population_total},
+        files=lambda config: {
+            "fte": config.fte_path,
+            "grade_totals": config.grade_totals_path,
+            "professions": config.profession_totals_path,
+        },
+        run=Pipeline._run_rake,
+    ),
+    Stage(
+        "savings",
+        deps=("weight", "rake"),
+        outputs=("sweep.jsonl", "sensitivity.jsonl", "savings_summary.json"),
+        params=lambda config: {
+            "delta": config.delta,
+            "theta": config.theta,
+            "grid": config.theta_grid,
+            "sensitivity": config.sensitivity_deltas,
+        },
+        run=Pipeline._run_savings,
+    ),
+    Stage(
+        "redesign",
+        # redesign and report rebuild profiles from the ingest/extract outputs,
+        # so those must be hash-checked too, not just their weight-stage view
+        deps=("ingest", "extract", "weight"),
+        outputs=("plans.jsonl", "redesign_summary.json"),
+        params=lambda config: {
+            "theta": config.theta,
+            "delta": config.delta,
+            "seed": config.seed,
+            "fraction": config.new_tasks_fraction,
+            **_provider_params(config),
+        },
+        run=Pipeline._run_redesign,
+    ),
+    Stage(
+        "report",
+        deps=("ingest", "extract", "weight", "cluster", "rake", "savings", "redesign"),
+        outputs=(
+            "report/exposure_histogram.csv",
+            "report/band_shares.csv",
+            "report/tasks_per_role.csv",
+            "report/cluster_summary.csv",
+            "report/taxonomy_summary.csv",
+            "report/sweep.csv",
+            "report/decay_sensitivity.csv",
+            "report/redesign_comparison.csv",
+            "report/theme_shares.csv",
+            "report/focus_by_decile.csv",
+        ),
+        params=lambda config: {"theta": config.theta},
+        run=Pipeline._run_report,
+    ),
+)
+
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
+_STAGE_BY_NAME = {stage.name: stage for stage in STAGE_TABLE}

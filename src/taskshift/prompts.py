@@ -7,7 +7,6 @@ which is also the canonical form the mock provider's synthesizer parses.
 
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
 from .gateway.providers import StructuredRequest
@@ -34,8 +33,6 @@ THEME_NAMES = (
     "human_centric_leadership",
     "complex_problem_resolution",
 )
-
-_TASK_LINE_RE = re.compile(r"^\s*(-?\d+)\.\s+(.*\S)\s*$")
 
 TASK_EXTRACTION_SCHEMA = Schema(
     "task_extraction",
@@ -120,16 +117,6 @@ TASK_MIX_SCHEMA = Schema(
 
 def format_task_lines(tasks: Sequence[tuple[int, str]]) -> str:
     return "\n".join(f"{number}. {text}" for number, text in tasks)
-
-
-def parse_task_lines(block: str) -> list[tuple[int, str]]:
-    """Inverse of :func:`format_task_lines`; ignores non-matching lines."""
-    parsed = []
-    for line in block.splitlines():
-        match = _TASK_LINE_RE.match(line)
-        if match:
-            parsed.append((int(match.group(1)), match.group(2)))
-    return parsed
 
 
 def task_extraction_request(request_id: str, job_text: str) -> StructuredRequest:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +58,45 @@ class RedesignPlan:
     themes: tuple[str, ...] = ()
     new_tasks: tuple[NewTask, ...] = ()
     new_details: dict[int, str] = field(default_factory=dict)
+
+    def to_record(self) -> dict:
+        """The ``plans.jsonl`` row; inverse of :meth:`from_record`."""
+        # task-number keys are written as strings, so a dump with sort_keys
+        # orders them as text ("10" < "2"), not as numbers
+        return {
+            "role_key": self.role_key,
+            "variant": self.variant,
+            "automated": list(self.automated),
+            "freed_share": self.freed_share,
+            "post_weights": {str(n): w for n, w in self.post_weights.items()},
+            "focus_task": self.focus_task,
+            "reasoning": self.reasoning,
+            "themes": list(self.themes),
+            "new_tasks": [
+                {
+                    "task_number": new.task_number,
+                    "task_details": new.task_details,
+                    "task_category": new.task_category,
+                }
+                for new in self.new_tasks
+            ],
+            "new_details": {str(n): d for n, d in self.new_details.items()},
+        }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "RedesignPlan":
+        return cls(
+            role_key=record["role_key"],
+            variant=record["variant"],
+            automated=tuple(record["automated"]),
+            freed_share=record["freed_share"],
+            post_weights={int(k): v for k, v in record["post_weights"].items()},
+            focus_task=record["focus_task"],
+            reasoning=record["reasoning"],
+            themes=tuple(record["themes"]),
+            new_tasks=tuple(NewTask(**new) for new in record["new_tasks"]),
+            new_details={int(k): v for k, v in record["new_details"].items()},
+        )
 
 
 def automated_numbers(profile: RoleProfile) -> tuple[int, ...]:
@@ -120,23 +159,20 @@ def _automated_pairs(profile: RoleProfile) -> list[tuple[int, str]]:
     return [(t.task_number, t.task_details) for t in profile.tasks if t.high]
 
 
-def _nudge(prompt_suffix: str, attempt: int) -> str:
-    if attempt == 1:
-        return ""
-    return (
-        f"\n(attempt {attempt}: the previous reply violated the rules; "
-        f"{prompt_suffix})"
-    )
-
-
 def _run_waves(
     manager: BatchManager,
+    kind: str,
     contexts: dict,
-    build: Callable[[str, object, int], StructuredRequest],
+    build: Callable[[str, object], StructuredRequest],
     check: Callable[[object, dict], object],
+    nudge: str,
     attempts: int = MAX_STRUCTURAL_ATTEMPTS,
 ) -> tuple[dict, dict[str, str]]:
-    """Batch-validate-retry driver shared by all redesign calls."""
+    """Batch-validate-retry driver shared by all redesign calls.
+
+    ``build(request_id, context)`` gives the first-attempt request; a
+    retry appends ``nudge`` to its user prompt.
+    """
     results: dict = {}
     failures: dict[str, str] = {}
     pending = dict(contexts)
@@ -144,7 +180,15 @@ def _run_waves(
     for attempt in range(1, attempts + 1):
         if not pending:
             break
-        requests = {key: build(key, ctx, attempt) for key, ctx in pending.items()}
+        requests = {
+            key: build(f"{kind}:{key}:attempt{attempt}", ctx) for key, ctx in pending.items()
+        }
+        if attempt > 1:
+            suffix = f"\n(attempt {attempt}: the previous reply violated the rules; {nudge})"
+            requests = {
+                key: replace(request, user_prompt=request.user_prompt + suffix)
+                for key, request in requests.items()
+            }
         responses, report = manager.submit_batch(list(requests.values()))
         by_id = {response.request_id: response for response in responses}
         failed_ids = dict(report.failed)
@@ -167,17 +211,10 @@ def _run_waves(
     return results, failures
 
 
-def select_focus(profile: RoleProfile, manager: BatchManager) -> tuple[int, str]:
-    """Pick the surviving task that should absorb the freed time."""
-    results, failures = select_focus_bulk([profile], manager)
-    if failures:
-        raise DataError(f"focus selection failed: {failures[profile.vacancy_id]}")
-    return results[profile.vacancy_id]
-
-
 def select_focus_bulk(
     profiles: Sequence[RoleProfile], manager: BatchManager
 ) -> tuple[dict[str, tuple[int, str]], dict[str, str]]:
+    """Pick, per role, the surviving task that should absorb the freed time."""
     forced: dict[str, tuple[int, str]] = {}
     ask: dict[str, RoleProfile] = {}
     for profile in profiles:
@@ -189,20 +226,8 @@ def select_focus_bulk(
         else:
             ask[profile.vacancy_id] = profile
 
-    def build(key: str, profile: RoleProfile, attempt: int) -> StructuredRequest:
-        request = focus_choice_request(
-            f"focus:{key}:attempt{attempt}",
-            profile.title,
-            _survivor_pairs(profile),
-        )
-        if attempt > 1:
-            return StructuredRequest(
-                request.request_id,
-                request.system_prompt,
-                request.user_prompt + _nudge("answer with one of the listed task numbers", attempt),
-                request.output_schema,
-            )
-        return request
+    def build(request_id: str, profile: RoleProfile) -> StructuredRequest:
+        return focus_choice_request(request_id, profile.title, _survivor_pairs(profile))
 
     def check(profile: RoleProfile, payload: dict) -> tuple[int, str]:
         number = payload["task_number"]
@@ -212,22 +237,11 @@ def select_focus_bulk(
             )
         return number, payload["reasoning"]
 
-    results, failures = _run_waves(manager, ask, build, check)
+    results, failures = _run_waves(
+        manager, "focus", ask, build, check, "answer with one of the listed task numbers"
+    )
     results.update(forced)
     return results, failures  # type: ignore[return-value]
-
-
-def focus_plan(profile: RoleProfile, manager: BatchManager) -> RedesignPlan:
-    focus_task, reasoning = select_focus(profile, manager)
-    return RedesignPlan(
-        role_key=profile.vacancy_id,
-        variant=FOCUS,
-        automated=automated_numbers(profile),
-        freed_share=freed_share(profile),
-        post_weights=apply_focus(profile, focus_task),
-        focus_task=focus_task,
-        reasoning=reasoning,
-    )
 
 
 def tag_themes(
@@ -239,24 +253,15 @@ def tag_themes(
     """
     contexts = {str(index): reasoning for index, reasoning in enumerate(reasonings)}
 
-    def build(key: str, reasoning: str, attempt: int) -> StructuredRequest:
-        request = theme_flags_request(f"themes:{key}:attempt{attempt}", reasoning)
-        if attempt > 1:
-            return StructuredRequest(
-                request.request_id,
-                request.system_prompt,
-                request.user_prompt + _nudge("set between one and three flags", attempt),
-                request.output_schema,
-            )
-        return request
-
     def check(reasoning: str, payload: dict) -> tuple[str, ...]:
         flags = tuple(name for name in THEME_NAMES if payload[name] == 1)
         if not 1 <= len(flags) <= 3:
             raise SchemaInvalid("$", f"{len(flags)} theme flags set; need 1..3")
         return flags
 
-    results, failures = _run_waves(manager, contexts, build, check)
+    results, failures = _run_waves(
+        manager, "themes", contexts, theme_flags_request, check, "set between one and three flags"
+    )
     themed = [results.get(str(index), ()) for index in range(len(reasonings))]
     return themed, {int(key): reason for key, reason in failures.items()}
 
@@ -277,34 +282,15 @@ def _order_weights(profile: RoleProfile, ordered_numbers: Sequence[int]) -> dict
     return {number: weight for number, weight in zip(ordered_numbers, weights)}
 
 
-def reorder_plan(profile: RoleProfile, manager: BatchManager) -> RedesignPlan:
-    results, failures = reorder_plan_bulk([profile], manager)
-    if failures:
-        raise DataError(f"reorder failed: {failures[profile.vacancy_id]}")
-    return results[profile.vacancy_id]
-
-
 def reorder_plan_bulk(
     profiles: Sequence[RoleProfile], manager: BatchManager
 ) -> tuple[dict[str, RedesignPlan], dict[str, str]]:
     contexts = {profile.vacancy_id: profile for profile in profiles}
 
-    def build(key: str, profile: RoleProfile, attempt: int) -> StructuredRequest:
-        request = task_rewrite_request(
-            f"reorder:{key}:attempt{attempt}",
-            profile.title,
-            _survivor_pairs(profile),
-            profile.job_context,
+    def build(request_id: str, profile: RoleProfile) -> StructuredRequest:
+        return task_rewrite_request(
+            request_id, profile.title, _survivor_pairs(profile), profile.job_context
         )
-        if attempt > 1:
-            return StructuredRequest(
-                request.request_id,
-                request.system_prompt,
-                request.user_prompt
-                + _nudge("return every listed task exactly once", attempt),
-                request.output_schema,
-            )
-        return request
 
     def check(profile: RoleProfile, payload: dict) -> RedesignPlan:
         survivors = surviving_numbers(profile)
@@ -327,15 +313,10 @@ def reorder_plan_bulk(
             new_details=new_details,
         )
 
-    results, failures = _run_waves(manager, contexts, build, check)
+    results, failures = _run_waves(
+        manager, "reorder", contexts, build, check, "return every listed task exactly once"
+    )
     return results, failures  # type: ignore[return-value]
-
-
-def new_tasks_plan(profile: RoleProfile, manager: BatchManager) -> RedesignPlan:
-    results, failures = new_tasks_plan_bulk([profile], manager)
-    if failures:
-        raise DataError(f"new-task planning failed: {failures[profile.vacancy_id]}")
-    return results[profile.vacancy_id]
 
 
 def new_tasks_plan_bulk(
@@ -346,28 +327,15 @@ def new_tasks_plan_bulk(
         if not automated_numbers(profile):
             raise UsageError(f"role {profile.vacancy_id} has no automated tasks")
 
-    def build(key: str, profile: RoleProfile, attempt: int) -> StructuredRequest:
-        request = task_mix_request(
-            f"newtasks:{key}:attempt{attempt}",
+    def build(request_id: str, profile: RoleProfile) -> StructuredRequest:
+        return task_mix_request(
+            request_id,
             profile.title,
             profile.department,
             profile.job_context,
             _automated_pairs(profile),
             _survivor_pairs(profile),
         )
-        if attempt > 1:
-            return StructuredRequest(
-                request.request_id,
-                request.system_prompt,
-                request.user_prompt
-                + _nudge(
-                    "keep every remaining task, give new tasks unique negative "
-                    "numbers, and do not exceed the new-task cap",
-                    attempt,
-                ),
-                request.output_schema,
-            )
-        return request
 
     def check(profile: RoleProfile, payload: dict) -> RedesignPlan:
         survivors = surviving_numbers(profile)
@@ -398,7 +366,11 @@ def new_tasks_plan_bulk(
             ),
         )
 
-    results, failures = _run_waves(manager, contexts, build, check)
+    nudge = (
+        "keep every remaining task, give new tasks unique negative "
+        "numbers, and do not exceed the new-task cap"
+    )
+    results, failures = _run_waves(manager, "newtasks", contexts, build, check, nudge)
     return results, failures  # type: ignore[return-value]
 
 

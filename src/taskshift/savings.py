@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from .config import DEFAULT_THETA_GRID
 from .errors import UsageError
 from .exposure import HIGH_CUTOFF, HOURS_PER_WEEK, MEDIUM_CUTOFF, decay_weights
-
-DEFAULT_THETA_GRID = tuple(round(step * 0.05, 2) for step in range(21))
 
 
 class RoleClass(str, Enum):

@@ -11,7 +11,6 @@ from taskshift.exposure import (
     classify_exposure,
     decay_weights,
     extract_corpus,
-    extract_role_tasks,
     role_exposure,
     score_task_list,
     task_record,
@@ -186,6 +185,13 @@ def extraction_fixture(text, payload):
     return {task_extraction_request("x", text).fingerprint(): payload}
 
 
+def extracted(description, manager, summary=""):
+    """Run extraction on one vacancy and return its tasks."""
+    result = extract_corpus([vacancy(description, summary)], manager)
+    assert result.dropped == []
+    return result.tasks_by_vacancy["V1"]
+
+
 def payload_of(*scores):
     return {
         "tasks": [
@@ -199,7 +205,7 @@ class TestExtraction:
     def test_description_pass(self):
         fixtures = extraction_fixture("Seven duties.", payload_of(*[0.5] * 7))
         manager = BatchManager(MockProvider(fixtures=fixtures, strict=True))
-        tasks = extract_role_tasks(vacancy("Seven duties."), manager)
+        tasks = extracted("Seven duties.", manager)
         assert len(tasks) == 7
         assert [t.task_number for t in tasks] == list(range(1, 8))
 
@@ -208,7 +214,7 @@ class TestExtraction:
             "Summary with bullets.", payload_of(0.2, 0.4, 0.6, 0.8)
         )
         manager = BatchManager(MockProvider(fixtures=fixtures, strict=True))
-        tasks = extract_role_tasks(vacancy("Prose only.", "Summary with bullets."), manager)
+        tasks = extracted("Prose only.", manager, summary="Summary with bullets.")
         assert len(tasks) == 4
 
     def test_dropped_when_both_fields_thin(self):
@@ -238,7 +244,7 @@ class TestExtraction:
         }
         fixtures = extraction_fixture("Renumber me.", payload)
         manager = BatchManager(MockProvider(fixtures=fixtures, strict=True))
-        tasks = extract_role_tasks(vacancy("Renumber me."), manager)
+        tasks = extracted("Renumber me.", manager)
         assert [(t.task_number, t.task_details) for t in tasks] == [(1, "first"), (2, "second")]
 
     def test_band_and_indicator_consistent(self):

@@ -9,7 +9,7 @@ from taskshift.cli import main
 from taskshift.config import PipelineConfig
 from taskshift.corpus import Vacancy
 from taskshift.errors import DataError, UsageError
-from taskshift.pipeline import STAGE_DEPS, STAGES, Pipeline, read_jsonl
+from taskshift.pipeline import STAGE_TABLE, STAGES, Pipeline, read_jsonl
 from taskshift.prompts import task_extraction_request
 
 from conftest import write_config
@@ -24,10 +24,10 @@ def run_all(config: PipelineConfig) -> Pipeline:
 class TestStageGraph:
     def test_dag_is_acyclic_and_respects_order(self):
         position = {stage: index for index, stage in enumerate(STAGES)}
-        for stage, deps in STAGE_DEPS.items():
-            assert stage not in deps
-            for dep in deps:
-                assert position[dep] < position[stage]
+        for stage in STAGE_TABLE:
+            assert stage.name not in stage.deps
+            for dep in stage.deps:
+                assert position[dep] < position[stage.name]
 
     def test_fixture_fingerprints_are_pinned(self, fixture_config):
         # a stage's fingerprint covers its parameters, its input files and
@@ -148,6 +148,27 @@ class TestEndToEnd:
         assert any(line.startswith("weight: built") for line in lines)
         assert any(line.startswith("report: reused") for line in lines)
         json.loads(manifest.read_text())
+
+    def test_stopwords_edit_rebuilds_cluster(self, tmp_path):
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("the\nand\nof\n")
+        config = PipelineConfig.load(write_config(tmp_path, stopwords_path=str(stopwords)))
+        run_all(config)
+        taxonomy = Path(config.out_dir) / "taxonomy.jsonl"
+        before = taxonomy.read_bytes()
+        stopwords.write_text("the\nand\nof\nmanage\nreview\n")
+        pipeline = Pipeline(config)
+        assert not pipeline.run_stage("cluster").reused
+        assert taxonomy.read_bytes() != before
+        assert pipeline.run_stage("cluster").reused
+
+    def test_missing_stopwords_file_is_data_error(self, tmp_path):
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("the\nand\nof\n")
+        config = write_config(tmp_path, stopwords_path=str(stopwords))
+        assert main(["all", "--config", str(config)]) == 0
+        stopwords.unlink()
+        assert main(["cluster", "--config", str(config), "--force"]) == 2
 
     def test_stale_upstream_refused(self, fixture_config):
         pipeline = run_all(fixture_config)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -51,6 +52,13 @@ def mock_manager(fixtures=None, strict=False):
     )
 
 
+def single(bulk, role, manager):
+    """Run a bulk redesign call on one role and return its result."""
+    results, failures = bulk([role], manager)
+    assert failures == {}
+    return results[role.vacancy_id]
+
+
 class TestEligibility:
     def test_zero_high_share_excluded(self):
         role = build_role([0.2, 0.3, 0.4])
@@ -97,7 +105,7 @@ class TestSelectFocus:
         role = reference_role()
         request = focus_choice_request("x", role.title, self.survivors(role))
         fixtures = {request.fingerprint(): {"task_number": 3, "reasoning": "Deepest leverage."}}
-        number, reasoning = redesign.select_focus(role, mock_manager(fixtures))
+        number, reasoning = single(redesign.select_focus_bulk, role, mock_manager(fixtures))
         assert number == 3 and reasoning == "Deepest leverage."
 
     def test_automated_choice_rejected_then_retried(self):
@@ -107,7 +115,7 @@ class TestSelectFocus:
         fixtures = {request.fingerprint(): {"task_number": 1, "reasoning": "bad"}}
         provider = MockProvider(fixtures=fixtures)
         manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
-        number, _ = redesign.select_focus(role, manager)
+        number, _ = single(redesign.select_focus_bulk, role, manager)
         assert number == 3  # synthesizer picks the lowest surviving number
         assert provider.calls >= 2
 
@@ -115,7 +123,7 @@ class TestSelectFocus:
         role = build_role([0.9, 0.8, 0.4])
         provider = MockProvider(strict=True)
         manager = BatchManager(provider)
-        number, reasoning = redesign.select_focus(role, manager)
+        number, reasoning = single(redesign.select_focus_bulk, role, manager)
         assert number == 3
         assert provider.calls == 0
         assert reasoning
@@ -135,11 +143,62 @@ class TestSelectFocus:
 
     def test_focus_plan_invariants(self):
         role = reference_role()
-        plan = redesign.focus_plan(role, mock_manager())
+        focus_task, reasoning = single(redesign.select_focus_bulk, role, mock_manager())
+        plan = redesign.RedesignPlan(
+            role_key=role.vacancy_id,
+            variant=redesign.FOCUS,
+            automated=redesign.automated_numbers(role),
+            freed_share=redesign.freed_share(role),
+            post_weights=redesign.apply_focus(role, focus_task),
+            focus_task=focus_task,
+            reasoning=reasoning,
+        )
         redesign.check_plan(plan)
         assert plan.post_weights[plan.focus_task] - dict(
             zip((t.task_number for t in role.tasks), role.weights.normalized)
         )[plan.focus_task] == pytest.approx(plan.freed_share, abs=1e-12)
+
+
+class TestWaves:
+    def test_retry_appends_nudge_to_first_attempt_prompt(self):
+        role = reference_role()
+        manager = mock_manager(strict=True)  # no fixture: every attempt fails
+        sent = []
+        submit = manager.submit_batch
+
+        def record(requests):
+            sent.extend(requests)
+            return submit(requests)
+
+        manager.submit_batch = record
+        results, failures = redesign.select_focus_bulk([role], manager)
+        assert results == {} and role.vacancy_id in failures
+        assert [r.request_id for r in sent] == [f"focus:R1:attempt{n}" for n in (1, 2, 3)]
+        first = focus_choice_request("x", role.title, TestSelectFocus().survivors(role))
+        assert sent[0].user_prompt == first.user_prompt
+        assert sent[2].user_prompt == first.user_prompt + (
+            "\n(attempt 3: the previous reply violated the rules; "
+            "answer with one of the listed task numbers)"
+        )
+
+
+class TestPlanRecord:
+    def test_round_trip_with_ten_or_more_tasks(self):
+        plan = redesign.RedesignPlan(
+            role_key="R1",
+            variant=redesign.NEW_TASKS,
+            automated=(1,),
+            freed_share=0.25,
+            post_weights={n: 1.0 / 12 for n in (-1, *range(2, 13))},
+            new_tasks=(redesign.NewTask(-1, "oversee model risk", "risk_management"),),
+            new_details={2: "first", 10: "tenth"},
+        )
+        line = json.dumps(plan.to_record(), sort_keys=True)
+        record = json.loads(line)
+        # keys are text, so "10" sorts before "2" in the written line
+        assert list(record["post_weights"]) == sorted(str(n) for n in plan.post_weights)
+        assert list(record["new_details"]) == ["10", "2"]
+        assert redesign.RedesignPlan.from_record(record) == plan
 
 
 class TestTagThemes:
@@ -175,7 +234,7 @@ class TestTagThemes:
 class TestReorder:
     def test_identity_reorder_gets_decay_weights(self):
         role = reference_role()
-        plan = redesign.reorder_plan(role, mock_manager())
+        plan = single(redesign.reorder_plan_bulk, role, mock_manager())
         redesign.check_plan(plan)
         from taskshift.exposure import decay_weights
 
@@ -194,7 +253,7 @@ class TestReorder:
             ]
         }
         fixtures = {request.fingerprint(): reversed_payload}
-        plan = redesign.reorder_plan(role, mock_manager(fixtures))
+        plan = single(redesign.reorder_plan_bulk, role, mock_manager(fixtures))
         assert plan.post_weights[5] == pytest.approx(0.3657, abs=5e-5)
         assert plan.post_weights[4] == pytest.approx(0.2743, abs=5e-5)
         assert plan.post_weights[3] == pytest.approx(0.2057, abs=5e-5)
@@ -225,7 +284,8 @@ class TestReorder:
                 {"task_number": 3, "label": "No change", "new_task_details": survivors[1][1]},
             ]
         }
-        plan = redesign.reorder_plan(role, mock_manager({request.fingerprint(): payload}))
+        manager = mock_manager({request.fingerprint(): payload})
+        plan = single(redesign.reorder_plan_bulk, role, manager)
         assert plan.new_details == {2: "duty with copilot"}
 
 
@@ -255,7 +315,8 @@ class TestNewTasks:
 
     def test_zero_new_tasks_accepted(self):
         role = reference_role()
-        plan = redesign.new_tasks_plan(role, mock_manager())  # synthesizer proposes none
+        # the synthesizer proposes no new tasks
+        plan = single(redesign.new_tasks_plan_bulk, role, mock_manager())
         redesign.check_plan(plan)
         assert plan.new_tasks == ()
         assert set(plan.post_weights) == {3, 4, 5, 6}
@@ -269,7 +330,8 @@ class TestNewTasks:
             {"task_number": n, "task_details": d, "task_category": "service_delivery"}
             for n, d in survivors
         ]
-        plan = redesign.new_tasks_plan(role, mock_manager(self.fixture_for(role, {"tasks": tasks})))
+        manager = mock_manager(self.fixture_for(role, {"tasks": tasks}))
+        plan = single(redesign.new_tasks_plan_bulk, role, manager)
         from taskshift.exposure import decay_weights
 
         expected = decay_weights(5, role.delta).normalized
