@@ -84,8 +84,15 @@ def kmeans(
 
 
 def _pairwise_d2(matrix: np.ndarray, centers: np.ndarray, row_norms: np.ndarray) -> np.ndarray:
-    """Squared distances point-to-center without the n*k*d broadcast."""
-    d2 = row_norms[:, None] - 2.0 * (matrix @ centers.T) + (centers**2).sum(axis=1)[None, :]
+    """Squared distances point-to-center without the n*k*d broadcast.
+
+    Computes ``row_norms - 2 * (matrix @ centers.T) + center_norms`` in
+    that order, in place in one buffer.
+    """
+    d2 = matrix @ centers.T
+    d2 *= 2.0
+    np.subtract(row_norms[:, None], d2, out=d2)
+    d2 += (centers**2).sum(axis=1)[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -114,17 +121,32 @@ def _lloyd(matrix: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
     for iterations in range(1, max_iter + 1):
         d2 = _pairwise_d2(matrix, centroids, row_norms)
         new_assignments = d2.argmin(axis=1)  # argmin takes the lowest index on ties
-        own = d2[np.arange(n), new_assignments].copy()
-        for cluster in range(k):
-            if not (new_assignments == cluster).any():
-                mover = int(own.argmax())
-                new_assignments[mover] = cluster
-                own[mover] = 0.0
+        counts = np.bincount(new_assignments, minlength=k)
+        if not counts.all():
+            own = d2[np.arange(n), new_assignments].copy()
+            for cluster in range(k):
+                if not (new_assignments == cluster).any():
+                    mover = int(own.argmax())
+                    new_assignments[mover] = cluster
+                    own[mover] = 0.0
+            counts = np.bincount(new_assignments, minlength=k)
         if (new_assignments == assignments).all():
             break
         assignments = new_assignments
-        for cluster in range(k):
-            centroids[cluster] = matrix[assignments == cluster].mean(axis=0)
+        # Each centroid is its members' mean, reduced exactly as
+        # matrix[assignments == c].mean(axis=0) reduces it: a stable sort
+        # lays each cluster's rows out contiguously in index order, and
+        # np.add.reduce over that slice runs the same summation. One sort
+        # replaces k masked passes. np.add.reduceat is not used because it
+        # sums a segment in another order, so its bits differ.
+        grouped = matrix.take(np.argsort(assignments, kind="stable"), axis=0)
+        ends = np.cumsum(counts).tolist()
+        sums = np.empty_like(centroids)
+        start = 0
+        for cluster, end in enumerate(ends):
+            sums[cluster] = np.add.reduce(grouped[start:end], axis=0)
+            start = end
+        centroids = sums / counts[:, None]
     inertia = float(((matrix - centroids[assignments]) ** 2).sum())
     return KMeansResult(assignments, centroids, inertia, iterations)
 

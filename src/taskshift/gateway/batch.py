@@ -195,9 +195,17 @@ class BatchManager:
             else:
                 failed = list(range(start, start + len(chunk)))
                 raise ProviderError(f"embedding failed for texts {failed}: {error}")
+            try:
+                vectors = np.asarray(vectors, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ProviderError(f"provider returned malformed embeddings: {exc}") from exc
+            if vectors.ndim != 2:
+                raise ProviderError(f"provider returned {vectors.ndim}-D embeddings, not 2-D")
             if vectors.shape[0] != len(chunk):
                 raise ProviderError("provider returned wrong number of embeddings")
-            chunks.append(np.asarray(vectors, dtype=float))
+            if not np.isfinite(vectors).all():
+                raise ProviderError("provider returned embeddings that are not finite")
+            chunks.append(vectors)
         matrix = np.vstack(chunks)
         if len({chunk.shape[1] for chunk in chunks}) != 1:
             raise ProviderError("embedding dimension changed mid-run")

@@ -13,8 +13,6 @@ import hashlib
 import json
 import os
 import re
-import urllib.error
-import urllib.request
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import ClassVar, Protocol, Sequence
@@ -295,9 +293,17 @@ class HttpProvider:
             raise ProviderError(f"malformed embedding response: {exc}") from exc
         if len(vectors) != len(texts):
             raise ProviderError(f"expected {len(texts)} embeddings, got {len(vectors)}")
-        return np.asarray(vectors, dtype=float)
+        try:
+            return np.asarray(vectors, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric vectors
+            raise ProviderError(f"malformed embedding response: {exc}") from exc
 
     def _post(self, path: str, body: dict) -> dict:
+        # imported here: urllib.request pulls in http.client, ssl and email,
+        # which no run with an in-process provider needs
+        import urllib.error
+        import urllib.request
+
         key = os.environ.get(self.api_key_env)
         if not key:
             raise ProviderError(f"environment variable {self.api_key_env} is not set")

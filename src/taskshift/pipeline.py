@@ -197,6 +197,7 @@ class Pipeline:
         self.out_dir = Path(config.out_dir)
         self.manifest_dir = self.out_dir / "manifests"
         self._manager: BatchManager | None = None
+        self._digests: dict[Path, tuple[tuple[int, int], str]] = {}
 
     # -- manifest machinery -------------------------------------------------
 
@@ -213,10 +214,27 @@ class Pipeline:
             log.warning("manifest %s is unreadable; treating stage %s as not run", path, stage)
             return None
 
+    def _hash(self, path: Path) -> str:
+        """SHA-256 of a file, read once per ``Pipeline`` while it is unchanged.
+
+        A file counts as unchanged while its size and modification time in
+        nanoseconds are. An edit that keeps both (same size, within one
+        timestamp tick) while this object is in use goes unseen until the
+        next invocation, which starts with an empty memo.
+        """
+        stat = path.stat()
+        key = (stat.st_size, stat.st_mtime_ns)
+        known = self._digests.get(path)
+        if known is not None and known[0] == key:
+            return known[1]
+        digest = _sha256_file(path)
+        self._digests[path] = (key, digest)
+        return digest
+
     def _outputs_valid(self, manifest: dict) -> bool:
         for name, expected in manifest["outputs"].items():
             path = self.out_dir / name
-            if not path.exists() or _sha256_file(path) != expected:
+            if not path.exists() or self._hash(path) != expected:
                 return False
         return True
 
@@ -232,7 +250,7 @@ class Pipeline:
             path = Path(raw)
             if not path.exists():
                 raise DataError(f"input file for stage {stage.name!r} missing: {path}")
-            inputs[f"file:{name}"] = _sha256_file(path)
+            inputs[f"file:{name}"] = self._hash(path)
         for dep in stage.deps:
             manifest = self._load_manifest(dep)
             if manifest is None:
@@ -297,7 +315,9 @@ class Pipeline:
             path = self.out_dir / name
             if not path.exists():
                 raise DataError(f"stage {stage!r} did not produce {name}")
-            outputs[name] = _sha256_file(path)
+            # hashed afresh; the memo then serves later checks of this output
+            self._digests.pop(path, None)
+            outputs[name] = self._hash(path)
         content_hash = hashlib.sha256(_canonical(outputs).encode("utf-8")).hexdigest()
         manifest = {
             "stage": stage,
@@ -498,7 +518,13 @@ class Pipeline:
 
         tasks = read_jsonl(self.out_dir / "task_weights.jsonl")
         stopwords = clustering.load_stopwords(config.stopwords_path)
-        normalized = [clustering.normalize_text(row["task_details"], stopwords) for row in tasks]
+        # task texts repeat across roles (reposted template duties), so each
+        # distinct text is normalised once
+        normalized_of = {
+            text: clustering.normalize_text(text, stopwords)
+            for text in dict.fromkeys(row["task_details"] for row in tasks)
+        }
+        normalized = [normalized_of[row["task_details"]] for row in tasks]
         unique = sorted({text for text in normalized if text})
         taxonomy, projection = clustering.build_taxonomy(
             unique,

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .config import DEFAULT_THETA_GRID
 from .errors import UsageError
 from .exposure import HIGH_CUTOFF, HOURS_PER_WEEK, MEDIUM_CUTOFF, decay_weights
@@ -99,7 +101,10 @@ def savings_from_shares(
 
 def exposure_shares(exposures: Sequence[float], delta: float) -> tuple[float, float]:
     """(high, medium) time shares of an ordered score list under decay."""
-    weights = decay_weights(len(exposures), delta).normalized
+    return _split_shares(exposures, decay_weights(len(exposures), delta).normalized)
+
+
+def _split_shares(exposures: Sequence[float], weights: Sequence[float]) -> tuple[float, float]:
     high = math.fsum(w for w, e in zip(weights, exposures) if e >= HIGH_CUTOFF)
     medium = math.fsum(
         w for w, e in zip(weights, exposures) if MEDIUM_CUTOFF <= e < HIGH_CUTOFF
@@ -149,7 +154,15 @@ def sweep(
     delta: float = 0.75,
     weights: Sequence[float] | None = None,
 ) -> SweepCurve:
-    """Classify and total every role at every threshold on the grid."""
+    """Classify and total every role at every threshold on the grid.
+
+    Totals are those of summing ``w * amount`` over each role's
+    ``savings_from_shares`` entry, bit for bit. Only a role's class depends
+    on the threshold, so each weighted amount is computed once, with the
+    same float operations, and each threshold picks per role either that
+    term or ``w * 0.0`` (what an entry outside the amount's class
+    contributes) and sums the terms with ``math.fsum`` in role order.
+    """
     thetas = tuple(theta_grid) if theta_grid is not None else DEFAULT_THETA_GRID
     if weights is None:
         row_weights = [role.weight for role in roles]
@@ -158,40 +171,71 @@ def sweep(
             raise UsageError(f"{len(weights)} weights for {len(roles)} roles")
         row_weights = list(weights)
 
-    shares = [exposure_shares(role.exposures, delta) for role in roles]
+    # exposure_shares per role, with the decay weights built once per task count
+    by_count: dict[int, tuple[float, ...]] = {}
+    shares = []
+    for role in roles:
+        count = len(role.exposures)
+        if count not in by_count:
+            by_count[count] = decay_weights(count, delta).normalized
+        shares.append(_split_shares(role.exposures, by_count[count]))
     missing_salary = sum(1 for role in roles if role.salary is None)
+    highs = [high for high, _ in shares]
+    if highs and thetas:
+        # classify_role's checks, met in the order a per-threshold,
+        # per-role loop meets them: every share at the first threshold,
+        # then each later threshold
+        for high in highs:
+            classify_role(high, thetas[0])
+        for theta in thetas[1:]:
+            classify_role(highs[0], theta)
+
+    high_share = np.array(highs, dtype=float)
+    impact = high_share != 0.0
+    paid = np.array([role.salary is not None for role in roles], dtype=bool)
+    zero = np.array([w * 0.0 for w in row_weights], dtype=float)
+    cost_terms = np.array(
+        [w * r.salary if r.salary is not None else 0.0 for w, r in zip(row_weights, roles)],
+        dtype=float,
+    )
+    gain_terms = np.array(
+        [
+            w * (h * r.salary) if r.salary is not None else 0.0
+            for w, r, h in zip(row_weights, roles, highs)
+        ],
+        dtype=float,
+    )
+    upper_terms = np.array(
+        [
+            w * ((h + m) * r.salary) if r.salary is not None else 0.0
+            for w, r, (h, m) in zip(row_weights, roles, shares)
+        ],
+        dtype=float,
+    )
+    freed_terms = np.array(
+        [w * (h * HOURS_PER_WEEK) for w, h in zip(row_weights, highs)], dtype=float
+    )
+
+    def total(in_class: np.ndarray, terms: np.ndarray, among: np.ndarray | None = None) -> float:
+        picked = np.where(in_class, terms, zero)
+        return math.fsum((picked if among is None else picked[among]).tolist())
 
     costs, gains, uppers, freed, ratios = [], [], [], [], []
-    n_cost, n_gain, n_none = [], [], []
+    n_cost, n_gain = [], []
     for theta in thetas:
-        per_role = [
-            savings_from_shares(role.role_key, high, medium, role.salary, theta)
-            for role, (high, medium) in zip(roles, shares)
-        ]
-        cost_total = math.fsum(
-            w * entry.cost_reduction
-            for w, entry in zip(row_weights, per_role)
-            if entry.cost_reduction is not None
-        )
-        gain_total = math.fsum(
-            w * entry.productivity_gain
-            for w, entry in zip(row_weights, per_role)
-            if entry.productivity_gain is not None
-        )
-        upper_total = math.fsum(
-            w * entry.productivity_upper
-            for w, entry in zip(row_weights, per_role)
-            if entry.productivity_upper is not None
-        )
-        freed_total = math.fsum(w * entry.freed_hours for w, entry in zip(row_weights, per_role))
+        is_cost = impact & (high_share >= theta)
+        is_gain = impact & ~is_cost
+        # money totals leave out roles without a salary
+        cost_total = total(is_cost, cost_terms, paid)
+        gain_total = total(is_gain, gain_terms, paid)
         costs.append(cost_total)
         gains.append(gain_total)
-        uppers.append(upper_total)
-        freed.append(freed_total)
+        uppers.append(total(is_gain, upper_terms, paid))
+        freed.append(total(is_gain, freed_terms))
         ratios.append(gain_total / cost_total if cost_total > 0 else math.inf)
-        n_cost.append(sum(1 for e in per_role if e.role_class is RoleClass.COST_REDUCTION))
-        n_gain.append(sum(1 for e in per_role if e.role_class is RoleClass.PRODUCTIVITY_GAIN))
-        n_none.append(sum(1 for e in per_role if e.role_class is RoleClass.NO_IMPACT))
+        n_cost.append(int(np.count_nonzero(is_cost)))
+        n_gain.append(int(np.count_nonzero(is_gain)))
+    n_none = [len(roles) - int(np.count_nonzero(impact))] * len(thetas)
 
     return SweepCurve(
         thetas=thetas,

@@ -4,11 +4,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from taskshift.clustering import (
     ExposureCluster,
+    KMeansResult,
     _label_request,
+    _lloyd,
     build_taxonomy,
     cluster_roles,
     fit_pca,
@@ -39,6 +41,113 @@ def brute_force_min_inertia(points, k):
             best = inertia
             best_assignment = labels
     return best, best_assignment
+
+
+def reference_pairwise_d2(matrix, centers, row_norms):
+    d2 = row_norms[:, None] - 2.0 * (matrix @ centers.T) + (centers**2).sum(axis=1)[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def reference_kmeans_pp(matrix, k, rng):
+    row_norms = (matrix**2).sum(axis=1)
+    chosen = [int(rng.integers(matrix.shape[0]))]
+    d2 = reference_pairwise_d2(matrix, matrix[chosen[-1]][None, :], row_norms)[:, 0]
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            taken = set(chosen)
+            chosen.append(next(i for i in range(matrix.shape[0]) if i not in taken))
+        else:
+            chosen.append(int(rng.choice(matrix.shape[0], p=d2 / total)))
+        newest = reference_pairwise_d2(matrix, matrix[chosen[-1]][None, :], row_norms)[:, 0]
+        np.minimum(d2, newest, out=d2)
+    return matrix[chosen].copy()
+
+
+def reference_lloyd(matrix, centroids, max_iter):
+    """The Lloyd loop with one masked mean per cluster, as k-means first shipped."""
+    n, k = matrix.shape[0], centroids.shape[0]
+    row_norms = (matrix**2).sum(axis=1)
+    assignments = np.full(n, -1, dtype=int)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        d2 = reference_pairwise_d2(matrix, centroids, row_norms)
+        new_assignments = d2.argmin(axis=1)
+        own = d2[np.arange(n), new_assignments].copy()
+        for cluster in range(k):
+            if not (new_assignments == cluster).any():
+                mover = int(own.argmax())
+                new_assignments[mover] = cluster
+                own[mover] = 0.0
+        if (new_assignments == assignments).all():
+            break
+        assignments = new_assignments
+        for cluster in range(k):
+            centroids[cluster] = matrix[assignments == cluster].mean(axis=0)
+    inertia = float(((matrix - centroids[assignments]) ** 2).sum())
+    return KMeansResult(assignments, centroids, inertia, iterations)
+
+
+def reference_kmeans(points, k, seed, n_init=10, max_iter=300):
+    matrix = np.asarray(points, dtype=float)
+    best = None
+    for restart_seed in np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_init):
+        rng = np.random.default_rng(int(restart_seed))
+        result = reference_lloyd(matrix, reference_kmeans_pp(matrix, k, rng), max_iter)
+        if best is None or result.inertia < best.inertia:
+            best = result
+    return best
+
+
+def assert_same_result(result, expected):
+    assert result.assignments.dtype == expected.assignments.dtype
+    assert np.array_equal(result.assignments, expected.assignments)
+    assert result.centroids.tobytes() == expected.centroids.tobytes()
+    assert repr(result.inertia) == repr(expected.inertia)
+    assert result.iterations == expected.iterations
+
+
+# few distinct coordinates, so duplicate points and tied distances are common
+COORDINATE = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0, 3.0]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False),
+)
+
+
+@st.composite
+def point_sets(draw, max_points=30):
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    d = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(COORDINATE, min_size=d, max_size=d), min_size=n, max_size=n))
+    return np.asarray(rows, dtype=float)
+
+
+class TestLloydBitIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=point_sets(), data=st.data())
+    def test_kmeans_equals_masked_mean_loop(self, matrix, data):
+        n = matrix.shape[0]
+        k = data.draw(st.one_of(st.just(n), st.integers(min_value=1, max_value=n)), label="k")
+        seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
+        assert_same_result(kmeans(matrix, k, seed, n_init=3), reference_kmeans(matrix, k, seed, n_init=3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=point_sets(), data=st.data())
+    def test_forced_empty_clusters_repaired_alike(self, matrix, data):
+        # repeated starting centroids tie, argmin gives every point to the
+        # first copy, and the other copies start empty
+        n = matrix.shape[0]
+        k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+        starts = data.draw(
+            st.lists(st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k),
+            label="starts",
+        )
+        starts[-1] = starts[0]
+        with np.errstate(all="ignore"):
+            result = _lloyd(matrix, matrix[starts].copy(), max_iter=50)
+            expected = reference_lloyd(matrix, matrix[starts].copy(), max_iter=50)
+        assert_same_result(result, expected)
 
 
 class TestKMeans:

@@ -18,6 +18,7 @@ from taskshift.errors import (
 )
 from taskshift.gateway import (
     BatchManager,
+    HttpProvider,
     MockProvider,
     ProviderResult,
     ResponseCache,
@@ -402,4 +403,48 @@ class TestEmbeddings:
     def test_embed_failure_names_indexes(self):
         manager = BatchManager(FlakyProvider(failures=0), policy=RetryPolicy(backoff_base=0.0))
         with pytest.raises(ProviderError, match=r"\[0, 1\]"):
+            manager.embed_texts(["a", "b"])
+
+    def test_non_finite_vectors_are_provider_error(self):
+        class NanProvider(MockProvider):
+            def embed(self, texts):
+                vectors = super().embed(texts)
+                vectors[0, 0] = np.nan
+                return vectors
+
+        with pytest.raises(ProviderError, match="finite"):
+            BatchManager(NanProvider(dimension=4)).embed_texts(["a", "b"])
+
+    def test_one_dimensional_vectors_are_provider_error(self):
+        class FlatProvider(MockProvider):
+            def embed(self, texts):
+                return np.zeros(len(texts))
+
+        with pytest.raises(ProviderError, match="2-D"):
+            BatchManager(FlatProvider()).embed_texts(["a", "b"])
+
+
+def http_provider(reply: dict) -> HttpProvider:
+    """An HTTP provider whose every request gets ``reply`` without a network call."""
+    provider = HttpProvider(base_url="http://localhost:9", model="m")
+    provider._post = lambda path, body: reply
+    return provider
+
+
+class TestHttpEmbeddings:
+    def test_ragged_vectors_are_provider_error(self):
+        reply = {"data": [{"embedding": [0.1, 0.2]}, {"embedding": [0.3]}]}
+        with pytest.raises(ProviderError, match="malformed embedding"):
+            http_provider(reply).embed(["a", "b"])
+
+    def test_non_numeric_vectors_are_provider_error(self):
+        reply = {"data": [{"embedding": ["x", None]}]}
+        with pytest.raises(ProviderError, match="malformed embedding"):
+            http_provider(reply).embed(["a"])
+
+    def test_nan_from_server_json_is_provider_error(self):
+        # json.loads accepts the bare NaN token some servers emit
+        reply = json.loads('{"data": [{"embedding": [NaN, 1.0]}, {"embedding": [0.5, 1.0]}]}')
+        manager = BatchManager(http_provider(reply))
+        with pytest.raises(ProviderError, match="finite"):
             manager.embed_texts(["a", "b"])

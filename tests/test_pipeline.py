@@ -1,10 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import taskshift
+from taskshift import pipeline as pipeline_module
 from taskshift.cli import main
 from taskshift.config import PipelineConfig
 from taskshift.corpus import Vacancy
@@ -169,6 +175,23 @@ class TestEndToEnd:
         assert main(["all", "--config", str(config)]) == 0
         stopwords.unlink()
         assert main(["cluster", "--config", str(config), "--force"]) == 2
+
+    def test_each_file_hashed_at_most_once_per_pipeline(self, fixture_config, monkeypatch):
+        hashed: Counter = Counter()
+        original = pipeline_module._sha256_file
+
+        def counting(path):
+            hashed[Path(path)] += 1
+            return original(path)
+
+        monkeypatch.setattr(pipeline_module, "_sha256_file", counting)
+        run_all(fixture_config)
+        assert hashed and max(hashed.values()) == 1, hashed.most_common(3)
+        first = set(hashed)
+        hashed.clear()
+        rerun = Pipeline(fixture_config)
+        assert all(artifact.reused for artifact in rerun.run_all())
+        assert set(hashed) == first and max(hashed.values()) == 1, hashed.most_common(3)
 
     def test_stale_upstream_refused(self, fixture_config):
         pipeline = run_all(fixture_config)
@@ -356,6 +379,35 @@ class TestCli:
 
         monkeypatch.setattr(MockProvider, "embed", broken_embed)
         assert main(["cluster", "--config", str(config)]) == 3
+
+    def test_nan_embedding_exit_three(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path)
+        for stage in ("ingest", "extract", "weight"):
+            assert main([stage, "--config", str(config)]) == 0
+
+        from taskshift.gateway.providers import MockProvider
+
+        real_embed = MockProvider.embed
+
+        def nan_embed(self, texts):
+            vectors = real_embed(self, texts)
+            vectors[0, 0] = math.nan
+            return vectors
+
+        monkeypatch.setattr(MockProvider, "embed", nan_embed)
+        assert main(["cluster", "--config", str(config)]) == 3
+
+    def test_import_leaves_out_http_client(self):
+        # the HTTP stack (urllib.request pulls in http.client, ssl and email)
+        # is imported only when a remote provider makes a call
+        source = str(Path(taskshift.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        probe = "import sys, taskshift.cli; print('urllib.request' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_single_stage_requires_upstream(self, tmp_path):
         config = write_config(tmp_path)

@@ -236,3 +236,83 @@ class TestTransitionProperty:
             boundary = sum(1 for theta in DEFAULT_THETA_GRID if theta <= high)
             assert all(c is RoleClass.COST_REDUCTION for c in classes[:boundary])
             assert all(c is RoleClass.PRODUCTIVITY_GAIN for c in classes[boundary:])
+
+
+def per_role_curve(roles, thetas, delta, weights):
+    """Rows of totals summed from one savings_from_shares entry per role and
+    threshold, as the sweep first computed them."""
+    shares = [exposure_shares(role.exposures, delta) for role in roles]
+    rows = []
+    for theta in thetas:
+        entries = [
+            savings_from_shares(role.role_key, high, medium, role.salary, theta)
+            for role, (high, medium) in zip(roles, shares)
+        ]
+        paired = list(zip(weights, entries))
+        rows.append(
+            {
+                "cost_reduction": math.fsum(
+                    w * e.cost_reduction for w, e in paired if e.cost_reduction is not None
+                ),
+                "productivity_gain": math.fsum(
+                    w * e.productivity_gain for w, e in paired if e.productivity_gain is not None
+                ),
+                "productivity_upper": math.fsum(
+                    w * e.productivity_upper for w, e in paired if e.productivity_upper is not None
+                ),
+                "freed_hours": math.fsum(w * e.freed_hours for w, e in paired),
+                "n_cost": sum(e.role_class is RoleClass.COST_REDUCTION for e in entries),
+                "n_productivity": sum(e.role_class is RoleClass.PRODUCTIVITY_GAIN for e in entries),
+                "n_no_impact": sum(e.role_class is RoleClass.NO_IMPACT for e in entries),
+            }
+        )
+    return rows
+
+
+SCORES = st.sampled_from([0.0, 0.2, 0.45, 0.5, 0.6, 0.69, 0.7, 0.75, 0.9, 1.0])
+ROLE = st.builds(
+    RoleInput,
+    role_key=st.just("r"),
+    exposures=st.lists(SCORES, min_size=1, max_size=9).map(tuple),
+    salary=st.one_of(st.none(), st.floats(min_value=0.0, max_value=2e5)),
+    weight=st.one_of(st.just(1.0), st.floats(min_value=-5.0, max_value=5e4)),
+)
+
+
+class TestSweepBitIdentity:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        roles=st.lists(ROLE, max_size=25),
+        delta=st.sampled_from([0.5, 0.75, 1.0]),
+        explicit_weights=st.booleans(),
+    )
+    def test_totals_equal_fsum_of_per_role_terms(self, roles, delta, explicit_weights):
+        # every role's own high share is a threshold too, so high_share == theta
+        # is met whenever a role has any high-exposure time
+        highs = {exposure_shares(role.exposures, delta)[0] for role in roles}
+        thetas = sorted(set(DEFAULT_THETA_GRID) | {h for h in highs if h <= 1.0})
+        weights = [role.weight * 2.0 + 1.0 for role in roles] if explicit_weights else None
+        curve = sweep(roles, theta_grid=thetas, delta=delta, weights=weights)
+        expected = per_role_curve(
+            roles, thetas, delta, weights if weights is not None else [r.weight for r in roles]
+        )
+        for i, row in enumerate(expected):
+            assert curve.cost_reduction[i] == row["cost_reduction"]
+            assert curve.productivity_gain[i] == row["productivity_gain"]
+            assert curve.productivity_upper[i] == row["productivity_upper"]
+            assert curve.freed_hours[i] == row["freed_hours"]
+            assert curve.n_cost[i] == row["n_cost"]
+            assert curve.n_productivity[i] == row["n_productivity"]
+            assert curve.n_no_impact[i] == row["n_no_impact"]
+            # the written bytes too: a -0.0 where 0.0 was would show here
+            for field in ("cost_reduction", "productivity_gain", "productivity_upper", "freed_hours"):
+                assert repr(getattr(curve, field)[i]) == repr(row[field])
+        assert curve.n_missing_salary == sum(role.salary is None for role in roles)
+
+    def test_bad_threshold_raises_as_per_role_check_does(self):
+        roles = [RoleInput("a", (0.9,), 1.0), RoleInput("b", (0.9,), 1.0)]
+        with pytest.raises(UsageError, match="threshold 1.5"):
+            sweep(roles, theta_grid=[0.5, 1.5])
+        with pytest.raises(UsageError, match="threshold -0.1"):
+            sweep(roles, theta_grid=[-0.1, 1.5])
+        assert sweep([], theta_grid=[1.5]).n_cost == (0,)
