@@ -23,6 +23,29 @@ import weakref
 from pathlib import Path
 from typing import BinaryIO
 
+import orjson
+
+
+def decode_own(text: str | bytes) -> object:
+    """Decode JSON that this program wrote itself, as ``json.loads`` would.
+
+    orjson decodes what it accepts; what it rejects (``NaN`` and
+    ``Infinity``, escaped lone surrogates, a torn line) goes to
+    ``json.loads``, which decodes or rejects it as before. orjson also turns
+    an integer outside [-2**63, 2**64) into a float without a word, so JSON
+    from outside the program stays on ``json.loads``: the corpus, provider
+    payloads, fixtures, config and manifests. In a payload such an integer
+    would fail validation as a ``TypeMismatch`` instead of a
+    ``RangeViolation``; in the corpus an integer ``vacancy_id`` would become
+    a float string. The program's own artifacts and cache lines hold no such
+    integer: theirs are counts, positions and task numbers, and a new-task
+    number outside that range is refused when the answer is checked.
+    """
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return json.loads(text)
+
 
 class ResponseCache:
     def __init__(self, directory: str | Path, scope: str = ""):
@@ -60,7 +83,7 @@ class ResponseCache:
             with path.open("rb") as handle:
                 for line in handle:
                     try:
-                        key, raw = json.loads(line)
+                        key, raw = decode_own(line)
                     except (ValueError, TypeError):
                         continue
                     entries[key] = raw

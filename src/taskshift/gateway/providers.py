@@ -54,11 +54,20 @@ class ProviderResult:
 
 
 def request_fingerprint(system_prompt: str, user_prompt: str, schema: Schema) -> str:
-    """Stable content hash of (system prompt, user prompt, schema)."""
-    blob = json.dumps(
-        {"system": system_prompt, "user": user_prompt, "schema": schema.to_dict()},
-        sort_keys=True,
-        separators=(",", ":"),
+    """Stable content hash of (system prompt, user prompt, schema).
+
+    The blob is ``json.dumps({"system": ..., "user": ..., "schema":
+    schema.to_dict()}, sort_keys=True, separators=(",", ":"))``, spliced
+    from the schema's stored canonical text in key order.
+    """
+    blob = (
+        '{"schema":'
+        + schema.canonical()
+        + ',"system":'
+        + json.dumps(system_prompt)
+        + ',"user":'
+        + json.dumps(user_prompt)
+        + "}"
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -99,8 +108,7 @@ class MockProvider:
 
     def complete(self, request: StructuredRequest) -> ProviderResult:
         self.calls += 1
-        fingerprint = request.fingerprint()
-        if fingerprint in self.fixtures:
+        if self.fixtures and (fingerprint := request.fingerprint()) in self.fixtures:
             payload = self.fixtures[fingerprint]
         elif self.strict:
             raise ProviderError(f"no fixture for request {request.request_id}")

@@ -57,12 +57,16 @@ class Schema:
     def __post_init__(self):
         if not self.fields:
             raise ValueError("schema must declare at least one field")
+        # every request fingerprint splices this text in; kept out of the
+        # dataclass fields, so equality and hashing do not see it
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(self, "_canonical", canonical)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "fields": [f.to_dict() for f in self.fields]}
 
     def canonical(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return self._canonical
 
 
 def validate(payload: object, schema: Schema) -> dict:

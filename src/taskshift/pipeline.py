@@ -40,6 +40,7 @@ from .corpus import (
 from .errors import DataError, UsageError
 from .exposure import RoleProfile, build_profile, extract_corpus, task_record
 from .gateway import BatchManager, HttpProvider, MockProvider, ResponseCache, RetryPolicy
+from .gateway.cache import decode_own
 from .raking import (
     SampleRow,
     WeightedSample,
@@ -61,8 +62,10 @@ class Stage:
 
     Its fingerprint covers ``params(config)``, the contents of the files
     ``files(config)`` names (name -> path; an unset path is left out) and
-    the output hashes of every stage in ``deps``. ``run(pipeline)`` must
-    write each of ``outputs`` under the output directory.
+    the output hashes of every stage in ``deps``; for a stage that asks the
+    provider (``provider``), also the provider identity of
+    ``_provider_params``. ``run(pipeline)`` must write each of ``outputs``
+    under the output directory.
     """
 
     name: str
@@ -71,6 +74,7 @@ class Stage:
     params: Callable[[PipelineConfig], dict]
     run: Callable[["Pipeline"], None]
     files: Callable[[PipelineConfig], dict[str, str | None]] = lambda config: {}
+    provider: bool = False
 
 
 @dataclass(frozen=True)
@@ -108,17 +112,21 @@ def _canonical(data: object) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+# the encoder ``json.dumps(record, sort_keys=True)`` would build for every row
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(path: Path, records: list[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
+            handle.write(_ROW_ENCODER.encode(record))
             handle.write("\n")
 
 
 def read_jsonl(path: Path) -> list[dict]:
     with path.open("r", encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+        return [decode_own(line) for line in handle if line.strip()]
 
 
 def write_json(path: Path, data: object) -> None:
@@ -134,7 +142,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def make_manager(config: PipelineConfig) -> BatchManager:
+def make_manager(config: PipelineConfig, hash_file: Callable[[Path], str]) -> BatchManager:
     if config.provider == "mock":
         fixtures = {}
         if config.fixtures_path:
@@ -166,12 +174,13 @@ def make_manager(config: PipelineConfig) -> BatchManager:
         backoff_base=config.backoff_base,
     )
     # cached answers are replayed only for the provider identity that gave them
-    scope = hashlib.sha256(_canonical(_provider_params(config)).encode("utf-8")).hexdigest()
+    identity = _canonical(_provider_params(config, hash_file))
+    scope = hashlib.sha256(identity.encode("utf-8")).hexdigest()
     cache = ResponseCache(config.cache_dir, scope=scope)
     return BatchManager(provider, cache=cache, policy=policy)
 
 
-def _provider_params(config: PipelineConfig) -> dict:
+def _provider_params(config: PipelineConfig, hash_file: Callable[[Path], str]) -> dict:
     params: dict = {"provider": config.provider}
     if config.provider == "mock":
         params["strict"] = config.strict_fixtures
@@ -180,7 +189,7 @@ def _provider_params(config: PipelineConfig) -> dict:
             fixtures = Path(config.fixtures_path)
             if not fixtures.exists():
                 raise UsageError(f"fixtures file not found: {fixtures}")
-            params["fixtures"] = _sha256_file(fixtures)
+            params["fixtures"] = hash_file(fixtures)
     else:
         params["base_url"] = config.remote_base_url
         params["model"] = config.remote_model
@@ -274,11 +283,14 @@ class Pipeline:
         return inputs
 
     def _fingerprint(self, stage: Stage, inputs: dict[str, str]) -> str:
+        params = stage.params(self.config)
+        if stage.provider:
+            params.update(_provider_params(self.config, self._hash))
         blob = _canonical(
             {
                 "stage": stage.name,
                 "schema_version": SCHEMA_VERSION,
-                "params": stage.params(self.config),
+                "params": params,
                 "inputs": inputs,
             }
         )
@@ -287,7 +299,7 @@ class Pipeline:
     @property
     def manager(self) -> BatchManager:
         if self._manager is None:
-            self._manager = make_manager(self.config)
+            self._manager = make_manager(self.config, self._hash)
         return self._manager
 
     def run_stage(self, stage: str, force: bool = False) -> StageArtifact:
@@ -969,11 +981,9 @@ STAGE_TABLE: tuple[Stage, ...] = (
         "extract",
         deps=("ingest",),
         outputs=("tasks.jsonl", "extract_summary.json"),
-        params=lambda config: {
-            "truncate_chars": config.truncate_chars,
-            **_provider_params(config),
-        },
+        params=lambda config: {"truncate_chars": config.truncate_chars},
         run=Pipeline._run_extract,
+        provider=True,
     ),
     Stage(
         "weight",
@@ -995,10 +1005,10 @@ STAGE_TABLE: tuple[Stage, ...] = (
             # the path stays here so existing fingerprints hold; the file's
             # contents are hashed through ``files``
             "stopwords": config.stopwords_path,
-            **_provider_params(config),
         },
         files=lambda config: {"stopwords": config.stopwords_path},
         run=Pipeline._run_cluster,
+        provider=True,
     ),
     Stage(
         "rake",
@@ -1035,9 +1045,9 @@ STAGE_TABLE: tuple[Stage, ...] = (
             "delta": config.delta,
             "seed": config.seed,
             "fraction": config.new_tasks_fraction,
-            **_provider_params(config),
         },
         run=Pipeline._run_redesign,
+        provider=True,
     ),
     Stage(
         "report",

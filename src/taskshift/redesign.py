@@ -344,6 +344,9 @@ def new_tasks_plan_bulk(
         new = [e for e in payload["tasks"] if e["task_number"] < 0]
         if any(e["task_number"] == 0 for e in payload["tasks"]):
             raise SchemaInvalid("$.tasks", "task number 0 is not allowed")
+        # plans.jsonl is read back with orjson, exact for 64-bit integers only
+        if any(e["task_number"] < -(2**63) for e in new):
+            raise SchemaInvalid("$.tasks", "new task numbers must not be below -2**63")
         if sorted(old) != sorted(survivors):
             raise SchemaInvalid(
                 "$.tasks", f"existing numbers {old} are not a permutation of {list(survivors)}"

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import sys
 import threading
@@ -6,6 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from taskshift import prompts
 
 from taskshift.errors import (
     EnumViolation,
@@ -23,10 +28,12 @@ from taskshift.gateway import (
     ProviderResult,
     ResponseCache,
     RetryPolicy,
+    Schema,
     StructuredRequest,
     request_fingerprint,
     validate_payload,
 )
+from taskshift.gateway import providers
 from taskshift.prompts import (
     TASK_EXTRACTION_SCHEMA,
     TASK_MIX_SCHEMA,
@@ -109,6 +116,24 @@ class TestValidatePayload:
         assert validate_payload(json.dumps(payload), TASK_EXTRACTION_SCHEMA) == payload
 
 
+PROMPT_SCHEMAS = [value for value in vars(prompts).values() if isinstance(value, Schema)]
+PROMPT_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.characters(categories=["Cs"])  # lone surrogates
+    | st.sampled_from('"\\\n\t\x00é€😀')
+)
+
+
+def reference_fingerprint(system_prompt, user_prompt, schema):
+    """``request_fingerprint`` as it was written before the schema text was stored."""
+    blob = json.dumps(
+        {"system": system_prompt, "user": user_prompt, "schema": schema.to_dict()},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 class TestFingerprint:
     def test_stable_and_sensitive(self):
         a = request_fingerprint("sys", "user", TASK_EXTRACTION_SCHEMA)
@@ -118,6 +143,26 @@ class TestFingerprint:
 
     def test_independent_of_request_id(self):
         assert extraction_request("a").fingerprint() == extraction_request("b").fingerprint()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        schema=st.sampled_from(PROMPT_SCHEMAS),
+        system=PROMPT_TEXT,
+        user=PROMPT_TEXT,
+    )
+    def test_equals_dump_of_whole_request(self, schema, system, user):
+        assert request_fingerprint(system, user, schema) == reference_fingerprint(
+            system, user, schema
+        )
+
+    def test_stored_canonical_text_leaves_equality_and_hash_alone(self):
+        for schema in PROMPT_SCHEMAS:
+            twin = Schema(schema.name, schema.fields)
+            object.__setattr__(twin, "_canonical", "something else")
+            assert twin == schema and hash(twin) == hash(schema)
+            assert repr(twin) == repr(schema)
+            assert Schema(schema.name + "!", schema.fields) != schema
+        assert [spec.name for spec in dataclasses.fields(Schema)] == ["name", "fields"]
 
 
 class TestMockProvider:
@@ -131,6 +176,27 @@ class TestMockProvider:
         provider = MockProvider(strict=True)
         with pytest.raises(ProviderError):
             provider.complete(extraction_request("r1"))
+
+    def test_fingerprint_taken_only_with_fixtures(self, monkeypatch):
+        pinned = extraction_request("pinned")
+        payload = tasks_payload(0.1, 0.4)
+        fixtures = {pinned.fingerprint(): payload}
+        taken = []
+        original = providers.request_fingerprint
+
+        def counting(*args):
+            taken.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(providers, "request_fingerprint", counting)
+        MockProvider().complete(extraction_request("free", "- a\n- b"))
+        assert taken == []
+        assert json.loads(MockProvider(fixtures=fixtures).complete(pinned).raw) == payload
+        assert len(taken) == 1
+        with pytest.raises(ProviderError):
+            MockProvider(strict=True).complete(pinned)
+        with pytest.raises(ProviderError):
+            MockProvider(fixtures=fixtures, strict=True).complete(extraction_request("miss", "- c"))
 
     def test_seven_task_fixture_returns_seven_tasks(self):
         request = task_extraction_request("support", SUPPORT_OFFICER_DESCRIPTION)
@@ -263,6 +329,23 @@ class TestCaching:
         )
         assert provider.calls == 1 and report.cache_hits == 1
         assert [r.raw for r in second] == [r.raw for r in first]
+
+    def test_round_trip_keeps_any_text_and_skips_torn_last_line(self, tmp_path):
+        raws = {
+            "lone": "\ud800 high, \udc00 low",
+            "wide": "é € 😀 \u2028",
+            "escapes": 'quote " backslash \\ slash / tab \t nul \x00',
+            "numbers": '{"ratio": Infinity, "big": 18446744073709551616}',
+        }
+        writer = ResponseCache(tmp_path, scope="s:")
+        for key, raw in raws.items():
+            writer.put(key, raw)
+        (segment,) = tmp_path.glob("*.jsonl")
+        with segment.open("ab") as handle:
+            handle.write(json.dumps(["s:torn", "lost"]).encode("utf-8")[:-3])
+        reader = ResponseCache(tmp_path, scope="s:")
+        assert {key: reader.get(key) for key in raws} == raws
+        assert reader.get("torn") is None
 
     def test_two_writers_write_two_segments_a_reader_sees_both(self, tmp_path):
         one, two = ResponseCache(tmp_path), ResponseCache(tmp_path)

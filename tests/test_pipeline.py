@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import taskshift
 from taskshift import pipeline as pipeline_module
@@ -15,7 +16,8 @@ from taskshift.cli import main
 from taskshift.config import PipelineConfig
 from taskshift.corpus import Vacancy
 from taskshift.errors import DataError, UsageError
-from taskshift.pipeline import STAGE_TABLE, STAGES, Pipeline, read_jsonl
+from taskshift.gateway import ResponseCache
+from taskshift.pipeline import STAGE_TABLE, STAGES, Pipeline, read_jsonl, write_jsonl
 from taskshift.prompts import task_extraction_request
 
 from conftest import write_config
@@ -193,6 +195,22 @@ class TestEndToEnd:
         assert all(artifact.reused for artifact in rerun.run_all())
         assert set(hashed) == first and max(hashed.values()) == 1, hashed.most_common(3)
 
+    def test_fixtures_file_hashed_at_most_once_per_pipeline(self, tmp_path, monkeypatch):
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({"0" * 64: {"tasks": []}}))
+        config = PipelineConfig.load(write_config(tmp_path, fixtures_path=str(fixtures)))
+        hashed: Counter = Counter()
+        original = pipeline_module._sha256_file
+
+        def counting(path):
+            hashed[Path(path)] += 1
+            return original(path)
+
+        monkeypatch.setattr(pipeline_module, "_sha256_file", counting)
+        pipeline = run_all(config)
+        assert pipeline.manager.provider.fixtures
+        assert hashed[fixtures] == 1 and max(hashed.values()) == 1, hashed.most_common(3)
+
     def test_stale_upstream_refused(self, fixture_config):
         pipeline = run_all(fixture_config)
         target = Path(fixture_config.out_dir) / "vacancies.jsonl"
@@ -238,6 +256,92 @@ class TestEndToEnd:
             if values[0] is not None:
                 salary = math.fsum(values)
                 assert salary == pytest.approx(round(salary), abs=0.011)
+
+
+TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.characters(categories=["Cs"])  # lone surrogates
+    | st.sampled_from('"\\/\n\t\x00\x7f\u2028é€😀')
+)
+SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**64 - 1)
+    | st.floats()
+    | st.floats(min_value=-2.3e-308, max_value=2.3e-308)  # subnormals
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -(2**63), 2**64 - 1])
+    | TEXT
+)
+VALUE = st.recursive(
+    SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def assert_same(got, want):
+    """Equal values of the same types, floats to the bit, dict keys in order."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, float):
+        assert repr(got) == repr(want)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for one, other in zip(got, want):
+            assert_same(one, other)
+    else:
+        assert got == want
+
+
+def json_lines(path: Path) -> list:
+    with path.open("r", encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle if line.strip()]
+
+
+class TestJsonlCodec:
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(records=st.lists(st.dictionaries(TEXT, VALUE, max_size=4), max_size=3))
+    @example(
+        records=[
+            {
+                "ratio": math.inf,
+                "low": -math.inf,
+                "nan": math.nan,
+                "zero": -0.0,
+                "sub": 5e-324,
+                "ints": [-(2**63), 2**63, 2**64 - 1],
+                "text": 'quote " backslash \\ é 😀',
+                "lone": ["\ud800", "\udc00x", "\udbff"],
+            }
+        ]
+    )
+    def test_read_decodes_as_json_loads(self, tmp_path, records):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, records)
+        assert path.read_text("utf-8") == "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in records
+        )
+        assert_same(read_jsonl(path), json_lines(path))
+
+    def test_fixture_run_artifacts_and_cache_decode_as_json_loads(self, fixture_config):
+        run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        names = [name for stage in STAGE_TABLE for name in stage.outputs if name.endswith(".jsonl")]
+        assert sorted(path.name for path in out.rglob("*.jsonl")) == sorted(names)
+        for name in names:
+            assert_same(read_jsonl(out / name), json_lines(out / name))
+        segments = sorted(Path(fixture_config.cache_dir).glob("*.jsonl"))
+        assert segments
+        expected = {}
+        for segment in segments:
+            for key, raw in json_lines(segment):
+                expected[key] = raw
+        assert_same(ResponseCache(fixture_config.cache_dir)._read_segments(), expected)
 
 
 class TestReportRoundTrip:

@@ -14,6 +14,7 @@ from taskshift.prompts import (
     THEME_NAMES,
 )
 from taskshift import redesign
+from taskshift.pipeline import read_jsonl, write_jsonl
 
 REFERENCE_WEIGHTS = [0.30, 0.23, 0.17, 0.13, 0.10, 0.07]
 REFERENCE_SCORES = [0.8, 0.9, 0.6, 0.4, 0.3, 0.2]
@@ -338,6 +339,32 @@ class TestNewTasks:
         assert plan.post_weights[-1] == pytest.approx(expected[0])
         assert plan.new_tasks[0].task_category == "risk_management"
         redesign.check_plan(plan)
+
+    def test_new_task_numbers_kept_within_64_bits(self, tmp_path):
+        role = reference_role()
+        survivors = [(t.task_number, t.task_details) for t in role.tasks if not t.high]
+
+        def answer(number):
+            return {
+                "tasks": [
+                    {"task_number": number, "task_details": "audit models", "task_category": "risk_management"}
+                ]
+                + [
+                    {"task_number": n, "task_details": d, "task_category": "service_delivery"}
+                    for n, d in survivors
+                ]
+            }
+
+        too_low = mock_manager(self.fixture_for(role, answer(-(2**63) - 1)), strict=True)
+        results, failures = redesign.new_tasks_plan_bulk([role], too_low)
+        assert results == {} and role.vacancy_id in failures
+        lowest = mock_manager(self.fixture_for(role, answer(-(2**63))), strict=True)
+        plan = single(redesign.new_tasks_plan_bulk, role, lowest)
+        # plans.jsonl comes back with the same integer, not a float
+        write_jsonl(tmp_path / "plans.jsonl", [plan.to_record()])
+        (record,) = read_jsonl(tmp_path / "plans.jsonl")
+        number = redesign.RedesignPlan.from_record(record).new_tasks[0].task_number
+        assert type(number) is int and number == -(2**63)
 
     def test_missing_survivor_rejected(self):
         role = reference_role()
