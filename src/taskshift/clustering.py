@@ -29,6 +29,9 @@ log = logging.getLogger(__name__)
 
 _NON_ALPHA_RE = re.compile(r"[^a-z]+")
 _VOWELS = set("aeiou")
+# Rows per chunk when fitting and applying the PCA projection; the chunk
+# order is fixed, so the scatter matrix sums the same way on every run.
+PCA_CHUNK_ROWS = 4096
 
 
 class ExposureCluster(str, Enum):
@@ -139,7 +142,11 @@ def _lloyd(matrix: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
         # np.add.reduce over that slice runs the same summation. One sort
         # replaces k masked passes. np.add.reduceat is not used because it
         # sums a segment in another order, so its bits differ.
-        grouped = matrix.take(np.argsort(assignments, kind="stable"), axis=0)
+        # The labels are cast to the smallest unsigned dtype that holds k - 1
+        # so that the stable argsort is a radix sort; a stable sort's
+        # permutation does not depend on the dtype.
+        order = np.argsort(assignments.astype(np.min_scalar_type(k - 1)), kind="stable")
+        grouped = matrix.take(order, axis=0)
         ends = np.cumsum(counts).tolist()
         sums = np.empty_like(centroids)
         start = 0
@@ -271,7 +278,13 @@ class ProjectionModel:
     explained_variance_ratio: np.ndarray
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
-        return (np.asarray(matrix, dtype=float) - self.mean) @ self.components.T
+        """Project rows onto the components, one ``PCA_CHUNK_ROWS`` chunk at a time."""
+        matrix = np.asarray(matrix, dtype=float)
+        projected = np.empty((matrix.shape[0], self.components.shape[0]))
+        for start in range(0, matrix.shape[0], PCA_CHUNK_ROWS):
+            stop = start + PCA_CHUNK_ROWS
+            np.matmul(matrix[start:stop] - self.mean, self.components.T, out=projected[start:stop])
+        return projected
 
     def to_dict(self) -> dict:
         return {
@@ -292,35 +305,47 @@ class ProjectionModel:
 
 
 def fit_pca(matrix: np.ndarray, out_dim: int = 25) -> ProjectionModel:
-    """Fit a PCA projection; errors if the data cannot support ``out_dim``."""
+    """Fit a PCA projection; errors if the data cannot support ``out_dim``.
+
+    The mean-centred scatter matrix is summed over ``PCA_CHUNK_ROWS``-row
+    chunks in row order, and its top eigenvectors are the components, so
+    no array as large as the input is made. An eigenvalue counts toward
+    the rank when it exceeds ``d * eps`` times the largest: below that,
+    eigenvalues of a d×d scatter matrix are rounding noise.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise UsageError("fit_pca expects a 2-D matrix")
-    if out_dim < 1 or out_dim > matrix.shape[1]:
-        raise UsageError(f"out_dim={out_dim} invalid for {matrix.shape[1]}-dim input")
+    n, d = matrix.shape
+    if out_dim < 1 or out_dim > d:
+        raise UsageError(f"out_dim={out_dim} invalid for {d}-dim input")
     mean = matrix.mean(axis=0)
-    centered = matrix - mean
-    _, singular_values, vt = np.linalg.svd(centered, full_matrices=False)
-    if singular_values.size == 0 or singular_values[0] == 0.0:
+    scatter = np.zeros((d, d))
+    for start in range(0, n, PCA_CHUNK_ROWS):
+        chunk = matrix[start : start + PCA_CHUNK_ROWS] - mean
+        scatter += chunk.T @ chunk
+    eigenvalues, vectors = np.linalg.eigh(scatter)
+    eigenvalues = eigenvalues[::-1]
+    if eigenvalues[0] <= 0.0:
         rank = 0
     else:
-        rank = int((singular_values > singular_values[0] * 1e-10).sum())
+        rank = int((eigenvalues > eigenvalues[0] * d * np.finfo(float).eps).sum())
     if rank < out_dim:
         raise DataError(f"rank deficiency: achieved rank {rank} < requested {out_dim}")
-    components = vt[:out_dim].copy()
+    components = vectors[:, ::-1][:, :out_dim].T.copy()
     # deterministic sign: largest-magnitude loading of each component is positive
     for row in range(out_dim):
         pivot = int(np.abs(components[row]).argmax())
         if components[row, pivot] < 0:
             components[row] = -components[row]
-    eigenvalues = singular_values**2 / matrix.shape[0]
-    total = eigenvalues.sum()
-    ratios = eigenvalues[:out_dim] / total if total > 0 else np.zeros(out_dim)
+    variances = eigenvalues[:out_dim] / n
+    total = np.trace(scatter) / n
+    ratios = variances / total if total > 0 else np.zeros(out_dim)
     return ProjectionModel(
         mean=mean,
         components=components,
-        explained_variance=eigenvalues[:out_dim].copy(),
-        explained_variance_ratio=ratios.copy(),
+        explained_variance=variances,
+        explained_variance_ratio=ratios,
     )
 
 
@@ -346,7 +371,6 @@ def build_taxonomy(
     n_subclusters: int = 3,
     pca_dim: int = 25,
     sample_cap: int = 200,
-    projection: ProjectionModel | None = None,
 ) -> tuple[TaskTaxonomy, ProjectionModel]:
     """Cluster normalized task texts and label every (sub-)cluster.
 
@@ -360,11 +384,10 @@ def build_taxonomy(
         raise UsageError("taxonomy input contains empty normalized texts")
 
     embeddings = manager.embed_texts(tasks)
-    if projection is None:
-        effective_dim = min(pca_dim, embeddings.shape[1], embeddings.shape[0] - 1)
-        if effective_dim < pca_dim:
-            log.info("clamping projection from %d to %d dims", pca_dim, effective_dim)
-        projection = fit_pca(embeddings, out_dim=effective_dim)
+    effective_dim = min(pca_dim, embeddings.shape[1], embeddings.shape[0] - 1)
+    if effective_dim < pca_dim:
+        log.info("clamping projection from %d to %d dims", pca_dim, effective_dim)
+    projection = fit_pca(embeddings, out_dim=effective_dim)
     projected = projection.transform(embeddings)
 
     top = kmeans(projected, k=n_categories, seed=_subseed(seed, "taxonomy-top"))

@@ -180,7 +180,7 @@ class BatchManager:
         if any(not text for text in texts):
             empties = [index for index, text in enumerate(texts) if not text]
             raise UsageError(f"empty texts at indexes {empties}")
-        chunks: list[np.ndarray] = []
+        matrix: np.ndarray | None = None
         for start in range(0, len(texts), chunk_size):
             chunk = list(texts[start : start + chunk_size])
             error: Exception | None = None
@@ -205,8 +205,9 @@ class BatchManager:
                 raise ProviderError("provider returned wrong number of embeddings")
             if not np.isfinite(vectors).all():
                 raise ProviderError("provider returned embeddings that are not finite")
-            chunks.append(vectors)
-        matrix = np.vstack(chunks)
-        if len({chunk.shape[1] for chunk in chunks}) != 1:
-            raise ProviderError("embedding dimension changed mid-run")
+            if matrix is None:
+                matrix = np.empty((len(texts), vectors.shape[1]))
+            elif vectors.shape[1] != matrix.shape[1]:
+                raise ProviderError("embedding dimension changed mid-run")
+            matrix[start : start + len(chunk)] = vectors
         return matrix

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taskshift.clustering import (
+    PCA_CHUNK_ROWS,
     ExposureCluster,
     KMeansResult,
+    ProjectionModel,
     _label_request,
     _lloyd,
     build_taxonomy,
@@ -291,7 +294,84 @@ class TestNormalizeText:
         assert normalize_text(once) == once
 
 
+def reference_fit_pca(matrix, out_dim=25):
+    """PCA from a full SVD of the centred matrix, as the taxonomy first shipped it."""
+    matrix = np.asarray(matrix, dtype=float)
+    mean = matrix.mean(axis=0)
+    centered = matrix - mean
+    _, singular_values, vt = np.linalg.svd(centered, full_matrices=False)
+    if singular_values.size == 0 or singular_values[0] == 0.0:
+        rank = 0
+    else:
+        rank = int((singular_values > singular_values[0] * 1e-10).sum())
+    if rank < out_dim:
+        raise DataError(f"rank deficiency: achieved rank {rank} < requested {out_dim}")
+    components = vt[:out_dim].copy()
+    for row in range(out_dim):
+        pivot = int(np.abs(components[row]).argmax())
+        if components[row, pivot] < 0:
+            components[row] = -components[row]
+    eigenvalues = singular_values**2 / matrix.shape[0]
+    total = eigenvalues.sum()
+    ratios = eigenvalues[:out_dim] / total if total > 0 else np.zeros(out_dim)
+    return ProjectionModel(
+        mean=mean,
+        components=components,
+        explained_variance=eigenvalues[:out_dim].copy(),
+        explained_variance_ratio=ratios.copy(),
+    )
+
+
+def largest_principal_angle(a, b):
+    """Largest principal angle between the row spaces of orthonormal ``a`` and ``b``."""
+    residual = b - (b @ a.T) @ a
+    return float(np.arcsin(min(1.0, np.linalg.norm(residual, ord=2))))
+
+
 class TestFitPca:
+    @pytest.mark.parametrize(
+        "n, d, out_dim",
+        [(60, 200, 25), (500, 20, 8), (2 * PCA_CHUNK_ROWS + 808, 16, 10)],
+        ids=["n<d", "n>d", "several-chunks"],
+    )
+    def test_matches_svd_reference(self, n, d, out_dim):
+        rng = np.random.default_rng(n + d)
+        scales = 10.0 * 0.85 ** np.arange(d)
+        data = rng.normal(size=(n, d)) * scales + rng.normal(scale=50.0, size=d)
+        model = fit_pca(data, out_dim=out_dim)
+        expected = reference_fit_pca(data, out_dim=out_dim)
+        assert model.mean.tobytes() == expected.mean.tobytes()
+        assert np.allclose(
+            model.explained_variance, expected.explained_variance, rtol=1e-9, atol=0.0
+        )
+        assert np.allclose(
+            model.explained_variance_ratio, expected.explained_variance_ratio, rtol=1e-9, atol=0.0
+        )
+        assert largest_principal_angle(model.components, expected.components) < 1e-6
+        # same sign rule, so each component matches its reference, not just the span
+        assert np.allclose(model.components, expected.components, atol=1e-6)
+        assert np.allclose(
+            model.transform(data), (data - model.mean) @ model.components.T, rtol=0.0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize("rank", [1, 3, 7])
+    def test_rank_found_under_large_offset(self, rank):
+        rng = np.random.default_rng(rank)
+        data = rng.normal(size=(300, rank)) @ rng.normal(size=(rank, 40)) + 1e4
+        with pytest.raises(DataError, match=f"achieved rank {rank} <"):
+            fit_pca(data, out_dim=rank + 1)
+        assert fit_pca(data, out_dim=rank).components.shape == (rank, 40)
+
+    def test_fit_and_transform_make_no_input_sized_temporary(self):
+        data = np.random.default_rng(11).normal(size=(20_000, 256))
+        tracemalloc.start()
+        try:
+            fit_pca(data, out_dim=25).transform(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 2
+
     def test_exact_two_dim_subspace_zero_reconstruction(self):
         rng = np.random.default_rng(2)
         basis = rng.normal(size=(2, 10))

@@ -506,6 +506,15 @@ class TestEmbeddings:
         with pytest.raises(ProviderError, match="2-D"):
             BatchManager(FlatProvider()).embed_texts(["a", "b"])
 
+    def test_dimension_change_is_provider_error(self):
+        class GrowingProvider(MockProvider):
+            def embed(self, texts):
+                self.dimension += 1
+                return super().embed(texts)
+
+        with pytest.raises(ProviderError, match="dimension changed mid-run"):
+            BatchManager(GrowingProvider(dimension=4)).embed_texts(["a", "b", "c"], chunk_size=2)
+
 
 def http_provider(reply: dict) -> HttpProvider:
     """An HTTP provider whose every request gets ``reply`` without a network call."""
