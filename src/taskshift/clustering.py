@@ -294,15 +294,6 @@ class ProjectionModel:
             "explained_variance_ratio": self.explained_variance_ratio.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProjectionModel":
-        return cls(
-            mean=np.asarray(data["mean"], dtype=float),
-            components=np.asarray(data["components"], dtype=float),
-            explained_variance=np.asarray(data["explained_variance"], dtype=float),
-            explained_variance_ratio=np.asarray(data["explained_variance_ratio"], dtype=float),
-        )
-
 
 def fit_pca(matrix: np.ndarray, out_dim: int = 25) -> ProjectionModel:
     """Fit a PCA projection; errors if the data cannot support ``out_dim``.

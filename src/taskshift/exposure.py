@@ -18,7 +18,7 @@ from typing import Sequence
 from .corpus import Vacancy
 from .errors import DataError, UsageError
 from .gateway import BatchManager, BatchReport, StructuredResponse
-from .prompts import task_extraction_request, task_scoring_request
+from .prompts import task_extraction_request
 
 log = logging.getLogger(__name__)
 
@@ -268,28 +268,3 @@ def extract_corpus(vacancies: Sequence[Vacancy], manager: BatchManager) -> Extra
         log.warning("dropped vacancy %s: %s", vacancy_id, reason)
     return ExtractionResult(tasks_by_vacancy, dropped, reports)
 
-
-def score_task_list(
-    texts: Sequence[str],
-    manager: BatchManager,
-    delta: float = 1.0,
-    request_id: str = "score:task-list",
-) -> tuple[float, float]:
-    """Score an ordered external task list and aggregate it.
-
-    ``delta`` = 1.0 is equal weighting; lower values weight earlier tasks
-    more heavily. Returns (weighted mean, weighted std).
-    """
-    if not texts:
-        raise UsageError("task list must be non-empty")
-    numbered = [(position, text) for position, text in enumerate(texts, start=1)]
-    response = manager.submit_one(task_scoring_request(request_id, numbered))
-    scores_by_id = response.payload["scores"]
-    scores = []
-    for position, _ in numbered:
-        key = str(position)
-        if key not in scores_by_id:
-            raise DataError(f"provider omitted a score for task {position}")
-        scores.append(float(scores_by_id[key]))
-    weights = decay_weights(len(scores), delta)
-    return weighted_mean_std(scores, weights.normalized)

@@ -2,10 +2,19 @@
 
 Every request yields exactly one response or one failure entry; results
 come back in input order (keyed by request_id, never by arrival). Schema
-validation runs on every payload, including cache hits. Each request is
-looked up in the cache exactly once. Only providers whose calls wait on
-I/O (``waits_on_io``) get a thread pool, bounded by ``max_in_flight`` and
-fed the cache misses alone; every other provider runs in one ordered loop.
+validation runs on every payload, including cache hits. Only providers
+whose calls wait on I/O (``waits_on_io``) get a thread pool, bounded by
+``max_in_flight`` and fed the cache misses alone; every other provider
+runs in one ordered loop.
+
+A request fails when the provider raises, when its reply fails the
+schema, or when the caller's ``check`` rejects the payload. Failed
+requests are sent again in waves, at most ``max_attempts`` attempts in
+all, with one backoff sleep before a wave that follows a failed provider
+call. With a ``nudge``, attempt k carries a note naming the attempt and
+the nudge, and is looked up in the cache first. Without one, a retry
+repeats the same bytes, whose answer was never stored, so each request
+is looked up in the cache once.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,7 +65,6 @@ class _Outcome:
     error_class: str = ""
     input_tokens: int = 0
     output_tokens: int = 0
-    cache_hit: bool = False
 
 
 class BatchManager:
@@ -75,59 +83,92 @@ class BatchManager:
     def submit_batch(
         self,
         requests: Sequence[StructuredRequest],
-        policy: RetryPolicy | None = None,
+        check: Callable[[int, dict], object] | None = None,
+        nudge: str = "",
     ) -> tuple[list[StructuredResponse], BatchReport]:
-        policy = policy or self.policy
+        """Answer each request, retrying failures; see the module docstring.
+
+        ``check(index, payload)`` may raise :class:`SchemaInvalid` to reject
+        the reply to ``requests[index]``; its return value is ignored.
+        """
         ids = [request.request_id for request in requests]
         if len(set(ids)) != len(ids):
             raise UsageError("request_id values must be unique within a batch")
 
         report = BatchReport(submitted=len(requests))
-        if not requests:
-            return [], report
-
-        fingerprints = [request.fingerprint() for request in requests]
+        policy = self.policy
         # threads help only while calls wait on the network; for in-process
         # providers they would contend for the GIL, and the ordered loop lets
         # a duplicate later in the batch hit the first one's answer
         pooled = policy.max_in_flight > 1 and getattr(self.provider, "waits_on_io", False)
-        outcomes: list[_Outcome | None] = []
-        for request, fingerprint in zip(requests, fingerprints):
-            outcome = self._from_cache(request, fingerprint)
-            if outcome is None and not pooled:
-                outcome = self._fetch(request, fingerprint, policy)
-            outcomes.append(outcome)
-        misses = [index for index, outcome in enumerate(outcomes) if outcome is None]
-        if misses:
-            with ThreadPoolExecutor(max_workers=min(policy.max_in_flight, len(misses))) as pool:
-                fetched = pool.map(
-                    lambda index: self._fetch(requests[index], fingerprints[index], policy),
-                    misses,
-                )
-                for index, outcome in zip(misses, fetched):
-                    outcomes[index] = outcome
+        sent = list(requests)
+        fingerprints = [request.fingerprint() for request in sent]
+        replies: list[StructuredResponse | None] = [None] * len(sent)
+        errors = [""] * len(sent)
+        pending: Sequence[int] = range(len(sent))
+        throttled = False
+        for attempt in range(1, policy.max_attempts + 1):
+            if not pending:
+                break
+            if throttled and policy.backoff_base > 0:
+                time.sleep(policy.backoff_base * 2 ** (attempt - 2))
+            if attempt > 1 and nudge:
+                note = f"\n(attempt {attempt}: the previous reply violated the rules; {nudge})"
+                for index in pending:
+                    original = requests[index]
+                    sent[index] = replace(original, user_prompt=original.user_prompt + note)
+                    fingerprints[index] = sent[index].fingerprint()
+            # a plain retry repeats bytes whose answer was never stored
+            lookup = attempt == 1 or bool(nudge)
+            fetched: list[tuple[int, _Outcome]] = []
+            misses: list[int] = []
+            for index in pending:
+                if lookup:
+                    replies[index] = self._from_cache(sent[index], fingerprints[index])
+                if replies[index] is not None:
+                    report.cache_hits += 1
+                elif pooled:
+                    misses.append(index)
+                else:
+                    fetched.append((index, self._fetch(sent[index], fingerprints[index], attempt)))
+            if misses:
+                with ThreadPoolExecutor(max_workers=min(policy.max_in_flight, len(misses))) as pool:
+                    outcomes = pool.map(
+                        lambda index: self._fetch(sent[index], fingerprints[index], attempt),
+                        misses,
+                    )
+                    fetched.extend(zip(misses, outcomes))
+            throttled = False
+            for index, outcome in fetched:
+                report.input_tokens += outcome.input_tokens
+                report.output_tokens += outcome.output_tokens
+                replies[index] = outcome.response
+                errors[index] = outcome.error_class
+                throttled = throttled or outcome.response is None
+            if check is not None:
+                for index in pending:
+                    if replies[index] is None:
+                        continue
+                    try:
+                        check(index, replies[index].payload)
+                    except SchemaInvalid as exc:
+                        log.info("request %s attempt %d rejected: %s", ids[index], attempt, exc)
+                        replies[index] = None
+                        errors[index] = exc.error_class
+            pending = [index for index in pending if replies[index] is None]
 
         responses: list[StructuredResponse] = []
-        for request, outcome in zip(requests, outcomes):
-            report.input_tokens += outcome.input_tokens
-            report.output_tokens += outcome.output_tokens
-            report.cache_hits += outcome.cache_hit
-            if outcome.response is not None:
-                responses.append(outcome.response)
+        for request_id, reply, error_class in zip(ids, replies, errors):
+            if reply is None:
+                report.failed.append((request_id, error_class))
             else:
-                report.failed.append((request.request_id, outcome.error_class))
+                responses.append(reply)
         report.succeeded = len(responses)
         return responses, report
 
-    def submit_one(self, request: StructuredRequest) -> StructuredResponse:
-        """Single-request convenience; raises instead of reporting."""
-        responses, report = self.submit_batch([request])
-        if responses:
-            return responses[0]
-        _, error_class = report.failed[0]
-        raise ProviderError(f"request {request.request_id} failed: {error_class}")
-
-    def _from_cache(self, request: StructuredRequest, fingerprint: str) -> _Outcome | None:
+    def _from_cache(
+        self, request: StructuredRequest, fingerprint: str
+    ) -> StructuredResponse | None:
         if self.cache is None:
             return None
         raw = self.cache.get(fingerprint)
@@ -138,35 +179,26 @@ class BatchManager:
         except SchemaInvalid:
             log.warning("cache entry for %s is invalid; refetching", request.request_id)
             return None
-        return _Outcome(
-            response=StructuredResponse(request.request_id, payload, raw), cache_hit=True
-        )
+        return StructuredResponse(request.request_id, payload, raw)
 
-    def _fetch(
-        self, request: StructuredRequest, fingerprint: str, policy: RetryPolicy
-    ) -> _Outcome:
+    def _fetch(self, request: StructuredRequest, fingerprint: str, attempt: int) -> _Outcome:
+        """One provider call; a schema-valid reply is stored in the cache."""
         outcome = _Outcome()
-        last_error = "ProviderError"
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                result = self.provider.complete(request)
-                outcome.input_tokens += result.input_tokens
-                outcome.output_tokens += result.output_tokens
-                payload = validate_payload(result.raw, request.output_schema)
-            except SchemaInvalid as exc:
-                last_error = exc.error_class
-                log.info("request %s attempt %d rejected: %s", request.request_id, attempt, exc)
-            except ProviderError as exc:
-                last_error = "ProviderError"
-                log.info("request %s attempt %d failed: %s", request.request_id, attempt, exc)
-            else:
-                if self.cache is not None:
-                    self.cache.put(fingerprint, result.raw)
-                outcome.response = StructuredResponse(request.request_id, payload, result.raw)
-                return outcome
-            if attempt < policy.max_attempts and policy.backoff_base > 0:
-                time.sleep(policy.backoff_base * 2 ** (attempt - 1))
-        outcome.error_class = last_error
+        try:
+            result = self.provider.complete(request)
+            outcome.input_tokens = result.input_tokens
+            outcome.output_tokens = result.output_tokens
+            payload = validate_payload(result.raw, request.output_schema)
+        except SchemaInvalid as exc:
+            outcome.error_class = exc.error_class
+            log.info("request %s attempt %d rejected: %s", request.request_id, attempt, exc)
+        except ProviderError as exc:
+            outcome.error_class = "ProviderError"
+            log.info("request %s attempt %d failed: %s", request.request_id, attempt, exc)
+        else:
+            if self.cache is not None:
+                self.cache.put(fingerprint, result.raw)
+            outcome.response = StructuredResponse(request.request_id, payload, result.raw)
         return outcome
 
     def embed_texts(self, texts: Sequence[str], chunk_size: int = 256) -> np.ndarray:

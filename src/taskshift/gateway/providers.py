@@ -134,9 +134,6 @@ def synthesize_payload(request: StructuredRequest) -> dict:
     name = request.output_schema.name
     if name == "task_extraction":
         return _synthesize_tasks(request.user_prompt)
-    if name == "task_scores":
-        listed = _tasks_between(request.user_prompt, "tasks")
-        return {"scores": {str(number): _score_for(text) for number, text in listed}}
     if name == "cluster_label":
         listed = _tasks_between(request.user_prompt, "tasks")
         return {"label": _label_from_texts([text for _, text in listed])}

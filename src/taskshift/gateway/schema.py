@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from ..errors import EnumViolation, MissingField, RangeViolation, SchemaInvalid, TypeMismatch
 
-KINDS = ("string", "number", "integer", "object", "array", "mapping")
+KINDS = ("string", "number", "integer", "object", "array")
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,3 @@ def _validate_value(value: object, spec: FieldSpec, path: str) -> None:
             return
         for index, element in enumerate(value):
             _validate_value(element, spec.item, f"{path}[{index}]")
-    elif spec.kind == "mapping":
-        if not isinstance(value, dict):
-            raise TypeMismatch(path, f"expected mapping, got {type(value).__name__}")
-        if spec.item is None:
-            return
-        for key, element in value.items():
-            if not isinstance(key, str):
-                raise TypeMismatch(f"{path}.{key}", "mapping keys must be strings")
-            _validate_value(element, spec.item, f"{path}.{key}")

@@ -53,17 +53,6 @@ TASK_EXTRACTION_SCHEMA = Schema(
     ),
 )
 
-TASK_SCORES_SCHEMA = Schema(
-    "task_scores",
-    (
-        FieldSpec(
-            "scores",
-            "mapping",
-            item=FieldSpec("score", "number", minimum=0.0, maximum=1.0),
-        ),
-    ),
-)
-
 CLUSTER_LABEL_SCHEMA = Schema("cluster_label", (FieldSpec("label", "string"),))
 
 FOCUS_CHOICE_SCHEMA = Schema(
@@ -133,22 +122,6 @@ def task_extraction_request(request_id: str, job_text: str) -> StructuredRequest
             f"<job_description>{job_text}</job_description>"
         ),
         output_schema=TASK_EXTRACTION_SCHEMA,
-    )
-
-
-def task_scoring_request(request_id: str, tasks: Sequence[tuple[int, str]]) -> StructuredRequest:
-    return StructuredRequest(
-        request_id=request_id,
-        system_prompt=(
-            "You are an expert in assessing job tasks' potential automation with "
-            "GPT technology."
-        ),
-        user_prompt=(
-            "Use the tool provided to assign each of these tasks a score of range "
-            "0-1 of potential automation of the task with GPT technology: "
-            f"<tasks>\n{format_task_lines(tasks)}\n</tasks>"
-        ),
-        output_schema=TASK_SCORES_SCHEMA,
     )
 
 

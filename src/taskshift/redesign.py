@@ -5,7 +5,8 @@ threshold get a plan: either all freed time flows to one surviving
 "focus" task, or surviving tasks are augmented and reordered (weights
 recomputed over the new order), or new tasks are allowed in, capped at
 the number automated away. Provider replies are structurally validated
-(referential integrity, permutations, caps) and retried with a nudge
+(referential integrity, permutations, caps); the batch manager retries a
+rejected reply with a nudge, up to ``max_attempts`` attempts in all,
 before a role is flagged.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,8 +32,6 @@ from .prompts import (
 )
 
 log = logging.getLogger(__name__)
-
-MAX_STRUCTURAL_ATTEMPTS = 3
 
 FOCUS = "focus"
 AUGMENT_REORDER = "augment_reorder"
@@ -166,48 +165,26 @@ def _run_waves(
     build: Callable[[str, object], StructuredRequest],
     check: Callable[[object, dict], object],
     nudge: str,
-    attempts: int = MAX_STRUCTURAL_ATTEMPTS,
 ) -> tuple[dict, dict[str, str]]:
-    """Batch-validate-retry driver shared by all redesign calls.
+    """Submit one request per context as one batch; the batch manager retries.
 
-    ``build(request_id, context)`` gives the first-attempt request; a
-    retry appends ``nudge`` to its user prompt.
+    ``build(request_id, context)`` gives the request. A reply that
+    ``check(context, payload)`` rejects is sent again with ``nudge``
+    appended to its user prompt; what ``check`` returns is the result.
     """
+    if not contexts:
+        return {}, {}
+    keys = list(contexts)
     results: dict = {}
-    failures: dict[str, str] = {}
-    pending = dict(contexts)
-    last_reason = {key: "ProviderError" for key in contexts}
-    for attempt in range(1, attempts + 1):
-        if not pending:
-            break
-        requests = {
-            key: build(f"{kind}:{key}:attempt{attempt}", ctx) for key, ctx in pending.items()
-        }
-        if attempt > 1:
-            suffix = f"\n(attempt {attempt}: the previous reply violated the rules; {nudge})"
-            requests = {
-                key: replace(request, user_prompt=request.user_prompt + suffix)
-                for key, request in requests.items()
-            }
-        responses, report = manager.submit_batch(list(requests.values()))
-        by_id = {response.request_id: response for response in responses}
-        failed_ids = dict(report.failed)
-        still_pending: dict = {}
-        for key, ctx in pending.items():
-            response = by_id.get(requests[key].request_id)
-            if response is None:
-                last_reason[key] = failed_ids.get(requests[key].request_id, "ProviderError")
-                still_pending[key] = ctx
-                continue
-            try:
-                results[key] = check(ctx, response.payload)
-            except SchemaInvalid as exc:
-                last_reason[key] = exc.error_class
-                still_pending[key] = ctx
-        pending = still_pending
-    for key in pending:
-        failures[key] = last_reason[key]
-        log.warning("redesign request for %s flagged after retries: %s", key, failures[key])
+
+    def checked(index: int, payload: dict) -> None:
+        results[keys[index]] = check(contexts[keys[index]], payload)
+
+    requests = [build(f"{kind}:{key}", contexts[key]) for key in keys]
+    _, report = manager.submit_batch(requests, check=checked, nudge=nudge)
+    failures = {request_id[len(kind) + 1 :]: error for request_id, error in report.failed}
+    for key, error in failures.items():
+        log.warning("redesign request for %s flagged after retries: %s", key, error)
     return results, failures
 
 

@@ -1,5 +1,4 @@
 import itertools
-import json
 import tracemalloc
 from dataclasses import dataclass, field
 
@@ -411,15 +410,6 @@ class TestFitPca:
         data = np.tile(np.arange(6.0), (20, 1)) * np.arange(1.0, 21.0)[:, None]
         with pytest.raises(DataError, match="rank 1"):
             fit_pca(data, out_dim=3)
-
-    def test_round_trip_serialization(self):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(30, 8))
-        model = fit_pca(data, out_dim=3)
-        from taskshift.clustering import ProjectionModel
-
-        clone = ProjectionModel.from_dict(json.loads(json.dumps(model.to_dict())))
-        assert np.allclose(clone.transform(data), model.transform(data))
 
 
 @dataclass

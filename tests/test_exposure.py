@@ -12,12 +12,11 @@ from taskshift.exposure import (
     decay_weights,
     extract_corpus,
     role_exposure,
-    score_task_list,
     task_record,
     weighted_mean_std,
 )
 from taskshift.gateway import BatchManager, MockProvider, RetryPolicy
-from taskshift.prompts import task_extraction_request, task_scoring_request
+from taskshift.prompts import task_extraction_request
 
 from conftest import make_tasks
 
@@ -252,24 +251,16 @@ class TestExtraction:
         assert record.band is Band.HIGH and record.high == 1
 
 
-def scoring_fixture(texts, scores):
-    numbered = list(enumerate(texts, start=1))
-    request = task_scoring_request("x", numbered)
-    payload = {"scores": {str(i): s for i, s in zip(range(1, len(texts) + 1), scores)}}
-    return {request.fingerprint(): payload}
-
-
-ECONOMIST_EQUAL_TEXTS = [f"economics duty {i}" for i in range(1, 13)]
 ECONOMIST_EQUAL_SCORES = [0.83] * 6 + [0.65] * 6
-ECONOMIST_ORDERED_TEXTS = [f"ordered economics duty {i}" for i in range(1, 14)]
 ECONOMIST_ORDERED_SCORES = [0.8276, 0.8276] + [0.5058] * 11
 
 
 class TestScoreTaskList:
+    """The paper's worked example: an economist's scored task list, aggregated."""
+
     def test_equal_weighting_twelve_tasks(self):
-        fixtures = scoring_fixture(ECONOMIST_EQUAL_TEXTS, ECONOMIST_EQUAL_SCORES)
-        manager = BatchManager(MockProvider(fixtures=fixtures, strict=True))
-        mean, std = score_task_list(ECONOMIST_EQUAL_TEXTS, manager, delta=1.0)
+        weights = decay_weights(12, 1.0).normalized
+        mean, std = weighted_mean_std(ECONOMIST_EQUAL_SCORES, weights)
         oracle_mean = sum(ECONOMIST_EQUAL_SCORES) / 12
         oracle_std = math.sqrt(
             sum((s - oracle_mean) ** 2 for s in ECONOMIST_EQUAL_SCORES) / 12
@@ -280,13 +271,12 @@ class TestScoreTaskList:
         assert abs(std - 0.09) <= 0.005
 
     def test_decay_weighting_thirteen_tasks(self):
-        fixtures = scoring_fixture(ECONOMIST_ORDERED_TEXTS, ECONOMIST_ORDERED_SCORES)
-        manager = BatchManager(MockProvider(fixtures=fixtures, strict=True))
-        mean, std = score_task_list(ECONOMIST_ORDERED_TEXTS, manager, delta=0.75)
-        weights = oracle_decay(13, 0.75)
-        oracle_mean = sum(w * s for w, s in zip(weights, ECONOMIST_ORDERED_SCORES))
+        weights = decay_weights(13, 0.75).normalized
+        mean, std = weighted_mean_std(ECONOMIST_ORDERED_SCORES, weights)
+        oracle = oracle_decay(13, 0.75)
+        oracle_mean = sum(w * s for w, s in zip(oracle, ECONOMIST_ORDERED_SCORES))
         oracle_std = math.sqrt(
-            sum(w * (s - oracle_mean) ** 2 for w, s in zip(weights, ECONOMIST_ORDERED_SCORES))
+            sum(w * (s - oracle_mean) ** 2 for w, s in zip(oracle, ECONOMIST_ORDERED_SCORES))
         )
         assert mean == pytest.approx(oracle_mean, abs=1e-12)
         assert std == pytest.approx(oracle_std, abs=1e-12)
@@ -294,17 +284,4 @@ class TestScoreTaskList:
         assert abs(std - 0.16) <= 0.005
 
     def test_single_task(self):
-        fixtures = scoring_fixture(["only duty"], [0.5])
-        manager = BatchManager(MockProvider(fixtures=fixtures, strict=True))
-        assert score_task_list(["only duty"], manager, delta=0.75) == (0.5, 0.0)
-
-    def test_missing_score_key_rejected(self):
-        request = task_scoring_request("x", [(1, "a"), (2, "b")])
-        fixtures = {request.fingerprint(): {"scores": {"1": 0.5}}}
-        manager = BatchManager(MockProvider(fixtures=fixtures, strict=True))
-        with pytest.raises(DataError, match="omitted"):
-            score_task_list(["a", "b"], manager)
-
-    def test_empty_list_rejected(self, manager):
-        with pytest.raises(UsageError):
-            score_task_list([], manager)
+        assert weighted_mean_std([0.5], decay_weights(1, 0.75).normalized) == (0.5, 0.0)

@@ -33,7 +33,7 @@ from taskshift.gateway import (
     request_fingerprint,
     validate_payload,
 )
-from taskshift.gateway import providers
+from taskshift.gateway import batch, providers
 from taskshift.prompts import (
     TASK_EXTRACTION_SCHEMA,
     TASK_MIX_SCHEMA,
@@ -202,8 +202,8 @@ class TestMockProvider:
         request = task_extraction_request("support", SUPPORT_OFFICER_DESCRIPTION)
         payload = tasks_payload(*([0.5] * 7))
         provider = MockProvider(fixtures={request.fingerprint(): payload})
-        manager = BatchManager(provider)
-        response = manager.submit_one(request)
+        (response,), report = BatchManager(provider).submit_batch([request])
+        assert report.failed == [] and provider.calls == 1
         assert len(response.payload["tasks"]) == 7
 
     def test_synthesizer_extracts_bullets_deterministically(self):
@@ -461,6 +461,53 @@ class TestRetry:
         responses, report = manager.submit_batch([extraction_request("r")])
         assert responses == []
         assert report.failed == [("r", "ProviderError")]
+
+    def test_one_backoff_sleep_per_wave(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(batch.time, "sleep", sleeps.append)
+        provider = FlakyProvider(failures=99)
+        manager = BatchManager(provider, policy=RetryPolicy(max_attempts=3, backoff_base=0.5))
+        _, report = manager.submit_batch([extraction_request(f"r{i}") for i in range(4)])
+        assert len(report.failed) == 4 and provider.calls == 12
+        assert sleeps == [0.5, 1.0]
+
+    def test_check_failing_every_attempt_becomes_failure_entry(self, tmp_path):
+        provider = MockProvider()
+        manager = BatchManager(
+            provider, cache=ResponseCache(tmp_path), policy=RetryPolicy(backoff_base=0.0)
+        )
+        seen = []
+
+        def check(index, payload):
+            seen.append(index)
+            raise RangeViolation("$.tasks", "never good enough")
+
+        requests = [extraction_request("r0", "- a\n- b"), extraction_request("r1", "- c\n- d")]
+        responses, report = manager.submit_batch(requests, check=check)
+        assert responses == []
+        assert report.failed == [("r0", "RangeViolation"), ("r1", "RangeViolation")]
+        # without a nudge each retry repeats the same bytes, straight to the provider
+        assert seen == [0, 1] * 3 and provider.calls == 6 and report.cache_hits == 0
+        assert report.reconciles()
+
+    def test_nudged_retry_is_looked_up_in_the_cache(self, tmp_path):
+        request = extraction_request("r", "- a\n- b")
+        bad = tasks_payload(0.5)
+        provider = MockProvider(fixtures={request.fingerprint(): bad})
+        cache = ResponseCache(tmp_path)
+        manager = BatchManager(provider, cache=cache, policy=RetryPolicy(backoff_base=0.0))
+
+        def check(index, payload):
+            if len(payload["tasks"]) < 2:
+                raise MissingField("$.tasks", "too few tasks")
+
+        cold, cold_report = manager.submit_batch([request], check=check, nudge="list two")
+        assert provider.calls == 2 and cold_report.cache_hits == 0
+        warm = BatchManager(MockProvider(strict=True), cache=ResponseCache(tmp_path))
+        again, warm_report = warm.submit_batch([request], check=check, nudge="list two")
+        assert warm.provider.calls == 0 and warm_report.cache_hits == 2
+        assert [r.raw for r in again] == [r.raw for r in cold]
+        assert cold[0].request_id == "r" and len(cold[0].payload["tasks"]) == 2
 
 
 class TestEmbeddings:

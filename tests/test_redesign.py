@@ -5,7 +5,8 @@ import pytest
 
 from taskshift.errors import UsageError
 from taskshift.exposure import DecayWeights, RoleProfile, role_exposure, task_record
-from taskshift.gateway import BatchManager, MockProvider, RetryPolicy
+from taskshift.gateway import BatchManager, MockProvider, ResponseCache, RetryPolicy
+from taskshift.gateway import batch
 from taskshift.prompts import (
     focus_choice_request,
     task_mix_request,
@@ -160,27 +161,73 @@ class TestSelectFocus:
         )[plan.focus_task] == pytest.approx(plan.freed_share, abs=1e-12)
 
 
+def record_calls(provider):
+    """List every request that reaches ``provider.complete``."""
+    sent = []
+    complete = provider.complete
+
+    def record(request):
+        sent.append(request)
+        return complete(request)
+
+    provider.complete = record
+    return sent
+
+
 class TestWaves:
     def test_retry_appends_nudge_to_first_attempt_prompt(self):
         role = reference_role()
-        manager = mock_manager(strict=True)  # no fixture: every attempt fails
-        sent = []
-        submit = manager.submit_batch
-
-        def record(requests):
-            sent.extend(requests)
-            return submit(requests)
-
-        manager.submit_batch = record
+        provider = MockProvider(strict=True)  # no fixture: every attempt fails
+        sent = record_calls(provider)
+        manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
         results, failures = redesign.select_focus_bulk([role], manager)
-        assert results == {} and role.vacancy_id in failures
-        assert [r.request_id for r in sent] == [f"focus:R1:attempt{n}" for n in (1, 2, 3)]
+        assert results == {} and failures == {role.vacancy_id: "ProviderError"}
         first = focus_choice_request("x", role.title, TestSelectFocus().survivors(role))
-        assert sent[0].user_prompt == first.user_prompt
-        assert sent[2].user_prompt == first.user_prompt + (
-            "\n(attempt 3: the previous reply violated the rules; "
+        note = (
+            "\n(attempt {}: the previous reply violated the rules; "
             "answer with one of the listed task numbers)"
         )
+        assert [request.user_prompt for request in sent] == [
+            first.user_prompt,
+            first.user_prompt + note.format(2),
+            first.user_prompt + note.format(3),
+        ]
+
+    @pytest.mark.parametrize(
+        "bulk",
+        [redesign.select_focus_bulk, redesign.reorder_plan_bulk, redesign.new_tasks_plan_bulk],
+    )
+    def test_request_that_never_passes_costs_max_attempts_calls(self, bulk):
+        provider = MockProvider(strict=True)
+        manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
+        results, failures = bulk([reference_role()], manager)
+        assert results == {} and failures == {"R1": "ProviderError"}
+        assert provider.calls == 3
+
+    def test_warm_rerun_replays_rejected_and_nudged_answers(self, tmp_path, monkeypatch):
+        role = reference_role()
+        request = focus_choice_request("x", role.title, TestSelectFocus().survivors(role))
+        # attempt 1 names an automated task; the nudged attempt 2 is synthesized
+        fixtures = {request.fingerprint(): {"task_number": 1, "reasoning": "bad"}}
+        sleeps = []
+        monkeypatch.setattr(batch.time, "sleep", sleeps.append)
+
+        def run():
+            provider = MockProvider(fixtures=fixtures)
+            manager = BatchManager(provider, cache=ResponseCache(tmp_path))
+            return redesign.select_focus_bulk([role], manager), provider.calls
+
+        cold, cold_calls = run()
+        warm, warm_calls = run()
+        assert (cold_calls, warm_calls) == (2, 0)
+        assert warm == cold and cold[0][role.vacancy_id][0] == 3
+        assert sleeps == []  # a rejected answer is not a provider failure
+
+    def test_theme_failures_keyed_by_input_index(self):
+        manager = BatchManager(MockProvider(strict=True), policy=RetryPolicy(backoff_base=0.0))
+        themed, failures = redesign.tag_themes(["first", "second"], manager)
+        assert themed == [(), ()]
+        assert failures == {0: "ProviderError", 1: "ProviderError"}
 
 
 class TestPlanRecord:
