@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taskshift import clustering
 from taskshift.clustering import (
     PCA_CHUNK_ROWS,
     ExposureCluster,
@@ -410,6 +411,99 @@ class TestFitPca:
         data = np.tile(np.arange(6.0), (20, 1)) * np.arange(1.0, 21.0)[:, None]
         with pytest.raises(DataError, match="rank 1"):
             fit_pca(data, out_dim=3)
+
+
+def reference_scatter_fit_pca(matrix, out_dim=25):
+    """The chunked scatter-matrix fit with a fresh centred chunk per step, as first shipped."""
+    matrix = np.asarray(matrix, dtype=float)
+    n, d = matrix.shape
+    mean = matrix.mean(axis=0)
+    scatter = np.zeros((d, d))
+    for start in range(0, n, PCA_CHUNK_ROWS):
+        chunk = matrix[start : start + PCA_CHUNK_ROWS] - mean
+        scatter += chunk.T @ chunk
+    eigenvalues, vectors = np.linalg.eigh(scatter)
+    eigenvalues = eigenvalues[::-1]
+    if eigenvalues[0] <= 0.0:
+        rank = 0
+    else:
+        rank = int((eigenvalues > eigenvalues[0] * d * np.finfo(float).eps).sum())
+    if rank < out_dim:
+        raise DataError(f"rank deficiency: achieved rank {rank} < requested {out_dim}")
+    components = vectors[:, ::-1][:, :out_dim].T.copy()
+    for row in range(out_dim):
+        pivot = int(np.abs(components[row]).argmax())
+        if components[row, pivot] < 0:
+            components[row] = -components[row]
+    variances = eigenvalues[:out_dim] / n
+    total = np.trace(scatter) / n
+    ratios = variances / total if total > 0 else np.zeros(out_dim)
+    return ProjectionModel(
+        mean=mean,
+        components=components,
+        explained_variance=variances,
+        explained_variance_ratio=ratios,
+    )
+
+
+def finite_matrices():
+    # few distinct values, ±0.0 among them, so duplicate rows are common
+    value = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5]), st.floats(-1e6, 1e6))
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=25)
+    ).map(lambda rows: np.asarray(rows, dtype=float))
+
+
+class TestWorkingBuffers:
+    @pytest.mark.parametrize(
+        "n, d, out_dim, constant_column",
+        [(300, 12, 5, False), (2 * PCA_CHUNK_ROWS + 808, 16, 10, False), (500, 9, 4, True)],
+        ids=["one-chunk", "several-chunks", "constant-column"],
+    )
+    def test_fit_pca_bytes_equal_fresh_chunk_loop(self, n, d, out_dim, constant_column):
+        rng = np.random.default_rng(n * d)
+        data = rng.normal(size=(n, d)) * (3.0 * 0.8 ** np.arange(d)) + rng.normal(scale=20.0, size=d)
+        if constant_column:
+            # a centred column of exact zeros puts signed zeros into the scatter matrix
+            data[:, 3] = 7.25
+        model = fit_pca(data, out_dim=out_dim).to_dict()
+        expected = reference_scatter_fit_pca(data, out_dim=out_dim).to_dict()
+        for key, values in expected.items():
+            assert np.asarray(model[key]).tobytes() == np.asarray(values).tobytes(), key
+
+    def test_no_chunk_alive_when_eigh_starts(self, monkeypatch):
+        data = np.random.default_rng(12).normal(size=(20_000, 256))
+        traced_at_entry = []
+        real_eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            traced_at_entry.append(tracemalloc.get_traced_memory()[0])
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        tracemalloc.start()
+        try:
+            fit_pca(data, out_dim=25)
+        finally:
+            tracemalloc.stop()
+        # the d×d scatter matrix and the mean may be alive; no centred chunk
+        # (4,096 × 256 float64 is 8.4 MB) and no d×d product buffer
+        assert len(traced_at_entry) == 1
+        assert traced_at_entry[0] < 2 * 256 * 256 * 8 + 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=point_sets(), data=st.data())
+    def test_lloyd_without_iterations_matches_reference(self, matrix, data):
+        # assignments stay -1, so the inertia is measured against the last centroid
+        k = data.draw(st.integers(min_value=1, max_value=matrix.shape[0]), label="k")
+        starts = data.draw(st.permutations(range(matrix.shape[0])), label="starts")[:k]
+        result = _lloyd(matrix, matrix[starts].copy(), max_iter=0)
+        assert_same_result(result, reference_lloyd(matrix, matrix[starts].copy(), max_iter=0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=finite_matrices())
+    def test_distinct_row_count_equals_unique(self, matrix):
+        assert clustering._distinct_rows(matrix) == np.unique(matrix, axis=0).shape[0]
 
 
 @dataclass

@@ -15,6 +15,7 @@ from taskshift.corpus import (
     parse_vacancies,
     scrub_pii,
 )
+from taskshift.corpus import _EMAIL_RE, _PHONE_RE
 from taskshift.errors import DataError
 
 
@@ -94,6 +95,13 @@ class TestParseVacancies:
     def test_scrub_keeps_ordinary_numbers(self):
         text = "Work 37 hours across 3 sites from 2019 onwards."
         assert scrub_pii(text) == text
+
+    # ASCII and non-ASCII decimal digits (Arabic-Indic, Devanagari, fullwidth)
+    # match the patterns' \d as well
+    @given(st.text(alphabet=st.sampled_from(list("0179٣०５@. +()-aZ_\t")), max_size=80))
+    def test_guarded_scrub_equals_both_substitutions(self, text):
+        expected = _PHONE_RE.sub("[phone removed]", _EMAIL_RE.sub("[email removed]", text))
+        assert scrub_pii(text) == expected
 
 
 class TestRoundTrip:

@@ -513,6 +513,24 @@ class TestCli:
         )
         assert result.stdout.strip() == "False"
 
+    def test_full_run_leaves_out_numpy_ma(self, tmp_path):
+        # np.unique(..., axis=0) imports numpy.ma; the pipeline only needs a
+        # count of distinct rows and should not pay for that import
+        config = write_config(tmp_path)
+        source = str(Path(taskshift.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys; from taskshift.cli import main; "
+            f"code = main(['all', '--config', {str(config)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "0 False"
+
     def test_single_stage_requires_upstream(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["weight", "--config", str(config)]) == 2
