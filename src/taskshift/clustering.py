@@ -86,13 +86,16 @@ def kmeans(
     return best
 
 
-def _pairwise_d2(matrix: np.ndarray, centers: np.ndarray, row_norms: np.ndarray) -> np.ndarray:
+def _pairwise_d2(
+    matrix: np.ndarray, centers: np.ndarray, row_norms: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Squared distances point-to-center without the n*k*d broadcast.
 
     Computes ``row_norms - 2 * (matrix @ centers.T) + center_norms`` in
-    that order, in place in one buffer.
+    that order, in place in one buffer: ``out`` (n×k) when given, so a
+    caller can reuse it across calls, else a new array.
     """
-    d2 = matrix @ centers.T
+    d2 = np.matmul(matrix, centers.T, out=out)
     d2 *= 2.0
     np.subtract(row_norms[:, None], d2, out=d2)
     d2 += (centers**2).sum(axis=1)[None, :]
@@ -104,6 +107,7 @@ def _kmeans_pp(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     row_norms = (matrix**2).sum(axis=1)
     chosen = [int(rng.integers(matrix.shape[0]))]
     d2 = _pairwise_d2(matrix, matrix[chosen[-1]][None, :], row_norms)[:, 0]
+    newest = np.empty((matrix.shape[0], 1))
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -111,8 +115,8 @@ def _kmeans_pp(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             chosen.append(next(i for i in range(matrix.shape[0]) if i not in taken))
         else:
             chosen.append(int(rng.choice(matrix.shape[0], p=d2 / total)))
-        newest = _pairwise_d2(matrix, matrix[chosen[-1]][None, :], row_norms)[:, 0]
-        np.minimum(d2, newest, out=d2)
+        _pairwise_d2(matrix, matrix[chosen[-1]][None, :], row_norms, out=newest)
+        np.minimum(d2, newest[:, 0], out=d2)
     return matrix[chosen].copy()
 
 
@@ -120,9 +124,13 @@ def _lloyd(matrix: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
     n, k = matrix.shape[0], centroids.shape[0]
     row_norms = (matrix**2).sum(axis=1)
     assignments = np.full(n, -1, dtype=int)
+    # One n×k distance buffer and one n×d gather buffer serve every
+    # iteration and the final inertia, so the loop allocates neither again.
+    d2 = np.empty((n, k))
+    grouped = np.empty(matrix.shape)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        d2 = _pairwise_d2(matrix, centroids, row_norms)
+        _pairwise_d2(matrix, centroids, row_norms, out=d2)
         new_assignments = d2.argmin(axis=1)  # argmin takes the lowest index on ties
         counts = np.bincount(new_assignments, minlength=k)
         if not counts.all():
@@ -146,7 +154,9 @@ def _lloyd(matrix: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
         # so that the stable argsort is a radix sort; a stable sort's
         # permutation does not depend on the dtype.
         order = np.argsort(assignments.astype(np.min_scalar_type(k - 1)), kind="stable")
-        grouped = matrix.take(order, axis=0)
+        # mode="wrap" writes straight into ``out``; the default "raise"
+        # gathers into a temporary first. Every index here is in range.
+        np.take(matrix, order, axis=0, out=grouped, mode="wrap")
         ends = np.cumsum(counts).tolist()
         sums = np.empty_like(centroids)
         start = 0
@@ -154,8 +164,24 @@ def _lloyd(matrix: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
             sums[cluster] = np.add.reduce(grouped[start:end], axis=0)
             start = end
         centroids = sums / counts[:, None]
-    inertia = float(((matrix - centroids[assignments]) ** 2).sum())
+    # ((matrix - centroids[assignments]) ** 2).sum(), in the gather buffer;
+    # "wrap" reads index -1 (no iteration ran) as the last centroid, as
+    # centroids[-1] does
+    np.take(centroids, assignments, axis=0, out=grouped, mode="wrap")
+    np.subtract(matrix, grouped, out=grouped)
+    np.multiply(grouped, grouped, out=grouped)
+    inertia = float(grouped.sum())
     return KMeansResult(assignments, centroids, inertia, iterations)
+
+
+def _distinct_rows(matrix: np.ndarray) -> int:
+    """Number of distinct rows of a finite matrix, as ``np.unique(matrix, axis=0)`` counts them.
+
+    Rows compare by value, so ``-0.0`` equals ``0.0``. ``np.unique`` with
+    an axis imports ``numpy.ma`` on first use, which costs more than this
+    count.
+    """
+    return len(set(map(tuple, matrix.tolist())))
 
 
 @dataclass(frozen=True)
@@ -177,7 +203,7 @@ def cluster_roles(
         raise UsageError("cluster_roles expects (mean, std) pairs")
     if matrix.shape[0] < len(CLUSTER_NAME_ORDER):
         raise DataError(f"need at least 4 roles, got {matrix.shape[0]}")
-    if np.unique(matrix, axis=0).shape[0] < len(CLUSTER_NAME_ORDER):
+    if _distinct_rows(matrix) < len(CLUSTER_NAME_ORDER):
         raise DataError("degenerate geometry: fewer than 4 distinct (mean, std) points")
 
     result = kmeans(matrix, k=4, seed=seed)
@@ -295,6 +321,25 @@ class ProjectionModel:
         }
 
 
+def _scatter(matrix: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Sum of ``(rows - mean).T @ (rows - mean)`` over ``PCA_CHUNK_ROWS``-row chunks in row order.
+
+    Every chunk is centred into one reused chunk-sized buffer and its
+    product formed in one reused d×d buffer before it is added, so the
+    working memory is fixed whatever the number of rows.
+    """
+    n, d = matrix.shape
+    scatter = np.zeros((d, d))
+    centred = np.empty((min(n, PCA_CHUNK_ROWS), d))
+    product = np.empty((d, d))
+    for start in range(0, n, PCA_CHUNK_ROWS):
+        rows = matrix[start : start + PCA_CHUNK_ROWS]
+        chunk = np.subtract(rows, mean, out=centred[: rows.shape[0]])
+        np.matmul(chunk.T, chunk, out=product)
+        scatter += product
+    return scatter
+
+
 def fit_pca(matrix: np.ndarray, out_dim: int = 25) -> ProjectionModel:
     """Fit a PCA projection; errors if the data cannot support ``out_dim``.
 
@@ -311,10 +356,9 @@ def fit_pca(matrix: np.ndarray, out_dim: int = 25) -> ProjectionModel:
     if out_dim < 1 or out_dim > d:
         raise UsageError(f"out_dim={out_dim} invalid for {d}-dim input")
     mean = matrix.mean(axis=0)
-    scatter = np.zeros((d, d))
-    for start in range(0, n, PCA_CHUNK_ROWS):
-        chunk = matrix[start : start + PCA_CHUNK_ROWS] - mean
-        scatter += chunk.T @ chunk
+    # the chunk buffers die with _scatter's frame, so none of them is alive
+    # next to eigh's own input copy and LAPACK workspace
+    scatter = _scatter(matrix, mean)
     eigenvalues, vectors = np.linalg.eigh(scatter)
     eigenvalues = eigenvalues[::-1]
     if eigenvalues[0] <= 0.0:
@@ -395,7 +439,7 @@ def build_taxonomy(
 
     for category in range(n_categories):
         members = members_by_cluster[category]
-        sub_k = min(n_subclusters, int(np.unique(projected[members], axis=0).shape[0]))
+        sub_k = min(n_subclusters, _distinct_rows(projected[members]))
         sub = kmeans(projected[members], k=sub_k, seed=_subseed(seed, f"taxonomy-sub-{category}"))
         for local, task_index in enumerate(members.tolist()):
             assignments[task_index][1] = int(sub.assignments[local])

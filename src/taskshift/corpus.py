@@ -30,6 +30,7 @@ OTHER_DEPTS = "OTHER_DEPTS"
 _EMAIL_RE = re.compile(r"[\w.+-]+@[\w-]+\.[\w.-]+")
 # 9+ digits allowing separators, so years and task counts survive
 _PHONE_RE = re.compile(r"(?<!\w)\+?(?:\d[\s().-]?){9,15}(?!\w)")
+_DIGIT_RE = re.compile(r"\d")
 _NORMALIZE_RE = re.compile(r"[^a-z0-9]+")
 
 
@@ -153,9 +154,18 @@ def _parse_date(value: str | None) -> date | None:
 
 
 def scrub_pii(text: str) -> str:
-    """Remove emails and phone numbers before anything else sees the text."""
-    text = _EMAIL_RE.sub("[email removed]", text)
-    return _PHONE_RE.sub("[phone removed]", text)
+    """Remove emails and phone numbers before anything else sees the text.
+
+    Each pattern runs only where it can match: an email needs a literal
+    ``@`` and a phone number a digit (any Unicode decimal digit, as ``\\d``
+    in a ``str`` pattern matches). Most free text has neither, and the
+    regex scans cost more than these checks.
+    """
+    if "@" in text:
+        text = _EMAIL_RE.sub("[email removed]", text)
+    if _DIGIT_RE.search(text):
+        text = _PHONE_RE.sub("[phone removed]", text)
+    return text
 
 
 def normalize_grade_text(raw: str) -> str:
