@@ -2,7 +2,7 @@ import json
 import logging
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from taskshift.corpus import (
     GradeBucket,
@@ -99,6 +99,8 @@ class TestParseVacancies:
     # ASCII and non-ASCII decimal digits (Arabic-Indic, Devanagari, fullwidth)
     # match the patterns' \d as well
     @given(st.text(alphabet=st.sampled_from(list("0179٣०５@. +()-aZ_\t")), max_size=80))
+    @example("call ٠٧٧٠٠ ٩٠٠١٢٣ now")  # a phone number in Arabic-Indic digits only
+    @example("write to jo.b@example.org")
     def test_guarded_scrub_equals_both_substitutions(self, text):
         expected = _PHONE_RE.sub("[phone removed]", _EMAIL_RE.sub("[email removed]", text))
         assert scrub_pii(text) == expected
