@@ -22,7 +22,7 @@ from taskshift.clustering import (
     normalize_text,
 )
 from taskshift.errors import DataError, UsageError
-from taskshift.gateway import BatchManager, MockProvider, RetryPolicy
+from taskshift.gateway import BatchManager, MockProvider, ResponseCache, RetryPolicy
 
 REFERENCE_CENTROIDS = [(0.381, 0.118), (0.483, 0.158), (0.586, 0.162), (0.697, 0.136)]
 
@@ -589,3 +589,32 @@ class TestBuildTaxonomy:
     def test_empty_normalized_text_rejected(self, manager):
         with pytest.raises(UsageError):
             build_taxonomy([""] * 40, manager, seed=0)
+
+
+class TestStoredRows:
+    def test_fit_and_transform_of_stored_rows_equal_the_matrix(self, tmp_path):
+        texts = [f"duty {i}" for i in range(2 * PCA_CHUNK_ROWS + 808)]
+        # every other row comes from an earlier run's segment
+        earlier = BatchManager(MockProvider(dimension=16), cache=ResponseCache(tmp_path))
+        earlier.embed_texts(texts[::2])
+        manager = BatchManager(MockProvider(dimension=16), cache=ResponseCache(tmp_path))
+        rows = manager.embed_texts(texts)
+        assert len(list(tmp_path.glob("*.vectors"))) == 2
+        matrix = MockProvider(dimension=16).embed(texts)
+        model = fit_pca(rows, out_dim=10)
+        expected = fit_pca(matrix, out_dim=10)
+        for key, values in expected.to_dict().items():
+            assert np.asarray(model.to_dict()[key]).tobytes() == np.asarray(values).tobytes(), key
+        assert model.transform(rows).tobytes() == expected.transform(matrix).tobytes()
+
+    def test_build_taxonomy_never_holds_the_embedding_matrix(self):
+        n, d = 20_000, 256
+        texts = [f"duty text {i}" for i in range(n)]
+        manager = BatchManager(MockProvider(dimension=d))
+        tracemalloc.start()
+        try:
+            build_taxonomy(texts, manager, seed=1, n_categories=1, n_subclusters=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 2

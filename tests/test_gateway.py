@@ -510,6 +510,13 @@ class TestRetry:
         assert cold[0].request_id == "r" and len(cold[0].payload["tasks"]) == 2
 
 
+def stored_matrix(rows):
+    """Every row ``embed_texts`` returned, read back into one matrix."""
+    matrix = np.empty(rows.shape)
+    rows.readinto(0, matrix)
+    return matrix
+
+
 class TestEmbeddings:
     def test_empty_text_rejected(self, manager):
         with pytest.raises(UsageError):
@@ -520,7 +527,7 @@ class TestEmbeddings:
             manager.embed_texts([])
 
     def test_identical_strings_identical_vectors(self, manager):
-        vectors = manager.embed_texts(["same text", "same text", "other"])
+        vectors = stored_matrix(manager.embed_texts(["same text", "same text", "other"]))
         assert np.array_equal(vectors[0], vectors[1])
         assert not np.array_equal(vectors[0], vectors[2])
 

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -16,7 +17,7 @@ from taskshift.cli import main
 from taskshift.config import PipelineConfig
 from taskshift.corpus import Vacancy
 from taskshift.errors import DataError, UsageError
-from taskshift.gateway import ResponseCache
+from taskshift.gateway import MockProvider, ResponseCache
 from taskshift.pipeline import STAGE_TABLE, STAGES, Pipeline, read_jsonl, write_jsonl
 from taskshift.prompts import task_extraction_request
 
@@ -444,6 +445,98 @@ class TestReportRoundTrip:
         ]
         oracle = statistics.median(row["freed_share"] for row in plans)
         assert summary["median_freed_share"] == pytest.approx(oracle, abs=1e-12)
+
+
+UP_TO_CLUSTER = STAGES[: STAGES.index("cluster") + 1]
+CLUSTER_OUTPUTS = ("role_clusters.jsonl", "taxonomy.jsonl", "projection.json")
+
+
+def record_embedded(monkeypatch) -> list:
+    """Every text the mock provider is asked to embed, in order."""
+    sent = []
+    real_embed = MockProvider.embed
+
+    def recording_embed(self, texts):
+        sent.extend(texts)
+        return real_embed(self, texts)
+
+    monkeypatch.setattr(MockProvider, "embed", recording_embed)
+    return sent
+
+
+def run_to_cluster(config: PipelineConfig) -> Pipeline:
+    pipeline = Pipeline(config)
+    for stage in UP_TO_CLUSTER:
+        pipeline.run_stage(stage)
+    return pipeline
+
+
+class TestEmbeddingCache:
+    def test_warm_rerun_makes_no_embedding_calls(self, tmp_path):
+        cache, first, second = tmp_path / "cache", tmp_path / "out1", tmp_path / "out2"
+        cold = run_to_cluster(PipelineConfig.load(write_config(tmp_path, out_dir=str(first))))
+        assert cold.manager.provider.embed_calls > 0
+        files = sorted(cache.iterdir())
+        warm = run_to_cluster(PipelineConfig.load(write_config(tmp_path, out_dir=str(second))))
+        assert warm.manager.provider.embed_calls == 0
+        for name in ("projection.json", "taxonomy.jsonl"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+        assert sorted(cache.iterdir()) == files
+
+    @pytest.mark.parametrize("change", ["embed_dimension", "fixtures"])
+    def test_vectors_never_replayed_for_another_scope(self, tmp_path, monkeypatch, change):
+        sent = record_embedded(monkeypatch)
+        first = write_config(tmp_path, out_dir=str(tmp_path / "out1"), embed_dimension=16)
+        run_to_cluster(PipelineConfig.load(first))
+        embedded, sent[:] = list(sent), []
+        assert embedded
+        if change == "embed_dimension":
+            overrides = {"embed_dimension": 24}
+        else:
+            fixtures = tmp_path / "fixtures.json"
+            fixtures.write_text(json.dumps({"0" * 64: {"tasks": []}}))  # pins no request
+            overrides = {"embed_dimension": 16, "fixtures_path": str(fixtures)}
+        second = write_config(tmp_path, out_dir=str(tmp_path / "out2"), **overrides)
+        run_to_cluster(PipelineConfig.load(second))
+        assert sent == embedded
+
+    def test_cached_row_of_another_width_exits_three(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path)
+        for stage in UP_TO_CLUSTER:
+            assert main([stage, "--config", str(config)]) == 0
+        (segment,) = (tmp_path / "cache").glob("*.vectors")
+        segment.write_bytes(segment.read_bytes()[:-8])  # the last text's row is lost
+        monkeypatch.setattr(
+            MockProvider, "embed", lambda self, texts: np.ones((len(texts), self.dimension + 1))
+        )
+        capsys.readouterr()
+        assert main(["cluster", "--config", str(config), "--force"]) == 3
+        assert "embedding dimension changed mid-run" in capsys.readouterr().err
+
+    def test_torn_segment_and_index_embed_only_the_lost_texts(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path)
+        for stage in UP_TO_CLUSTER:
+            assert main([stage, "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        before = {name: (out / name).read_bytes() for name in CLUSTER_OUTPUTS}
+        (segment,) = (tmp_path / "cache").glob("*.vectors")
+        (index,) = (tmp_path / "cache").glob("*.vectors.index")
+        last_key, _, width = index.read_text().splitlines()[-1].split()
+        row_bytes = 8 * int(width)
+        data = segment.read_bytes()
+        rows = len(data) // row_bytes
+        # a crash mid-row: that row and the two after it are lost
+        segment.write_bytes(data[: (rows - 3) * row_bytes + row_bytes // 2])
+        with index.open("ab") as handle:
+            # half an index line: read whole, it would put a lost text at offset 0
+            handle.write(f"{last_key} 0 {width}\n".encode()[:-3])
+        sent = record_embedded(monkeypatch)
+        assert main(["cluster", "--config", str(config), "--force"]) == 0
+        assert len(sent) == 3
+        assert {name: (out / name).read_bytes() for name in CLUSTER_OUTPUTS} == before
+        sent.clear()
+        assert main(["cluster", "--config", str(config), "--force"]) == 0
+        assert sent == []
 
 
 class TestCli:
