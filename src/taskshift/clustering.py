@@ -17,12 +17,12 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataError, ProviderError, UsageError
-from .gateway import BatchManager, stable_hash
+from .gateway import BatchManager, EmbeddingRows, stable_hash
 from .prompts import cluster_label_request
 
 log = logging.getLogger(__name__)
@@ -177,11 +177,16 @@ def _lloyd(matrix: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
 def _distinct_rows(matrix: np.ndarray) -> int:
     """Number of distinct rows of a finite matrix, as ``np.unique(matrix, axis=0)`` counts them.
 
-    Rows compare by value, so ``-0.0`` equals ``0.0``. ``np.unique`` with
-    an axis imports ``numpy.ma`` on first use, which costs more than this
-    count.
+    Rows compare by value, so ``-0.0`` equals ``0.0``. After a
+    lexicographic sort equal rows are adjacent, and each distinct row
+    starts a run, so the count needs one sorted copy of the matrix, not a
+    Python tuple per row. ``np.unique`` with an axis imports ``numpy.ma``
+    on first use, which costs more than this count.
     """
-    return len(set(map(tuple, matrix.tolist())))
+    if matrix.shape[0] == 0:
+        return 0
+    ordered = matrix[np.lexsort(matrix.T)]
+    return 1 + int((ordered[1:] != ordered[:-1]).any(axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -294,6 +299,30 @@ def normalize_text(text: str, stopwords: frozenset[str] | None = None) -> str:
     return " ".join(token for token in kept if token and token not in stopwords)
 
 
+def _rows(source: np.ndarray | EmbeddingRows) -> np.ndarray | EmbeddingRows:
+    """Stored rows as they are; anything else as a float matrix."""
+    return source if isinstance(source, EmbeddingRows) else np.asarray(source, dtype=float)
+
+
+def _chunks(
+    rows: np.ndarray | EmbeddingRows, buffer: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, chunk)`` for each ``PCA_CHUNK_ROWS``-row chunk of ``rows``, in row order.
+
+    Every chunk is read into ``buffer`` (at least ``min(n, PCA_CHUNK_ROWS)``
+    rows, reused), from the embedding store or copied from a matrix, so a
+    caller may overwrite it; no array as large as the input is made.
+    """
+    n = rows.shape[0]
+    for start in range(0, n, PCA_CHUNK_ROWS):
+        chunk = buffer[: min(PCA_CHUNK_ROWS, n - start)]
+        if isinstance(rows, EmbeddingRows):
+            rows.readinto(start, chunk)
+        else:
+            chunk[...] = rows[start : start + chunk.shape[0]]
+        yield start, chunk
+
+
 @dataclass
 class ProjectionModel:
     """Mean-centered projection onto the top principal components."""
@@ -303,13 +332,15 @@ class ProjectionModel:
     explained_variance: np.ndarray
     explained_variance_ratio: np.ndarray
 
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
+    def transform(self, rows: np.ndarray | EmbeddingRows) -> np.ndarray:
         """Project rows onto the components, one ``PCA_CHUNK_ROWS`` chunk at a time."""
-        matrix = np.asarray(matrix, dtype=float)
-        projected = np.empty((matrix.shape[0], self.components.shape[0]))
-        for start in range(0, matrix.shape[0], PCA_CHUNK_ROWS):
-            stop = start + PCA_CHUNK_ROWS
-            np.matmul(matrix[start:stop] - self.mean, self.components.T, out=projected[start:stop])
+        rows = _rows(rows)
+        n = rows.shape[0]
+        projected = np.empty((n, self.components.shape[0]))
+        buffer = np.empty((min(n, PCA_CHUNK_ROWS), rows.shape[1]))
+        for start, chunk in _chunks(rows, buffer):
+            chunk -= self.mean
+            np.matmul(chunk, self.components.T, out=projected[start : start + chunk.shape[0]])
         return projected
 
     def to_dict(self) -> dict:
@@ -321,44 +352,53 @@ class ProjectionModel:
         }
 
 
-def _scatter(matrix: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Sum of ``(rows - mean).T @ (rows - mean)`` over ``PCA_CHUNK_ROWS``-row chunks in row order.
+def _moments(rows: np.ndarray | EmbeddingRows) -> tuple[np.ndarray, np.ndarray]:
+    """Column mean and centred scatter matrix, each from one pass over the chunks.
 
-    Every chunk is centred into one reused chunk-sized buffer and its
-    product formed in one reused d×d buffer before it is added, so the
-    working memory is fixed whatever the number of rows.
+    The mean is a running sum in row order: each chunk after the first
+    carries the sum so far in its first row, and ``np.add.reduce`` over
+    axis 0 adds rows one after another, so the sum rounds as
+    ``matrix.mean(axis=0)`` rounds it whenever d > 1 (numpy sums a single
+    column pairwise) or the rows fit in one chunk. The scatter matrix is
+    the sum of each centred chunk's ``chunk.T @ chunk``, formed in one
+    reused d×d buffer. The chunk buffers are freed when this returns.
     """
-    n, d = matrix.shape
+    n, d = rows.shape
+    buffer = np.empty((min(n, PCA_CHUNK_ROWS), d))
+    total = np.zeros(d)
+    for start, chunk in _chunks(rows, buffer):
+        if start:
+            chunk[0] += total
+        np.add.reduce(chunk, axis=0, out=total)
+    mean = total / n
     scatter = np.zeros((d, d))
-    centred = np.empty((min(n, PCA_CHUNK_ROWS), d))
     product = np.empty((d, d))
-    for start in range(0, n, PCA_CHUNK_ROWS):
-        rows = matrix[start : start + PCA_CHUNK_ROWS]
-        chunk = np.subtract(rows, mean, out=centred[: rows.shape[0]])
+    for _, chunk in _chunks(rows, buffer):
+        chunk -= mean
         np.matmul(chunk.T, chunk, out=product)
         scatter += product
-    return scatter
+    return mean, scatter
 
 
-def fit_pca(matrix: np.ndarray, out_dim: int = 25) -> ProjectionModel:
+def fit_pca(rows: np.ndarray | EmbeddingRows, out_dim: int = 25) -> ProjectionModel:
     """Fit a PCA projection; errors if the data cannot support ``out_dim``.
 
-    The mean-centred scatter matrix is summed over ``PCA_CHUNK_ROWS``-row
-    chunks in row order, and its top eigenvectors are the components, so
-    no array as large as the input is made. An eigenvalue counts toward
-    the rank when it exceeds ``d * eps`` times the largest: below that,
-    eigenvalues of a d×d scatter matrix are rounding noise.
+    ``rows`` is a matrix or the stored rows :meth:`BatchManager.embed_texts`
+    returns; either is read in ``PCA_CHUNK_ROWS``-row chunks in row order
+    (see ``_moments``), so no array as large as the input is made. The
+    top eigenvectors of the centred scatter matrix are the components. An
+    eigenvalue counts toward the rank when it exceeds ``d * eps`` times the
+    largest: below that, eigenvalues of a d×d scatter matrix are rounding
+    noise.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
+    rows = _rows(rows)
+    if len(rows.shape) != 2:
         raise UsageError("fit_pca expects a 2-D matrix")
-    n, d = matrix.shape
+    n, d = rows.shape
     if out_dim < 1 or out_dim > d:
         raise UsageError(f"out_dim={out_dim} invalid for {d}-dim input")
-    mean = matrix.mean(axis=0)
-    # the chunk buffers die with _scatter's frame, so none of them is alive
-    # next to eigh's own input copy and LAPACK workspace
-    scatter = _scatter(matrix, mean)
+    # no chunk buffer is alive next to eigh's own input copy and LAPACK workspace
+    mean, scatter = _moments(rows)
     eigenvalues, vectors = np.linalg.eigh(scatter)
     eigenvalues = eigenvalues[::-1]
     if eigenvalues[0] <= 0.0:
@@ -426,7 +466,7 @@ def build_taxonomy(
     projected = projection.transform(embeddings)
 
     top = kmeans(projected, k=n_categories, seed=_subseed(seed, "taxonomy-top"))
-    assignments: list[list[int]] = [[category, -1] for category in top.assignments.tolist()]
+    subcategories = np.full(len(tasks), -1)
 
     label_requests = []
     members_by_cluster: dict[int, np.ndarray] = {}
@@ -441,8 +481,7 @@ def build_taxonomy(
         members = members_by_cluster[category]
         sub_k = min(n_subclusters, _distinct_rows(projected[members]))
         sub = kmeans(projected[members], k=sub_k, seed=_subseed(seed, f"taxonomy-sub-{category}"))
-        for local, task_index in enumerate(members.tolist()):
-            assignments[task_index][1] = int(sub.assignments[local])
+        subcategories[members] = sub.assignments
         for subcluster in range(sub_k):
             sub_members = members[sub.assignments == subcluster]
             label_requests.append(
@@ -476,7 +515,7 @@ def build_taxonomy(
     taxonomy = TaskTaxonomy(
         category_labels=category_labels,
         subcategory_labels=subcategory_labels,
-        assignments=[(pair[0], pair[1]) for pair in assignments],
+        assignments=list(zip(top.assignments.tolist(), subcategories.tolist())),
         label_failures=failures,
     )
     return taxonomy, projection

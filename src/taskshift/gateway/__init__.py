@@ -1,7 +1,7 @@
 """Provider abstraction, schema validation, batching and caching."""
 
 from .batch import BatchManager, BatchReport, RetryPolicy
-from .cache import ResponseCache
+from .cache import EmbeddingRows, EmbeddingStore, ResponseCache
 from .providers import (
     HttpProvider,
     MockProvider,
@@ -19,6 +19,8 @@ __all__ = [
     "BatchReport",
     "RetryPolicy",
     "ResponseCache",
+    "EmbeddingRows",
+    "EmbeddingStore",
     "HttpProvider",
     "MockProvider",
     "Provider",

@@ -15,6 +15,12 @@ call. With a ``nudge``, attempt k carries a note naming the attempt and
 the nudge, and is looked up in the cache first. Without one, a retry
 repeats the same bytes, whose answer was never stored, so each request
 is looked up in the cache once.
+
+Embeddings go through an :class:`EmbeddingStore` in the cache directory,
+under the cache's provider scope (a temporary file when there is no
+cache): only texts it does not hold are sent to the provider, and
+``embed_texts`` returns the rows of every text as stored, to be read
+back in chunks, so no caller holds the whole n×d matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ProviderError, SchemaInvalid, UsageError
-from .cache import ResponseCache
+from .cache import EmbeddingRows, EmbeddingStore, ResponseCache
 from .providers import Provider, StructuredRequest, StructuredResponse
 from .schema import validate_payload
 
@@ -79,6 +85,12 @@ class BatchManager:
         self.provider = provider
         self.cache = cache
         self.policy = policy or RetryPolicy()
+        # embeddings share the chat cache's directory and provider scope;
+        # without a cache they are spooled to a temporary file
+        if cache is None:
+            self.embeddings = EmbeddingStore(None)
+        else:
+            self.embeddings = EmbeddingStore(cache.directory, cache.scope)
 
     def submit_batch(
         self,
@@ -201,45 +213,63 @@ class BatchManager:
             outcome.response = StructuredResponse(request.request_id, payload, result.raw)
         return outcome
 
-    def embed_texts(self, texts: Sequence[str], chunk_size: int = 256) -> np.ndarray:
-        """Embed texts in chunks with the batch retry policy.
+    def embed_texts(self, texts: Sequence[str], chunk_size: int = 256) -> EmbeddingRows:
+        """Embed texts, sending only those not in the embedding store.
 
-        Returns one vector per text, in order. Failed chunks are retried;
-        exhaustion raises :class:`ProviderError` naming the failed indexes.
+        The misses go to the provider once each, in text order, in chunks of
+        ``chunk_size``; a failed chunk is retried, and exhaustion raises
+        :class:`ProviderError` naming the failed indexes. Every chunk must
+        be a finite 2-D matrix with one row per text, as wide as every
+        other row, stored ones included. Returns the rows of all texts, in
+        order, as stored.
         """
         if not texts:
             raise UsageError("embed_texts requires at least one text")
         if any(not text for text in texts):
             empties = [index for index, text in enumerate(texts) if not text]
             raise UsageError(f"empty texts at indexes {empties}")
-        matrix: np.ndarray | None = None
-        for start in range(0, len(texts), chunk_size):
-            chunk = list(texts[start : start + chunk_size])
-            error: Exception | None = None
-            for attempt in range(1, self.policy.max_attempts + 1):
-                try:
-                    vectors = self.provider.embed(chunk)
-                    break
-                except ProviderError as exc:
-                    error = exc
-                    if attempt < self.policy.max_attempts and self.policy.backoff_base > 0:
-                        time.sleep(self.policy.backoff_base * 2 ** (attempt - 1))
-            else:
-                failed = list(range(start, start + len(chunk)))
-                raise ProviderError(f"embedding failed for texts {failed}: {error}")
-            try:
-                vectors = np.asarray(vectors, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ProviderError(f"provider returned malformed embeddings: {exc}") from exc
-            if vectors.ndim != 2:
-                raise ProviderError(f"provider returned {vectors.ndim}-D embeddings, not 2-D")
-            if vectors.shape[0] != len(chunk):
-                raise ProviderError("provider returned wrong number of embeddings")
-            if not np.isfinite(vectors).all():
-                raise ProviderError("provider returned embeddings that are not finite")
-            if matrix is None:
-                matrix = np.empty((len(texts), vectors.shape[1]))
-            elif vectors.shape[1] != matrix.shape[1]:
+        store = self.embeddings
+        locations = [store.find(text) for text in texts]
+        widths = {location[2] for location in locations if location is not None}
+        if len(widths) > 1:
+            raise ProviderError("embedding dimension changed mid-run")
+        width = widths.pop() if widths else None
+        misses = list(dict.fromkeys(t for t, location in zip(texts, locations) if location is None))
+        for start in range(0, len(misses), chunk_size):
+            chunk = misses[start : start + chunk_size]
+            vectors = self._embed_chunk(texts, chunk)
+            if width is None:
+                width = vectors.shape[1]
+            elif vectors.shape[1] != width:
                 raise ProviderError("embedding dimension changed mid-run")
-            matrix[start : start + len(chunk)] = vectors
-        return matrix
+            store.append(chunk, vectors)
+        if misses:
+            locations = [location or store.find(text) for text, location in zip(texts, locations)]
+        return EmbeddingRows(store, locations)
+
+    def _embed_chunk(self, texts: Sequence[str], chunk: list[str]) -> np.ndarray:
+        """One chunk of embeddings with the batch retry policy, checked."""
+        error: Exception | None = None
+        for attempt in range(1, self.policy.max_attempts + 1):
+            try:
+                vectors = self.provider.embed(chunk)
+                break
+            except ProviderError as exc:
+                error = exc
+                if attempt < self.policy.max_attempts and self.policy.backoff_base > 0:
+                    time.sleep(self.policy.backoff_base * 2 ** (attempt - 1))
+        else:
+            sent = set(chunk)
+            failed = [index for index, text in enumerate(texts) if text in sent]
+            raise ProviderError(f"embedding failed for texts {failed}: {error}")
+        try:
+            vectors = np.asarray(vectors, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ProviderError(f"provider returned malformed embeddings: {exc}") from exc
+        if vectors.ndim != 2:
+            raise ProviderError(f"provider returned {vectors.ndim}-D embeddings, not 2-D")
+        if vectors.shape[0] != len(chunk):
+            raise ProviderError("provider returned wrong number of embeddings")
+        if not np.isfinite(vectors).all():
+            raise ProviderError("provider returned embeddings that are not finite")
+        return vectors
