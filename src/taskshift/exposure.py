@@ -13,12 +13,14 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .corpus import Vacancy
 from .errors import DataError, UsageError
 from .gateway import BatchManager, BatchReport, StructuredResponse
 from .prompts import task_extraction_request
+
+if TYPE_CHECKING:
+    from .corpus import Vacancy
 
 log = logging.getLogger(__name__)
 
@@ -173,24 +175,20 @@ class RoleProfile:
         return f"{self.title} ({self.grade}, {self.department}, {self.profession})"
 
 
-def build_profile(
-    vacancy: Vacancy,
-    tasks: Sequence[TaskRecord],
-    delta: float,
-    salary: float | None,
-) -> RoleProfile:
+def build_profile(role: Mapping, tasks: Sequence[TaskRecord], delta: float) -> RoleProfile:
+    """Profile of a ``vacancies.jsonl`` or ``roles.jsonl`` row and its tasks in list order."""
     weights = decay_weights(len(tasks), delta)
     return RoleProfile(
-        vacancy_id=vacancy.vacancy_id,
-        title=vacancy.title,
-        department=vacancy.department,
-        grade=vacancy.grade.value,
-        profession=vacancy.profession,
-        salary=salary,
+        vacancy_id=role["vacancy_id"],
+        title=role["title"],
+        department=role["department"],
+        grade=role["grade"],
+        profession=role["profession"],
+        salary=role["salary"],
         delta=delta,
         tasks=list(tasks),
         weights=weights,
-        aggregates=role_exposure(tasks, weights, salary),
+        aggregates=role_exposure(tasks, weights, role["salary"]),
     )
 
 

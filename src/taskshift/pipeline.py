@@ -352,30 +352,24 @@ class Pipeline:
 
     # -- shared readers ------------------------------------------------------
 
-    def _read_vacancies(self) -> tuple[list[Vacancy], dict[str, float | None]]:
-        records = read_jsonl(self.out_dir / "vacancies.jsonl")
-        vacancies = [Vacancy.from_record(record) for record in records]
-        salaries = {record["vacancy_id"]: record["salary"] for record in records}
-        return vacancies, salaries
+    def _read_profiles(self, roles: str, tasks: str) -> list[RoleProfile]:
+        """Join a role table with its task table by ``vacancy_id``, at ``config.delta``.
 
-    def _read_profiles(self) -> list[RoleProfile]:
-        vacancies, salaries = self._read_vacancies()
-        by_id = {vacancy.vacancy_id: vacancy for vacancy in vacancies}
+        Weight joins vacancies with tasks; redesign and report join weight's
+        own tables, so no stage after weight decodes a job description.
+        """
+        by_id = {row["vacancy_id"]: row for row in read_jsonl(self.out_dir / roles)}
         grouped: dict[str, list[dict]] = {}
-        for row in read_jsonl(self.out_dir / "tasks.jsonl"):
+        for row in read_jsonl(self.out_dir / tasks):
             grouped.setdefault(row["vacancy_id"], []).append(row)
         profiles = []
         for vacancy_id in sorted(grouped):
             rows = sorted(grouped[vacancy_id], key=lambda r: r["task_number"])
-            tasks = [
+            records = [
                 task_record(row["task_number"], row["task_details"], row["exposure_score"])
                 for row in rows
             ]
-            profiles.append(
-                build_profile(
-                    by_id[vacancy_id], tasks, self.config.delta, salaries[vacancy_id]
-                )
-            )
+            profiles.append(build_profile(by_id[vacancy_id], records, self.config.delta))
         return profiles
 
     # -- stage bodies ---------------------------------------------------------
@@ -423,7 +417,7 @@ class Pipeline:
         )
 
     def _run_extract(self) -> None:
-        vacancies, _ = self._read_vacancies()
+        vacancies = [Vacancy.from_record(r) for r in read_jsonl(self.out_dir / "vacancies.jsonl")]
         cap = self.config.truncate_chars
         if cap:
             for vacancy in vacancies:
@@ -474,7 +468,7 @@ class Pipeline:
         )
 
     def _run_weight(self) -> None:
-        profiles = self._read_profiles()
+        profiles = self._read_profiles("vacancies.jsonl", "tasks.jsonl")
         role_rows = []
         task_rows = []
         for profile in profiles:
@@ -695,7 +689,7 @@ class Pipeline:
 
     def _run_redesign(self) -> None:
         config = self.config
-        profiles = self._read_profiles()
+        profiles = self._read_profiles("roles.jsonl", "task_weights.jsonl")
         eligible = redesign.eligible_roles(profiles, config.theta)
         eligible.sort(key=lambda profile: profile.vacancy_id)
 
@@ -761,16 +755,17 @@ class Pipeline:
         report_dir = self.out_dir / "report"
         config = self.config
 
-        tasks = read_jsonl(self.out_dir / "task_weights.jsonl")
+        profiles = {p.vacancy_id: p for p in self._read_profiles("roles.jsonl", "task_weights.jsonl")}
         score_counts: dict[float, int] = {}
         band_counts: dict[str, int] = {}
-        per_role: dict[str, int] = {}
-        for row in tasks:
-            score = round(row["exposure_score"], 2)
-            score_counts[score] = score_counts.get(score, 0) + 1
-            band_counts[row["band"]] = band_counts.get(row["band"], 0) + 1
-            per_role[row["vacancy_id"]] = per_role.get(row["vacancy_id"], 0) + 1
-        total_tasks = len(tasks)
+        count_hist: dict[int, int] = {}
+        for profile in profiles.values():
+            for task in profile.tasks:
+                score = round(task.exposure, 2)
+                score_counts[score] = score_counts.get(score, 0) + 1
+                band_counts[task.band.value] = band_counts.get(task.band.value, 0) + 1
+            count_hist[len(profile.tasks)] = count_hist.get(len(profile.tasks), 0) + 1
+        total_tasks = sum(score_counts.values())
         write_csv(
             report_dir / "exposure_histogram.csv",
             ["score", "count"],
@@ -784,28 +779,24 @@ class Pipeline:
                 for band in ("VeryLow", "Low", "Medium", "High")
             ],
         )
-        count_hist: dict[int, int] = {}
-        for count in per_role.values():
-            count_hist[count] = count_hist.get(count, 0) + 1
         write_csv(
             report_dir / "tasks_per_role.csv",
             ["task_count", "n_roles"],
             [[count, n] for count, n in sorted(count_hist.items())],
         )
 
-        roles = {row["vacancy_id"]: row for row in read_jsonl(self.out_dir / "roles.jsonl")}
         clusters = read_jsonl(self.out_dir / "role_clusters.jsonl")
-        grouped: dict[str, list[dict]] = {}
+        grouped: dict[str, list[RoleProfile]] = {}
         for row in clusters:
-            grouped.setdefault(row["cluster"], []).append(roles[row["vacancy_id"]])
+            grouped.setdefault(row["cluster"], []).append(profiles[row["vacancy_id"]])
         cluster_rows = []
         for name in ("Low", "Augmentation", "Adaptation", "Automation"):
             members = grouped.get(name, [])
             if not members:
                 cluster_rows.append([name, 0, "", "", "", ""])
                 continue
-            means = [member["exposure_mean"] for member in members]
-            stds = [member["exposure_std"] for member in members]
+            means = [member.aggregates.mean for member in members]
+            stds = [member.aggregates.std for member in members]
             cluster_rows.append(
                 [
                     name,
@@ -883,8 +874,7 @@ class Pipeline:
             ],
         )
 
-        profiles = self._read_profiles()
-        eligible = {p.vacancy_id: p for p in redesign.eligible_roles(profiles, config.theta)}
+        eligible = redesign.eligible_roles(list(profiles.values()), config.theta)
         category_of = {
             (row["vacancy_id"], row["task_number"]): row["category_label"] for row in taxonomy
         }
@@ -892,9 +882,7 @@ class Pipeline:
         for record in read_jsonl(self.out_dir / "plans.jsonl"):
             plan = redesign.RedesignPlan.from_record(record)
             plans_by_variant.setdefault(plan.variant, {})[plan.role_key] = plan
-        shift = redesign.time_shift_report(
-            list(eligible.values()), plans_by_variant, category_of
-        )
+        shift = redesign.time_shift_report(eligible, plans_by_variant, category_of)
         columns = ["pre_automation", "post_automation"] + [
             variant
             for variant in (redesign.FOCUS, redesign.AUGMENT_REORDER, redesign.NEW_TASKS)
@@ -926,9 +914,9 @@ class Pipeline:
         }
         focus_plans = plans_by_variant.get(redesign.FOCUS, {})
         salaried = {
-            key: roles[key]["salary"]
+            key: profiles[key].salary
             for key in focus_plans
-            if key in roles and roles[key]["salary"] is not None and key in raked
+            if key in profiles and profiles[key].salary is not None and key in raked
         }
         decile_rows: list[list] = []
         if salaried:
@@ -1036,8 +1024,8 @@ STAGE_TABLE: tuple[Stage, ...] = (
     ),
     Stage(
         "redesign",
-        # redesign and report rebuild profiles from the ingest/extract outputs,
-        # so those must be hash-checked too, not just their weight-stage view
+        # profiles come from weight's tables; ingest and extract stay listed
+        # only so that existing fingerprints hold
         deps=("ingest", "extract", "weight"),
         outputs=("plans.jsonl", "redesign_summary.json"),
         params=lambda config: {

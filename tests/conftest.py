@@ -39,8 +39,10 @@ def fixture_profiles():
     extracted = extract_corpus(parsed.vacancies, mgr)
     profiles = []
     for vacancy in parsed.vacancies:
+        # the row ingest writes to vacancies.jsonl
+        role = {**vacancy.to_record(), "salary": join_salary(vacancy, ref)}
         tasks = extracted.tasks_by_vacancy[vacancy.vacancy_id]
-        profiles.append(build_profile(vacancy, tasks, 0.75, join_salary(vacancy, ref)))
+        profiles.append(build_profile(role, tasks, 0.75))
     return profiles
 
 

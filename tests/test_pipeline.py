@@ -447,6 +447,37 @@ class TestReportRoundTrip:
         assert summary["median_freed_share"] == pytest.approx(oracle, abs=1e-12)
 
 
+class TestProfileReader:
+    def test_no_stage_after_weight_reads_descriptions_or_extracted_tasks(
+        self, fixture_config, monkeypatch
+    ):
+        pipeline = Pipeline(fixture_config)
+        after_weight = STAGES.index("weight") + 1
+        for stage in STAGES[:after_weight]:
+            pipeline.run_stage(stage)
+        opened = []
+        real_read = pipeline_module.read_jsonl
+
+        def recording_read(path):
+            opened.append(Path(path).name)
+            return real_read(path)
+
+        monkeypatch.setattr(pipeline_module, "read_jsonl", recording_read)
+        for stage in STAGES[after_weight:]:
+            pipeline.run_stage(stage)
+        assert {"roles.jsonl", "task_weights.jsonl"} <= set(opened)
+        assert "vacancies.jsonl" not in opened
+        assert "tasks.jsonl" not in opened
+
+    def test_weight_tables_rebuild_the_profiles_weight_built(self, fixture_config):
+        pipeline = run_all(fixture_config)
+        rebuilt = pipeline._read_profiles("roles.jsonl", "task_weights.jsonl")
+        built = pipeline._read_profiles("vacancies.jsonl", "tasks.jsonl")
+        assert len(built) == 10
+        assert sum(profile.salary is None for profile in built) == 2
+        assert [vars(profile) for profile in rebuilt] == [vars(profile) for profile in built]
+
+
 UP_TO_CLUSTER = STAGES[: STAGES.index("cluster") + 1]
 CLUSTER_OUTPUTS = ("role_clusters.jsonl", "taxonomy.jsonl", "projection.json")
 
