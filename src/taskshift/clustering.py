@@ -268,21 +268,27 @@ def _strip_verb_suffix(stem: str) -> str:
 
 
 def lemmatize(word: str) -> str:
-    """Suffix-rule lemmatizer: plural stripping, then -ing/-ed removal."""
-    if len(word) <= 3:
-        return word
-    if word.endswith("ies") and len(word) >= 5:
-        word = word[:-3] + "y"
-    elif len(word) >= 5 and (
-        (word.endswith("es") and word[-3] in "sxz") or word.endswith(("ches", "shes"))
-    ):
-        word = word[:-2]
-    elif word.endswith("s") and not word.endswith(("ss", "us", "is")):
-        word = word[:-1]
-    if word.endswith("ing") and len(word) >= 6:
-        word = _strip_verb_suffix(word[:-3])
-    elif word.endswith("ed") and len(word) >= 5:
-        word = _strip_verb_suffix(word[:-2])
+    """Suffix-rule lemmatizer: plural stripping, then -ing/-ed removal.
+
+    Repeats until nothing changes, so a lemma is its own lemma.
+    """
+    while len(word) > 3:
+        before = word
+        if word.endswith("ies") and len(word) >= 5:
+            word = word[:-3] + "y"
+        elif len(word) >= 5 and (
+            (word.endswith("es") and word[-3] in "xz") or word.endswith(("sses", "ches", "shes"))
+        ):
+            word = word[:-2]
+        elif word.endswith("s") and not word.endswith(("ss", "us", "is")):
+            word = word[:-1]
+        if word.endswith("ing") and len(word) >= 6:
+            word = _strip_verb_suffix(word[:-3])
+        elif word.endswith("ed") and not word.endswith("eed"):
+            stem = _strip_verb_suffix(word[:-2])
+            word = stem if len(stem) >= 4 else word  # embed, shred stay whole
+        if word == before:
+            break
     return word
 
 

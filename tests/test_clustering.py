@@ -288,6 +288,22 @@ class TestNormalizeText:
     def test_lemmatizer_rule_table(self, word, expected):
         assert lemmatize(word) == expected
 
+    @pytest.mark.parametrize(
+        "word,expected",
+        [
+            ("embedded", "embed"),
+            ("succeeded", "succeed"),
+            ("AAUEDED", "aaued"),
+            ("AAAEDING", "aaaed"),
+            ("releases", "release"),
+            ("responses", "response"),
+        ],
+    )
+    def test_lemma_is_its_own_lemma(self, word, expected):
+        once = normalize_text(word)
+        assert once == expected
+        assert normalize_text(once) == once
+
     @given(st.text(max_size=120))
     def test_idempotent(self, text):
         once = normalize_text(text)

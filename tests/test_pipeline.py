@@ -50,7 +50,7 @@ class TestStageGraph:
             "rake": "5d7bbe302531cd88c903da221b78d3b984637ee38737cc9d659975b8215c5308",
             "savings": "fe69e3fe1bd07803aefb5fc64b0b31548c8deeeda3494fab9474b49a4a867d20",
             "redesign": "1e4f52602c039ac470f4dbecf11a68fac6075195be996a5ed521030e7092532f",
-            "report": "b137417a63913c32e6b54f80caa5d87a00b6c8f1d1504d55ce88dfaa27575613",
+            "report": "ddc92f3c098cfa9ac5cb03aa6689f6d6b7e22db406c0dbc6c1b0372a307bd1c3",
         }
         run_all(fixture_config)
         manifests = Path(fixture_config.out_dir) / "manifests"
