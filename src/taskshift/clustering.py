@@ -141,6 +141,12 @@ def _lloyd(matrix: np.ndarray, centroids: np.ndarray, max_iter: int) -> KMeansRe
                     new_assignments[mover] = cluster
                     own[mover] = 0.0
             counts = np.bincount(new_assignments, minlength=k)
+            # a mover may have emptied a cluster; refill it from one with two
+            for cluster in np.flatnonzero(counts == 0):
+                mover = int(np.where(counts[new_assignments] > 1, own, -1.0).argmax())
+                counts[new_assignments[mover]] -= 1
+                counts[cluster] = 1
+                new_assignments[mover] = cluster
         if (new_assignments == assignments).all():
             break
         assignments = new_assignments

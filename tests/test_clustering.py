@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +104,32 @@ def reference_kmeans(points, k, seed, n_init=10, max_iter=300):
     return best
 
 
+def reference_unless_emptied(run):
+    """``run()``, or None when it takes the mean of an empty cluster.
+
+    The reference leaves a cluster empty when its repair moves the only
+    member out of a cluster it already refilled; that centroid turns NaN,
+    and the next argmin can hand every point to it, so the run may still
+    end with finite centroids, but not the ones the fixed repair gives.
+    """
+    with warnings.catch_warnings():
+        # numpy warns "Mean of empty slice" before it divides by zero
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return run()
+        except RuntimeWarning:
+            return None
+
+
+def assert_same_or_repaired(result, expected, k):
+    """Bit-identical to the reference, or, where it emptied a cluster, finite with none empty."""
+    if expected is not None:
+        assert_same_result(result, expected)
+    else:
+        assert np.isfinite(result.centroids).all()
+        assert (np.bincount(result.assignments, minlength=k) > 0).all()
+
+
 def assert_same_result(result, expected):
     assert result.assignments.dtype == expected.assignments.dtype
     assert np.array_equal(result.assignments, expected.assignments)
@@ -133,7 +160,8 @@ class TestLloydBitIdentity:
         n = matrix.shape[0]
         k = data.draw(st.one_of(st.just(n), st.integers(min_value=1, max_value=n)), label="k")
         seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
-        assert_same_result(kmeans(matrix, k, seed, n_init=3), reference_kmeans(matrix, k, seed, n_init=3))
+        expected = reference_unless_emptied(lambda: reference_kmeans(matrix, k, seed, n_init=3))
+        assert_same_or_repaired(kmeans(matrix, k, seed, n_init=3), expected, k)
 
     @settings(max_examples=150, deadline=None)
     @given(matrix=point_sets(), data=st.data())
@@ -147,10 +175,11 @@ class TestLloydBitIdentity:
             label="starts",
         )
         starts[-1] = starts[0]
-        with np.errstate(all="ignore"):
-            result = _lloyd(matrix, matrix[starts].copy(), max_iter=50)
-            expected = reference_lloyd(matrix, matrix[starts].copy(), max_iter=50)
-        assert_same_result(result, expected)
+        result = _lloyd(matrix, matrix[starts].copy(), max_iter=50)
+        expected = reference_unless_emptied(
+            lambda: reference_lloyd(matrix, matrix[starts].copy(), max_iter=50)
+        )
+        assert_same_or_repaired(result, expected, k)
 
 
 class TestKMeans:
@@ -159,6 +188,16 @@ class TestKMeans:
         result = kmeans(points, k=1, seed=0)
         assert np.allclose(result.centroids[0], points.mean(axis=0))
         assert result.assignments.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_more_clusters_than_distinct_points_leaves_none_empty(self, seed):
+        # the repair once moved the only member out of a cluster it had
+        # refilled, and that centroid became the mean of no rows (NaN)
+        points = [[3.0]] * 3 + [[0.0], [1.0], [0.0], [1.0]]
+        result = kmeans(points, k=5, seed=seed, n_init=1)
+        assert np.isfinite(result.centroids).all()
+        assert (np.bincount(result.assignments, minlength=5) > 0).all()
+        assert result.inertia == 0.0
 
     def test_k_equals_n_zero_inertia(self):
         points = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
