@@ -311,27 +311,17 @@ def normalize_text(text: str, stopwords: frozenset[str] | None = None) -> str:
     return " ".join(token for token in kept if token and token not in stopwords)
 
 
-def _rows(source: np.ndarray | EmbeddingRows) -> np.ndarray | EmbeddingRows:
-    """Stored rows as they are; anything else as a float matrix."""
-    return source if isinstance(source, EmbeddingRows) else np.asarray(source, dtype=float)
-
-
-def _chunks(
-    rows: np.ndarray | EmbeddingRows, buffer: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
+def _chunks(rows: EmbeddingRows, buffer: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """``(start, chunk)`` for each ``PCA_CHUNK_ROWS``-row chunk of ``rows``, in row order.
 
-    Every chunk is read into ``buffer`` (at least ``min(n, PCA_CHUNK_ROWS)``
-    rows, reused), from the embedding store or copied from a matrix, so a
-    caller may overwrite it; no array as large as the input is made.
+    Every chunk is read from the embedding store into ``buffer`` (at least
+    ``min(n, PCA_CHUNK_ROWS)`` rows, reused), so a caller may overwrite it;
+    no array as large as the input is made.
     """
     n = rows.shape[0]
     for start in range(0, n, PCA_CHUNK_ROWS):
         chunk = buffer[: min(PCA_CHUNK_ROWS, n - start)]
-        if isinstance(rows, EmbeddingRows):
-            rows.readinto(start, chunk)
-        else:
-            chunk[...] = rows[start : start + chunk.shape[0]]
+        rows.readinto(start, chunk)
         yield start, chunk
 
 
@@ -344,9 +334,8 @@ class ProjectionModel:
     explained_variance: np.ndarray
     explained_variance_ratio: np.ndarray
 
-    def transform(self, rows: np.ndarray | EmbeddingRows) -> np.ndarray:
-        """Project rows onto the components, one ``PCA_CHUNK_ROWS`` chunk at a time."""
-        rows = _rows(rows)
+    def transform(self, rows: EmbeddingRows) -> np.ndarray:
+        """Project stored rows onto the components, one ``PCA_CHUNK_ROWS`` chunk at a time."""
         n = rows.shape[0]
         projected = np.empty((n, self.components.shape[0]))
         buffer = np.empty((min(n, PCA_CHUNK_ROWS), rows.shape[1]))
@@ -364,7 +353,7 @@ class ProjectionModel:
         }
 
 
-def _moments(rows: np.ndarray | EmbeddingRows) -> tuple[np.ndarray, np.ndarray]:
+def _moments(rows: EmbeddingRows) -> tuple[np.ndarray, np.ndarray]:
     """Column mean and centred scatter matrix, each from one pass over the chunks.
 
     The mean is a running sum in row order: each chunk after the first
@@ -392,20 +381,16 @@ def _moments(rows: np.ndarray | EmbeddingRows) -> tuple[np.ndarray, np.ndarray]:
     return mean, scatter
 
 
-def fit_pca(rows: np.ndarray | EmbeddingRows, out_dim: int = 25) -> ProjectionModel:
+def fit_pca(rows: EmbeddingRows, out_dim: int = 25) -> ProjectionModel:
     """Fit a PCA projection; errors if the data cannot support ``out_dim``.
 
-    ``rows`` is a matrix or the stored rows :meth:`BatchManager.embed_texts`
-    returns; either is read in ``PCA_CHUNK_ROWS``-row chunks in row order
-    (see ``_moments``), so no array as large as the input is made. The
-    top eigenvectors of the centred scatter matrix are the components. An
-    eigenvalue counts toward the rank when it exceeds ``d * eps`` times the
-    largest: below that, eigenvalues of a d×d scatter matrix are rounding
-    noise.
+    ``rows`` are the stored rows :meth:`BatchManager.embed_texts` returns,
+    read in ``PCA_CHUNK_ROWS``-row chunks in row order (see ``_moments``),
+    so no array as large as the input is made. The top eigenvectors of the
+    centred scatter matrix are the components. An eigenvalue counts toward
+    the rank when it exceeds ``d * eps`` times the largest: below that,
+    eigenvalues of a d×d scatter matrix are rounding noise.
     """
-    rows = _rows(rows)
-    if len(rows.shape) != 2:
-        raise UsageError("fit_pca expects a 2-D matrix")
     n, d = rows.shape
     if out_dim < 1 or out_dim > d:
         raise UsageError(f"out_dim={out_dim} invalid for {d}-dim input")

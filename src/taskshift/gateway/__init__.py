@@ -1,7 +1,7 @@
 """Provider abstraction, schema validation, batching and caching."""
 
 from .batch import BatchManager, BatchReport, RetryPolicy
-from .cache import EmbeddingRows, EmbeddingStore, ResponseCache
+from .cache import EmbeddingRows, ResponseCache, SegmentStore
 from .providers import (
     HttpProvider,
     MockProvider,
@@ -20,7 +20,7 @@ __all__ = [
     "RetryPolicy",
     "ResponseCache",
     "EmbeddingRows",
-    "EmbeddingStore",
+    "SegmentStore",
     "HttpProvider",
     "MockProvider",
     "Provider",

@@ -16,7 +16,7 @@ the nudge, and is looked up in the cache first. Without one, a retry
 repeats the same bytes, whose answer was never stored, so each request
 is looked up in the cache once.
 
-Embeddings go through an :class:`EmbeddingStore` in the cache directory,
+Embeddings go through a :class:`SegmentStore` in the cache directory,
 under the cache's provider scope (a temporary file when there is no
 cache): only texts it does not hold are sent to the provider, and
 ``embed_texts`` returns the rows of every text as stored, to be read
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ProviderError, SchemaInvalid, UsageError
-from .cache import EmbeddingRows, EmbeddingStore, ResponseCache
+from .cache import EmbeddingRows, ResponseCache, SegmentStore
 from .providers import Provider, StructuredRequest, StructuredResponse
 from .schema import validate_payload
 
@@ -88,9 +88,9 @@ class BatchManager:
         # embeddings share the chat cache's directory and provider scope;
         # without a cache they are spooled to a temporary file
         if cache is None:
-            self.embeddings = EmbeddingStore(None)
+            self.embeddings = SegmentStore(None)
         else:
-            self.embeddings = EmbeddingStore(cache.directory, cache.scope)
+            self.embeddings = SegmentStore(cache.directory, cache.scope)
 
     def submit_batch(
         self,
@@ -242,7 +242,7 @@ class BatchManager:
                 width = vectors.shape[1]
             elif vectors.shape[1] != width:
                 raise ProviderError("embedding dimension changed mid-run")
-            store.append(chunk, vectors)
+            store.append(chunk, np.ascontiguousarray(vectors), width)
         if misses:
             locations = [location or store.find(text) for text, location in zip(texts, locations)]
         return EmbeddingRows(store, locations)

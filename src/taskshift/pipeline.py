@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import orjson
+
 from . import clustering, redesign, savings
 from .config import PipelineConfig
 from .corpus import (
@@ -40,7 +42,6 @@ from .corpus import (
 from .errors import DataError, UsageError
 from .exposure import RoleProfile, build_profile, extract_corpus, task_record
 from .gateway import BatchManager, HttpProvider, MockProvider, ResponseCache, RetryPolicy
-from .gateway.cache import decode_own
 from .raking import (
     SampleRow,
     WeightedSample,
@@ -122,6 +123,27 @@ def write_jsonl(path: Path, records: list[dict]) -> None:
         for record in records:
             handle.write(_ROW_ENCODER.encode(record))
             handle.write("\n")
+
+
+def decode_own(text: str | bytes) -> object:
+    """Decode JSON that this program wrote itself, as ``json.loads`` would.
+
+    orjson decodes what it accepts; what it rejects (``NaN`` and
+    ``Infinity``, escaped lone surrogates) goes to ``json.loads``, which
+    decodes or rejects it as before. orjson also turns an integer outside
+    [-2**63, 2**64) into a float without a word, so JSON from outside the
+    program stays on ``json.loads``: the corpus, provider payloads,
+    fixtures, config and manifests. In a payload such an integer would fail
+    validation as a ``TypeMismatch`` instead of a ``RangeViolation``; in the
+    corpus an integer ``vacancy_id`` would become a float string. The
+    program's own artifacts hold no such integer: theirs are counts,
+    positions and task numbers, and a new-task number outside that range is
+    refused when the answer is checked.
+    """
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return json.loads(text)
 
 
 def read_jsonl(path: Path) -> list[dict]:
@@ -489,10 +511,10 @@ class Pipeline:
                     "task_count": len(profile.tasks),
                 }
             )
-            for task, weight, hours in zip(
-                profile.tasks, profile.weights.normalized, aggregates.hours_per_task
+            values = aggregates.value_per_task or [None] * len(profile.tasks)
+            for task, weight, hours, value in zip(
+                profile.tasks, profile.weights.normalized, aggregates.hours_per_task, values
             ):
-                value = None if profile.salary is None else profile.salary * weight
                 task_rows.append(
                     {
                         "vacancy_id": profile.vacancy_id,

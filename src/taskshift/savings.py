@@ -152,7 +152,6 @@ def sweep(
     roles: Sequence[RoleInput],
     theta_grid: Sequence[float] | None = None,
     delta: float = 0.75,
-    weights: Sequence[float] | None = None,
 ) -> SweepCurve:
     """Classify and total every role at every threshold on the grid.
 
@@ -164,12 +163,7 @@ def sweep(
     contributes) and sums the terms with ``math.fsum`` in role order.
     """
     thetas = tuple(theta_grid) if theta_grid is not None else DEFAULT_THETA_GRID
-    if weights is None:
-        row_weights = [role.weight for role in roles]
-    else:
-        if len(weights) != len(roles):
-            raise UsageError(f"{len(weights)} weights for {len(roles)} roles")
-        row_weights = list(weights)
+    row_weights = [role.weight for role in roles]
 
     # exposure_shares per role, with the decay weights built once per task count
     by_count: dict[int, tuple[float, ...]] = {}
@@ -255,10 +249,6 @@ def decay_sensitivity(
     roles: Sequence[RoleInput],
     deltas: Sequence[float] = (0.5, 0.75, 1.0),
     theta_grid: Sequence[float] | None = None,
-    weights: Sequence[float] | None = None,
 ) -> dict[float, SweepCurve]:
     """Re-run the sweep with shares recomputed under each decay rate."""
-    return {
-        delta: sweep(roles, theta_grid=theta_grid, delta=delta, weights=weights)
-        for delta in deltas
-    }
+    return {delta: sweep(roles, theta_grid=theta_grid, delta=delta) for delta in deltas}

@@ -1,12 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from taskshift.config import PipelineConfig
 from taskshift.corpus import load_reference_tables, join_salary, parse_vacancies
 from taskshift.exposure import build_profile, extract_corpus, task_record
-from taskshift.gateway import BatchManager, MockProvider, RetryPolicy
+from taskshift.gateway import BatchManager, EmbeddingRows, MockProvider, RetryPolicy, SegmentStore
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -19,6 +20,15 @@ def data_dir() -> Path:
 @pytest.fixture
 def manager() -> BatchManager:
     return BatchManager(MockProvider(), policy=RetryPolicy(backoff_base=0.0))
+
+
+def stored_rows(matrix) -> EmbeddingRows:
+    """``matrix`` as rows of an anonymous embedding store, as ``embed_texts`` returns them."""
+    matrix = np.ascontiguousarray(matrix, dtype=float)
+    store = SegmentStore(None)
+    keys = [str(row) for row in range(matrix.shape[0])]
+    store.append(keys, matrix, matrix.shape[1])
+    return EmbeddingRows(store, [store.find(key) for key in keys])
 
 
 def make_tasks(scores):

@@ -25,6 +25,8 @@ from taskshift.clustering import (
 from taskshift.errors import DataError, UsageError
 from taskshift.gateway import BatchManager, MockProvider, ResponseCache, RetryPolicy
 
+from conftest import stored_rows
+
 REFERENCE_CENTROIDS = [(0.381, 0.118), (0.483, 0.158), (0.586, 0.162), (0.697, 0.136)]
 
 
@@ -393,7 +395,8 @@ class TestFitPca:
         rng = np.random.default_rng(n + d)
         scales = 10.0 * 0.85 ** np.arange(d)
         data = rng.normal(size=(n, d)) * scales + rng.normal(scale=50.0, size=d)
-        model = fit_pca(data, out_dim=out_dim)
+        rows = stored_rows(data)
+        model = fit_pca(rows, out_dim=out_dim)
         expected = reference_fit_pca(data, out_dim=out_dim)
         assert model.mean.tobytes() == expected.mean.tobytes()
         assert np.allclose(
@@ -406,22 +409,23 @@ class TestFitPca:
         # same sign rule, so each component matches its reference, not just the span
         assert np.allclose(model.components, expected.components, atol=1e-6)
         assert np.allclose(
-            model.transform(data), (data - model.mean) @ model.components.T, rtol=0.0, atol=1e-9
+            model.transform(rows), (data - model.mean) @ model.components.T, rtol=0.0, atol=1e-9
         )
 
     @pytest.mark.parametrize("rank", [1, 3, 7])
     def test_rank_found_under_large_offset(self, rank):
         rng = np.random.default_rng(rank)
-        data = rng.normal(size=(300, rank)) @ rng.normal(size=(rank, 40)) + 1e4
+        rows = stored_rows(rng.normal(size=(300, rank)) @ rng.normal(size=(rank, 40)) + 1e4)
         with pytest.raises(DataError, match=f"achieved rank {rank} <"):
-            fit_pca(data, out_dim=rank + 1)
-        assert fit_pca(data, out_dim=rank).components.shape == (rank, 40)
+            fit_pca(rows, out_dim=rank + 1)
+        assert fit_pca(rows, out_dim=rank).components.shape == (rank, 40)
 
     def test_fit_and_transform_make_no_input_sized_temporary(self):
         data = np.random.default_rng(11).normal(size=(20_000, 256))
+        rows = stored_rows(data)
         tracemalloc.start()
         try:
-            fit_pca(data, out_dim=25).transform(data)
+            fit_pca(rows, out_dim=25).transform(rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -431,41 +435,42 @@ class TestFitPca:
         rng = np.random.default_rng(2)
         basis = rng.normal(size=(2, 10))
         data = rng.normal(size=(50, 2)) @ basis + rng.normal(size=10)
-        model = fit_pca(data, out_dim=2)
-        reconstructed = model.transform(data) @ model.components + model.mean
+        rows = stored_rows(data)
+        model = fit_pca(rows, out_dim=2)
+        reconstructed = model.transform(rows) @ model.components + model.mean
         assert float(((data - reconstructed) ** 2).sum()) <= 1e-9
 
     def test_matches_covariance_eigenvalue_oracle(self):
         rng = np.random.default_rng(8)
         data = rng.normal(size=(40, 6)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.1])
-        model = fit_pca(data, out_dim=4)
+        rows = stored_rows(data)
+        model = fit_pca(rows, out_dim=4)
         centered = data - data.mean(axis=0)
         eigenvalues = np.sort(np.linalg.eigvalsh(centered.T @ centered / data.shape[0]))[::-1]
         assert np.allclose(model.explained_variance, eigenvalues[:4], atol=1e-9)
         discarded = eigenvalues[4:].sum() * data.shape[0]
-        projected = model.transform(data)
+        projected = model.transform(rows)
         reconstructed = projected @ model.components + model.mean
         residual = float(((data - reconstructed) ** 2).sum())
         assert residual == pytest.approx(discarded, abs=1e-6)
 
     def test_isotropic_sample_has_flat_spectrum(self):
         rng = np.random.default_rng(3)
-        data = rng.normal(size=(4000, 5))
-        model = fit_pca(data, out_dim=5)
+        model = fit_pca(stored_rows(rng.normal(size=(4000, 5))), out_dim=5)
         ratios = model.explained_variance_ratio
         assert ratios.max() / ratios.min() < 1.2
 
     def test_output_dimension(self):
         rng = np.random.default_rng(4)
-        data = rng.normal(size=(60, 768))
-        model = fit_pca(data, out_dim=25)
-        assert model.transform(data).shape == (60, 25)
+        rows = stored_rows(rng.normal(size=(60, 768)))
+        model = fit_pca(rows, out_dim=25)
+        assert model.transform(rows).shape == (60, 25)
         assert np.allclose(model.components @ model.components.T, np.eye(25), atol=1e-6)
 
     def test_rank_deficiency_reports_achieved_rank(self):
         data = np.tile(np.arange(6.0), (20, 1)) * np.arange(1.0, 21.0)[:, None]
         with pytest.raises(DataError, match="rank 1"):
-            fit_pca(data, out_dim=3)
+            fit_pca(stored_rows(data), out_dim=3)
 
 
 def reference_scatter_fit_pca(matrix, out_dim=25):
@@ -521,13 +526,13 @@ class TestWorkingBuffers:
         if constant_column:
             # a centred column of exact zeros puts signed zeros into the scatter matrix
             data[:, 3] = 7.25
-        model = fit_pca(data, out_dim=out_dim).to_dict()
+        model = fit_pca(stored_rows(data), out_dim=out_dim).to_dict()
         expected = reference_scatter_fit_pca(data, out_dim=out_dim).to_dict()
         for key, values in expected.items():
             assert np.asarray(model[key]).tobytes() == np.asarray(values).tobytes(), key
 
     def test_no_chunk_alive_when_eigh_starts(self, monkeypatch):
-        data = np.random.default_rng(12).normal(size=(20_000, 256))
+        rows = stored_rows(np.random.default_rng(12).normal(size=(20_000, 256)))
         traced_at_entry = []
         real_eigh = np.linalg.eigh
 
@@ -538,7 +543,7 @@ class TestWorkingBuffers:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         tracemalloc.start()
         try:
-            fit_pca(data, out_dim=25)
+            fit_pca(rows, out_dim=25)
         finally:
             tracemalloc.stop()
         # the d×d scatter matrix and the mean may be alive; no centred chunk
@@ -655,12 +660,13 @@ class TestStoredRows:
         manager = BatchManager(MockProvider(dimension=16), cache=ResponseCache(tmp_path))
         rows = manager.embed_texts(texts)
         assert len(list(tmp_path.glob("*.vectors"))) == 2
-        matrix = MockProvider(dimension=16).embed(texts)
+        # the same rows back to back in one anonymous segment
+        contiguous = stored_rows(MockProvider(dimension=16).embed(texts))
         model = fit_pca(rows, out_dim=10)
-        expected = fit_pca(matrix, out_dim=10)
+        expected = fit_pca(contiguous, out_dim=10)
         for key, values in expected.to_dict().items():
             assert np.asarray(model.to_dict()[key]).tobytes() == np.asarray(values).tobytes(), key
-        assert model.transform(rows).tobytes() == expected.transform(matrix).tobytes()
+        assert model.transform(rows).tobytes() == expected.transform(contiguous).tobytes()
 
     def test_build_taxonomy_never_holds_the_embedding_matrix(self):
         n, d = 20_000, 256

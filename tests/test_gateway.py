@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,15 +321,24 @@ class TestCaching:
     def test_torn_last_line_skipped_and_refetched(self, tmp_path):
         requests = [extraction_request(f"r{i}", f"- p {i}\n- q {i}") for i in range(2)]
         first, _ = BatchManager(MockProvider(), cache=ResponseCache(tmp_path)).submit_batch(requests)
-        (segment,) = tmp_path.glob("*.jsonl")
+        (segment,) = tmp_path.glob("*.answers")
         data = segment.read_bytes()
-        segment.write_bytes(data[: len(data) - 20])  # a crash mid-append
+        segment.write_bytes(data[: len(data) - 20])  # a crash mid-record: the last answer is lost
         provider = MockProvider()
         second, report = BatchManager(provider, cache=ResponseCache(tmp_path)).submit_batch(
             requests
         )
         assert provider.calls == 1 and report.cache_hits == 1
         assert [r.raw for r in second] == [r.raw for r in first]
+        # a crash mid-index-line: the refetched answer's line loses its newline
+        index = sorted(tmp_path.glob("*.answers.index"))[-1]
+        index.write_bytes(index.read_bytes()[:-1])
+        provider = MockProvider()
+        third, report = BatchManager(provider, cache=ResponseCache(tmp_path)).submit_batch(
+            requests
+        )
+        assert provider.calls == 1 and report.cache_hits == 1
+        assert [r.raw for r in third] == [r.raw for r in first]
 
     def test_round_trip_keeps_any_text_and_skips_torn_last_line(self, tmp_path):
         raws = {
@@ -340,9 +350,9 @@ class TestCaching:
         writer = ResponseCache(tmp_path, scope="s:")
         for key, raw in raws.items():
             writer.put(key, raw)
-        (segment,) = tmp_path.glob("*.jsonl")
-        with segment.open("ab") as handle:
-            handle.write(json.dumps(["s:torn", "lost"]).encode("utf-8")[:-3])
+        writer.put("torn", "lost")
+        (index,) = tmp_path.glob("*.answers.index")
+        index.write_bytes(index.read_bytes()[:-3])  # a crash mid-append of the last line
         reader = ResponseCache(tmp_path, scope="s:")
         assert {key: reader.get(key) for key in raws} == raws
         assert reader.get("torn") is None
@@ -352,9 +362,23 @@ class TestCaching:
         assert one.get("a") is None and two.get("b") is None
         one.put("a", "first")
         two.put("b", "second")
-        assert len(list(tmp_path.glob("*.jsonl"))) == 2
+        assert len(list(tmp_path.glob("*.answers"))) == 2
+        assert len(list(tmp_path.glob("*.answers.index"))) == 2
         reader = ResponseCache(tmp_path)
         assert (reader.get("a"), reader.get("b")) == ("first", "second")
+
+    def test_reopened_cache_reads_only_the_answer_asked_for(self, tmp_path):
+        writer = ResponseCache(tmp_path)
+        for number in range(200):
+            writer.put(f"k{number}", f"{number:05d}" * 2000)  # 10 KB each
+        tracemalloc.start()
+        try:
+            answer = ResponseCache(tmp_path).get("k123")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answer == "00123" * 2000
+        assert peak < 200_000
 
     def test_scope_separates_providers(self, tmp_path):
         ResponseCache(tmp_path, scope="mock:").put("k", "answer")
@@ -412,7 +436,11 @@ class TestConcurrency:
             responses, _ = manager.submit_batch(requests)
         finally:
             sys.setswitchinterval(interval)
-        assert len(list(tmp_path.iterdir())) == 1
+        (segment,) = tmp_path.glob("*.answers")
+        index = segment.with_name(segment.name + ".index")
+        assert sorted(tmp_path.iterdir()) == [segment, index]
+        lines = index.read_bytes().split(b"\n")
+        assert lines[-1] == b"" and len(set(lines[:-1])) == 200
         reader = ResponseCache(tmp_path)
         for request, response in zip(requests, responses):
             assert reader.get(request.fingerprint()) == response.raw

@@ -85,7 +85,7 @@ class TestEndToEnd:
             write_config(tmp_path, out_dir=str(tmp_path / "out1"), cache_dir=shared_cache)
         )
         run_all(first)
-        assert any(Path(shared_cache).glob("*.jsonl"))  # cache got warmed
+        assert any(Path(shared_cache).glob("*.answers"))  # cache got warmed
         second = PipelineConfig.load(
             write_config(tmp_path, out_dir=str(tmp_path / "out2"), cache_dir=shared_cache)
         )
@@ -329,20 +329,29 @@ class TestJsonlCodec:
         )
         assert_same(read_jsonl(path), json_lines(path))
 
-    def test_fixture_run_artifacts_and_cache_decode_as_json_loads(self, fixture_config):
-        run_all(fixture_config)
+    def test_fixture_run_artifacts_and_cache_decode_as_json_loads(
+        self, fixture_config, monkeypatch
+    ):
+        stored = {}
+        real_put = ResponseCache.put
+
+        def recording_put(self, fingerprint, raw):
+            stored[fingerprint] = raw
+            real_put(self, fingerprint, raw)
+
+        monkeypatch.setattr(ResponseCache, "put", recording_put)
+        pipeline = run_all(fixture_config)
         out = Path(fixture_config.out_dir)
         names = [name for stage in STAGE_TABLE for name in stage.outputs if name.endswith(".jsonl")]
         assert sorted(path.name for path in out.rglob("*.jsonl")) == sorted(names)
         for name in names:
             assert_same(read_jsonl(out / name), json_lines(out / name))
-        segments = sorted(Path(fixture_config.cache_dir).glob("*.jsonl"))
-        assert segments
-        expected = {}
-        for segment in segments:
-            for key, raw in json_lines(segment):
-                expected[key] = raw
-        assert_same(ResponseCache(fixture_config.cache_dir)._read_segments(), expected)
+        # the cache holds no JSON of its own: every answer comes back as the provider gave it
+        cache_dir = Path(fixture_config.cache_dir)
+        assert stored and not list(cache_dir.glob("*.jsonl"))
+        reader = ResponseCache(cache_dir, scope=pipeline.manager.cache.scope)
+        for fingerprint, raw in stored.items():
+            assert_same(reader.get(fingerprint), raw)
 
 
 class TestReportRoundTrip:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -186,10 +187,6 @@ class TestSweep:
         curve = sweep(roles, theta_grid=[0.99], delta=0.75)
         assert math.isinf(curve.ratio[0])
 
-    def test_misaligned_weights_rejected(self):
-        with pytest.raises(UsageError):
-            sweep(three_role_corpus(), weights=[1.0, 2.0])
-
     def test_missing_salary_counted_not_totalled(self):
         roles = [RoleInput("r", (0.9, 0.8), salary=None, weight=100.0)]
         curve = sweep(roles, theta_grid=[0.5], delta=0.75)
@@ -291,11 +288,10 @@ class TestSweepBitIdentity:
         # is met whenever a role has any high-exposure time
         highs = {exposure_shares(role.exposures, delta)[0] for role in roles}
         thetas = sorted(set(DEFAULT_THETA_GRID) | {h for h in highs if h <= 1.0})
-        weights = [role.weight * 2.0 + 1.0 for role in roles] if explicit_weights else None
-        curve = sweep(roles, theta_grid=thetas, delta=delta, weights=weights)
-        expected = per_role_curve(
-            roles, thetas, delta, weights if weights is not None else [r.weight for r in roles]
-        )
+        if explicit_weights:
+            roles = [dataclasses.replace(role, weight=role.weight * 2.0 + 1.0) for role in roles]
+        curve = sweep(roles, theta_grid=thetas, delta=delta)
+        expected = per_role_curve(roles, thetas, delta, [role.weight for role in roles])
         for i, row in enumerate(expected):
             assert curve.cost_reduction[i] == row["cost_reduction"]
             assert curve.productivity_gain[i] == row["productivity_gain"]
