@@ -13,6 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import DataError, UsageError
@@ -51,7 +52,7 @@ def classify_exposure(score: float) -> tuple[Band, int]:
     return Band.VERY_LOW, 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     """One extracted task at its 1-based position in the role."""
 
@@ -69,21 +70,15 @@ def task_record(task_number: int, task_details: str, exposure: float) -> TaskRec
 
 @dataclass(frozen=True)
 class DecayWeights:
-    """Raw geometric weights and their normalization to unit sum.
+    """Position weights normalized to unit sum."""
 
-    ``delta`` is None for explicitly supplied weight vectors, where the
-    geometric ratio between consecutive weights is not guaranteed.
-    """
-
-    delta: float | None
-    raw: tuple[float, ...]
     normalized: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.normalized)
 
     @classmethod
-    def from_values(cls, values: Sequence[float], delta: float | None = None) -> "DecayWeights":
+    def from_values(cls, values: Sequence[float]) -> "DecayWeights":
         if not values:
             raise UsageError("weight vector must be non-empty")
         if any(value < 0 for value in values):
@@ -91,22 +86,28 @@ class DecayWeights:
         total = math.fsum(values)
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
             raise UsageError(f"weights must sum to 1 (got {total})")
-        normalized = tuple(value / total for value in values)
-        return cls(delta=delta, raw=tuple(values), normalized=normalized)
+        return cls(tuple(value / total for value in values))
 
 
+# task counts stay small, so a few hundred entries cover every (count, delta)
+# a run asks for
+@lru_cache(maxsize=256)
 def decay_weights(task_count: int, delta: float) -> DecayWeights:
-    """Geometric position weights d_t = delta^(t-1), normalized to sum 1."""
+    """Geometric position weights d_t = delta^(t-1), normalized to sum 1.
+
+    Calls with the same arguments share one instance, so profiles with
+    equal task counts share their weights.
+    """
     if task_count < 1:
         raise UsageError(f"task count must be >= 1 (got {task_count})")
     if not 0.0 < delta <= 1.0:
         raise UsageError(f"decay rate must be in (0, 1] (got {delta})")
     raw = tuple(delta ** (position - 1) for position in range(1, task_count + 1))
     total = math.fsum(raw)
-    return DecayWeights(delta=delta, raw=raw, normalized=tuple(value / total for value in raw))
+    return DecayWeights(tuple(value / total for value in raw))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleExposure:
     """Weighted role-level aggregates over one task list."""
 
@@ -155,7 +156,7 @@ def role_exposure(
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class RoleProfile:
     """A vacancy joined with its extracted tasks and aggregates."""
 

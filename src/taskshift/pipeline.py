@@ -24,7 +24,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import orjson
 
@@ -55,6 +55,8 @@ from .raking import (
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
+# the role fields ``build_profile`` reads
+_ROLE_FIELDS = ("vacancy_id", "title", "department", "grade", "profession", "salary")
 
 
 @dataclass(frozen=True)
@@ -81,22 +83,16 @@ class Stage:
 @dataclass(frozen=True)
 class StageArtifact:
     stage: str
-    params_fingerprint: str
     content_hash: str
     outputs: dict[str, str]
-    schema_version: int
-    produced_at: str
     reused: bool = False
 
     @classmethod
     def from_manifest(cls, manifest: dict, reused: bool) -> "StageArtifact":
         return cls(
             stage=manifest["stage"],
-            params_fingerprint=manifest["params_fingerprint"],
             content_hash=manifest["content_hash"],
             outputs=dict(manifest["outputs"]),
-            schema_version=manifest["schema_version"],
-            produced_at=manifest["produced_at"],
             reused=reused,
         )
 
@@ -146,9 +142,16 @@ def decode_own(text: str | bytes) -> object:
         return json.loads(text)
 
 
-def read_jsonl(path: Path) -> list[dict]:
+def iter_jsonl(path: Path) -> Iterator[dict]:
+    """Decode one row at a time, so that a reader keeps only what it uses."""
     with path.open("r", encoding="utf-8") as handle:
-        return [decode_own(line) for line in handle if line.strip()]
+        for line in handle:
+            if line.strip():
+                yield decode_own(line)
+
+
+def read_jsonl(path: Path) -> list[dict]:
+    return list(iter_jsonl(path))
 
 
 def write_json(path: Path, data: object) -> None:
@@ -374,25 +377,28 @@ class Pipeline:
 
     # -- shared readers ------------------------------------------------------
 
-    def _read_profiles(self, roles: str, tasks: str) -> list[RoleProfile]:
+    def _read_profiles(self, roles: str, tasks: str) -> Iterator[RoleProfile]:
         """Join a role table with its task table by ``vacancy_id``, at ``config.delta``.
 
         Weight joins vacancies with tasks; redesign and report join weight's
         own tables, so no stage after weight decodes a job description.
+        Only the fields ``build_profile`` reads are kept, and profiles are
+        built one at a time in ``vacancy_id`` order, each role's rows freed
+        once its profile is built.
         """
-        by_id = {row["vacancy_id"]: row for row in read_jsonl(self.out_dir / roles)}
-        grouped: dict[str, list[dict]] = {}
-        for row in read_jsonl(self.out_dir / tasks):
-            grouped.setdefault(row["vacancy_id"], []).append(row)
-        profiles = []
+        by_id = {
+            row["vacancy_id"]: {field: row[field] for field in _ROLE_FIELDS}
+            for row in iter_jsonl(self.out_dir / roles)
+        }
+        grouped: dict[str, list[tuple[int, str, float]]] = {}
+        for row in iter_jsonl(self.out_dir / tasks):
+            grouped.setdefault(row["vacancy_id"], []).append(
+                (row["task_number"], row["task_details"], row["exposure_score"])
+            )
         for vacancy_id in sorted(grouped):
-            rows = sorted(grouped[vacancy_id], key=lambda r: r["task_number"])
-            records = [
-                task_record(row["task_number"], row["task_details"], row["exposure_score"])
-                for row in rows
-            ]
-            profiles.append(build_profile(by_id[vacancy_id], records, self.config.delta))
-        return profiles
+            rows = sorted(grouped.pop(vacancy_id), key=lambda task: task[0])
+            records = [task_record(*task) for task in rows]
+            yield build_profile(by_id.pop(vacancy_id), records, self.config.delta)
 
     # -- stage bodies ---------------------------------------------------------
 
@@ -439,7 +445,7 @@ class Pipeline:
         )
 
     def _run_extract(self) -> None:
-        vacancies = [Vacancy.from_record(r) for r in read_jsonl(self.out_dir / "vacancies.jsonl")]
+        vacancies = [Vacancy.from_record(r) for r in iter_jsonl(self.out_dir / "vacancies.jsonl")]
         cap = self.config.truncate_chars
         if cap:
             for vacancy in vacancies:
@@ -533,26 +539,21 @@ class Pipeline:
 
     def _run_cluster(self) -> None:
         config = self.config
-        roles = read_jsonl(self.out_dir / "roles.jsonl")
-        points = [(row["exposure_mean"], row["exposure_std"]) for row in roles]
-        clusters = clustering.cluster_roles(points, seed=config.seed)
-        write_jsonl(
-            self.out_dir / "role_clusters.jsonl",
-            [
-                {"vacancy_id": row["vacancy_id"], "cluster": label.value}
-                for row, label in zip(roles, clusters.labels)
-            ],
-        )
-
-        tasks = read_jsonl(self.out_dir / "task_weights.jsonl")
+        self._write_role_clusters()
         stopwords = clustering.load_stopwords(config.stopwords_path)
-        # task texts repeat across roles (reposted template duties), so each
-        # distinct text is normalised once
-        normalized_of = {
-            text: clustering.normalize_text(text, stopwords)
-            for text in dict.fromkeys(row["task_details"] for row in tasks)
-        }
-        normalized = [normalized_of[row["task_details"]] for row in tasks]
+        # one (vacancy_id, task_number) key and one normalised text per task
+        # row; task texts repeat across roles (reposted template duties), so
+        # each distinct text is normalised once
+        keys: list[tuple[str, int]] = []
+        normalized: list[str] = []
+        normalized_of: dict[str, str] = {}
+        for row in iter_jsonl(self.out_dir / "task_weights.jsonl"):
+            text = row["task_details"]
+            if text not in normalized_of:
+                normalized_of[text] = clustering.normalize_text(text, stopwords)
+            keys.append((row["vacancy_id"], row["task_number"]))
+            normalized.append(normalized_of[text])
+        del normalized_of  # the raw texts
         unique = sorted({text for text in normalized if text})
         taxonomy, projection = clustering.build_taxonomy(
             unique,
@@ -565,7 +566,7 @@ class Pipeline:
         )
         index_of = {text: index for index, text in enumerate(unique)}
         rows = []
-        for row, text in zip(tasks, normalized):
+        for (vacancy_id, task_number), text in zip(keys, normalized):
             if text:
                 category, subcategory = taxonomy.assignments[index_of[text]]
                 category_label, subcategory_label = taxonomy.label_of(index_of[text])
@@ -574,8 +575,8 @@ class Pipeline:
                 category_label = subcategory_label = "uncategorized"
             rows.append(
                 {
-                    "vacancy_id": row["vacancy_id"],
-                    "task_number": row["task_number"],
+                    "vacancy_id": vacancy_id,
+                    "task_number": task_number,
                     "category": category,
                     "category_label": category_label,
                     "subcategory": subcategory,
@@ -585,9 +586,22 @@ class Pipeline:
         write_jsonl(self.out_dir / "taxonomy.jsonl", rows)
         write_json(self.out_dir / "projection.json", projection.to_dict())
 
+    def _write_role_clusters(self) -> None:
+        vacancy_ids, points = [], []
+        for row in iter_jsonl(self.out_dir / "roles.jsonl"):
+            vacancy_ids.append(row["vacancy_id"])
+            points.append((row["exposure_mean"], row["exposure_std"]))
+        clusters = clustering.cluster_roles(points, seed=self.config.seed)
+        write_jsonl(
+            self.out_dir / "role_clusters.jsonl",
+            [
+                {"vacancy_id": vacancy_id, "cluster": label.value}
+                for vacancy_id, label in zip(vacancy_ids, clusters.labels)
+            ],
+        )
+
     def _run_rake(self) -> None:
         config = self.config
-        roles = read_jsonl(self.out_dir / "roles.jsonl")
         ref = load_reference_tables(
             config.fte_path,
             config.salary_path,
@@ -599,7 +613,7 @@ class Pipeline:
         known_professions = set(marginals.targets["profession"])
         rows = []
         dropped_unmapped = 0
-        for role in roles:
+        for role in iter_jsonl(self.out_dir / "roles.jsonl"):
             if role["grade"] == GradeBucket.UNMAPPED.value:
                 dropped_unmapped += 1
                 continue
@@ -648,22 +662,21 @@ class Pipeline:
         )
 
     def _build_role_inputs(self) -> list[savings.RoleInput]:
-        roles = read_jsonl(self.out_dir / "roles.jsonl")
         weights = {
             row["role_key"]: row["weight"]
-            for row in read_jsonl(self.out_dir / "raked_weights.jsonl")
+            for row in iter_jsonl(self.out_dir / "raked_weights.jsonl")
         }
         exposures: dict[str, list[tuple[int, float]]] = {}
-        for row in read_jsonl(self.out_dir / "task_weights.jsonl"):
+        for row in iter_jsonl(self.out_dir / "task_weights.jsonl"):
             exposures.setdefault(row["vacancy_id"], []).append(
                 (row["task_number"], row["exposure_score"])
             )
         inputs = []
-        for role in roles:
+        for role in iter_jsonl(self.out_dir / "roles.jsonl"):
             vacancy_id = role["vacancy_id"]
             if vacancy_id not in weights:
                 continue  # dropped before raking, e.g. unmapped grade
-            ordered = [score for _, score in sorted(exposures[vacancy_id])]
+            ordered = [score for _, score in sorted(exposures.pop(vacancy_id))]
             inputs.append(
                 savings.RoleInput(
                     role_key=vacancy_id,
@@ -777,16 +790,27 @@ class Pipeline:
         report_dir = self.out_dir / "report"
         config = self.config
 
-        profiles = {p.vacancy_id: p for p in self._read_profiles("roles.jsonl", "task_weights.jsonl")}
+        # each table is reduced to what the report uses while it is read:
+        # counters, each role's (mean, std, salary) and the eligible profiles
         score_counts: dict[float, int] = {}
         band_counts: dict[str, int] = {}
         count_hist: dict[int, int] = {}
-        for profile in profiles.values():
-            for task in profile.tasks:
-                score = round(task.exposure, 2)
-                score_counts[score] = score_counts.get(score, 0) + 1
-                band_counts[task.band.value] = band_counts.get(task.band.value, 0) + 1
-            count_hist[len(profile.tasks)] = count_hist.get(len(profile.tasks), 0) + 1
+        role_stats: dict[str, tuple[float, float, float | None]] = {}
+
+        def tallied(profiles: Iterator[RoleProfile]) -> Iterator[RoleProfile]:
+            for profile in profiles:
+                for task in profile.tasks:
+                    score = round(task.exposure, 2)
+                    score_counts[score] = score_counts.get(score, 0) + 1
+                    band_counts[task.band.value] = band_counts.get(task.band.value, 0) + 1
+                count_hist[len(profile.tasks)] = count_hist.get(len(profile.tasks), 0) + 1
+                aggregates = profile.aggregates
+                role_stats[profile.vacancy_id] = (aggregates.mean, aggregates.std, profile.salary)
+                yield profile
+
+        eligible = redesign.eligible_roles(
+            tallied(self._read_profiles("roles.jsonl", "task_weights.jsonl")), config.theta
+        )
         total_tasks = sum(score_counts.values())
         write_csv(
             report_dir / "exposure_histogram.csv",
@@ -807,22 +831,23 @@ class Pipeline:
             [[count, n] for count, n in sorted(count_hist.items())],
         )
 
-        clusters = read_jsonl(self.out_dir / "role_clusters.jsonl")
-        grouped: dict[str, list[RoleProfile]] = {}
-        for row in clusters:
-            grouped.setdefault(row["cluster"], []).append(profiles[row["vacancy_id"]])
+        means_of: dict[str, list[float]] = {}
+        stds_of: dict[str, list[float]] = {}
+        for row in iter_jsonl(self.out_dir / "role_clusters.jsonl"):
+            mean, std, _ = role_stats[row["vacancy_id"]]
+            means_of.setdefault(row["cluster"], []).append(mean)
+            stds_of.setdefault(row["cluster"], []).append(std)
         cluster_rows = []
         for name in ("Low", "Augmentation", "Adaptation", "Automation"):
-            members = grouped.get(name, [])
-            if not members:
+            means = means_of.get(name, [])
+            if not means:
                 cluster_rows.append([name, 0, "", "", "", ""])
                 continue
-            means = [member.aggregates.mean for member in members]
-            stds = [member.aggregates.std for member in members]
+            stds = stds_of[name]
             cluster_rows.append(
                 [
                     name,
-                    len(members),
+                    len(means),
                     f"{math.fsum(means) / len(means):.3f}",
                     f"{math.fsum(stds) / len(stds):.3f}",
                     f"{max(means):.3f}",
@@ -835,11 +860,16 @@ class Pipeline:
             cluster_rows,
         )
 
-        taxonomy = read_jsonl(self.out_dir / "taxonomy.jsonl")
+        # category labels are kept only for the tasks of eligible roles,
+        # the only roles with plans
+        eligible_ids = {profile.vacancy_id for profile in eligible}
+        category_of: dict[tuple[str, int], str] = {}
         tax_counts: dict[tuple[str, str], int] = {}
-        for row in taxonomy:
+        for row in iter_jsonl(self.out_dir / "taxonomy.jsonl"):
             key = (row["category_label"], row["subcategory_label"])
             tax_counts[key] = tax_counts.get(key, 0) + 1
+            if row["vacancy_id"] in eligible_ids:
+                category_of[(row["vacancy_id"], row["task_number"])] = row["category_label"]
         write_csv(
             report_dir / "taxonomy_summary.csv",
             ["category_label", "subcategory_label", "n_tasks"],
@@ -852,7 +882,6 @@ class Pipeline:
         def _ratio(value: float) -> str:
             return "inf" if math.isinf(value) else f"{value:.4f}"
 
-        sweep_rows = read_jsonl(self.out_dir / "sweep.jsonl")
         write_csv(
             report_dir / "sweep.csv",
             [
@@ -876,12 +905,15 @@ class Pipeline:
                     row["n_productivity"],
                     row["n_no_impact"],
                 ]
-                for row in sweep_rows
+                for row in iter_jsonl(self.out_dir / "sweep.jsonl")
             ],
         )
 
-        sensitivity = read_jsonl(self.out_dir / "sensitivity.jsonl")
-        at_theta = [row for row in sensitivity if abs(row["theta"] - config.theta) < 1e-9]
+        at_theta = [
+            row
+            for row in iter_jsonl(self.out_dir / "sensitivity.jsonl")
+            if abs(row["theta"] - config.theta) < 1e-9
+        ]
         deltas = sorted({row["delta"] for row in at_theta})
         by_delta = {row["delta"]: row for row in at_theta}
         write_csv(
@@ -896,12 +928,8 @@ class Pipeline:
             ],
         )
 
-        eligible = redesign.eligible_roles(list(profiles.values()), config.theta)
-        category_of = {
-            (row["vacancy_id"], row["task_number"]): row["category_label"] for row in taxonomy
-        }
         plans_by_variant: dict[str, dict[str, redesign.RedesignPlan]] = {}
-        for record in read_jsonl(self.out_dir / "plans.jsonl"):
+        for record in iter_jsonl(self.out_dir / "plans.jsonl"):
             plan = redesign.RedesignPlan.from_record(record)
             plans_by_variant.setdefault(plan.variant, {})[plan.role_key] = plan
         shift = redesign.time_shift_report(eligible, plans_by_variant, category_of)
@@ -932,13 +960,13 @@ class Pipeline:
         # focus-task make-up of the top and bottom weighted salary deciles
         raked = {
             row["role_key"]: row["weight"]
-            for row in read_jsonl(self.out_dir / "raked_weights.jsonl")
+            for row in iter_jsonl(self.out_dir / "raked_weights.jsonl")
         }
         focus_plans = plans_by_variant.get(redesign.FOCUS, {})
         salaried = {
-            key: profiles[key].salary
+            key: role_stats[key][2]
             for key in focus_plans
-            if key in profiles and profiles[key].salary is not None and key in raked
+            if key in role_stats and role_stats[key][2] is not None and key in raked
         }
         decile_rows: list[list] = []
         if salaried:

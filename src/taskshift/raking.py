@@ -24,7 +24,7 @@ log = logging.getLogger(__name__)
 DIMENSIONS = ("department", "grade", "profession")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleRow:
     role_key: str
     department: str

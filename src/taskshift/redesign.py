@@ -16,7 +16,7 @@ import bisect
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def freed_share(profile: RoleProfile) -> float:
     )
 
 
-def eligible_roles(profiles: Sequence[RoleProfile], theta: float) -> list[RoleProfile]:
+def eligible_roles(profiles: Iterable[RoleProfile], theta: float) -> list[RoleProfile]:
     """Roles with at least one automatable task that stay below theta."""
     kept = []
     for profile in profiles:

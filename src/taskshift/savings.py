@@ -28,7 +28,7 @@ class RoleClass(str, Enum):
     NO_IMPACT = "NoImpact"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleInput:
     """The raw material savings needs: ordered scores, salary, weight.
 

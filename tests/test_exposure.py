@@ -103,6 +103,11 @@ class TestDecayWeights:
         for earlier, later in zip(weights.normalized, weights.normalized[1:]):
             assert abs(earlier / later - 1.0 / delta) <= 1e-9
 
+    def test_same_arguments_share_one_instance(self):
+        # every profile with six tasks at 0.75 carries the same weights object
+        assert decay_weights(6, 0.75) is decay_weights(6, 0.75)
+        assert decay_weights(6, 0.75) is not decay_weights(6, 0.5)
+
     def test_from_values_requires_unit_sum(self):
         with pytest.raises(UsageError):
             DecayWeights.from_values([0.5, 0.3])

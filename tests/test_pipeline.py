@@ -465,13 +465,13 @@ class TestProfileReader:
         for stage in STAGES[:after_weight]:
             pipeline.run_stage(stage)
         opened = []
-        real_read = pipeline_module.read_jsonl
+        real_read = pipeline_module.iter_jsonl
 
         def recording_read(path):
             opened.append(Path(path).name)
             return real_read(path)
 
-        monkeypatch.setattr(pipeline_module, "read_jsonl", recording_read)
+        monkeypatch.setattr(pipeline_module, "iter_jsonl", recording_read)
         for stage in STAGES[after_weight:]:
             pipeline.run_stage(stage)
         assert {"roles.jsonl", "task_weights.jsonl"} <= set(opened)
@@ -480,11 +480,11 @@ class TestProfileReader:
 
     def test_weight_tables_rebuild_the_profiles_weight_built(self, fixture_config):
         pipeline = run_all(fixture_config)
-        rebuilt = pipeline._read_profiles("roles.jsonl", "task_weights.jsonl")
-        built = pipeline._read_profiles("vacancies.jsonl", "tasks.jsonl")
+        rebuilt = list(pipeline._read_profiles("roles.jsonl", "task_weights.jsonl"))
+        built = list(pipeline._read_profiles("vacancies.jsonl", "tasks.jsonl"))
         assert len(built) == 10
         assert sum(profile.salary is None for profile in built) == 2
-        assert [vars(profile) for profile in rebuilt] == [vars(profile) for profile in built]
+        assert rebuilt == built
 
 
 UP_TO_CLUSTER = STAGES[: STAGES.index("cluster") + 1]
