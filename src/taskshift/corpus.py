@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -218,14 +219,9 @@ def map_grade(grade_raw: str, mapping: dict[str, GradeBucket] | None = None) -> 
     return GradeBucket.UNMAPPED
 
 
-_GRADE_MAP_CACHE: dict[str, GradeBucket] | None = None
-
-
+@lru_cache(maxsize=1)
 def _default_grade_map() -> dict[str, GradeBucket]:
-    global _GRADE_MAP_CACHE
-    if _GRADE_MAP_CACHE is None:
-        _GRADE_MAP_CACHE = load_grade_map()
-    return _GRADE_MAP_CACHE
+    return load_grade_map()
 
 
 def parse_vacancies(

@@ -2,19 +2,19 @@
 
 Every request yields exactly one response or one failure entry; results
 come back in input order (keyed by request_id, never by arrival). Schema
-validation runs on every payload, including cache hits. Only providers
+validation runs on every payload, including cache hits. Chat requests and
+embedding chunks share one attempt loop and one dispatch: only providers
 whose calls wait on I/O (``waits_on_io``) get a thread pool, bounded by
-``max_in_flight`` and fed the cache misses alone; every other provider
-runs in one ordered loop.
+``max_in_flight``; every other provider runs in one ordered loop.
 
 A request fails when the provider raises, when its reply fails the
 schema, or when the caller's ``check`` rejects the payload. Failed
-requests are sent again in waves, at most ``max_attempts`` attempts in
-all, with one backoff sleep before a wave that follows a failed provider
-call. With a ``nudge``, attempt k carries a note naming the attempt and
-the nudge, and is looked up in the cache first. Without one, a retry
-repeats the same bytes, whose answer was never stored, so each request
-is looked up in the cache once.
+requests and chunks are sent again in waves, at most ``max_attempts``
+attempts in all, with one backoff sleep before a wave that follows a
+failed provider call. With a ``nudge``, attempt k carries a note naming
+the attempt and the nudge, and is looked up in the cache first. Without
+one, a retry repeats the same bytes, whose answer was never stored, so
+each request is looked up in the cache once.
 
 Embeddings go through a :class:`SegmentStore` in the cache directory,
 under the cache's provider scope (a temporary file when there is no
@@ -29,7 +29,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .providers import Provider, StructuredRequest, StructuredResponse
 from .schema import validate_payload
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,7 @@ class _Outcome:
     error_class: str = ""
     input_tokens: int = 0
     output_tokens: int = 0
+    cached: bool = False
 
 
 class BatchManager:
@@ -108,22 +111,12 @@ class BatchManager:
             raise UsageError("request_id values must be unique within a batch")
 
         report = BatchReport(submitted=len(requests))
-        policy = self.policy
-        # threads help only while calls wait on the network; for in-process
-        # providers they would contend for the GIL, and the ordered loop lets
-        # a duplicate later in the batch hit the first one's answer
-        pooled = policy.max_in_flight > 1 and getattr(self.provider, "waits_on_io", False)
         sent = list(requests)
         fingerprints = [request.fingerprint() for request in sent]
         replies: list[StructuredResponse | None] = [None] * len(sent)
         errors = [""] * len(sent)
-        pending: Sequence[int] = range(len(sent))
-        throttled = False
-        for attempt in range(1, policy.max_attempts + 1):
-            if not pending:
-                break
-            if throttled and policy.backoff_base > 0:
-                time.sleep(policy.backoff_base * 2 ** (attempt - 2))
+
+        def wave(attempt: int, pending: Sequence[int]) -> tuple[list[int], bool]:
             if attempt > 1 and nudge:
                 note = f"\n(attempt {attempt}: the previous reply violated the rules; {nudge})"
                 for index in pending:
@@ -132,26 +125,11 @@ class BatchManager:
                     fingerprints[index] = sent[index].fingerprint()
             # a plain retry repeats bytes whose answer was never stored
             lookup = attempt == 1 or bool(nudge)
-            fetched: list[tuple[int, _Outcome]] = []
-            misses: list[int] = []
-            for index in pending:
-                if lookup:
-                    replies[index] = self._from_cache(sent[index], fingerprints[index])
-                if replies[index] is not None:
-                    report.cache_hits += 1
-                elif pooled:
-                    misses.append(index)
-                else:
-                    fetched.append((index, self._fetch(sent[index], fingerprints[index], attempt)))
-            if misses:
-                with ThreadPoolExecutor(max_workers=min(policy.max_in_flight, len(misses))) as pool:
-                    outcomes = pool.map(
-                        lambda index: self._fetch(sent[index], fingerprints[index], attempt),
-                        misses,
-                    )
-                    fetched.extend(zip(misses, outcomes))
             throttled = False
-            for index, outcome in fetched:
+            for index, outcome in self._dispatch(
+                pending, lambda index: self._fetch(sent[index], fingerprints[index], attempt, lookup)
+            ):
+                report.cache_hits += outcome.cached
                 report.input_tokens += outcome.input_tokens
                 report.output_tokens += outcome.output_tokens
                 replies[index] = outcome.response
@@ -167,8 +145,9 @@ class BatchManager:
                         log.info("request %s attempt %d rejected: %s", ids[index], attempt, exc)
                         replies[index] = None
                         errors[index] = exc.error_class
-            pending = [index for index in pending if replies[index] is None]
+            return [index for index in pending if replies[index] is None], throttled
 
+        self._attempts(len(sent), wave)
         responses: list[StructuredResponse] = []
         for request_id, reply, error_class in zip(ids, replies, errors):
             if reply is None:
@@ -178,23 +157,17 @@ class BatchManager:
         report.succeeded = len(responses)
         return responses, report
 
-    def _from_cache(
-        self, request: StructuredRequest, fingerprint: str
-    ) -> StructuredResponse | None:
-        if self.cache is None:
-            return None
-        raw = self.cache.get(fingerprint)
-        if raw is None:
-            return None
-        try:
-            payload = validate_payload(raw, request.output_schema)
-        except SchemaInvalid:
-            log.warning("cache entry for %s is invalid; refetching", request.request_id)
-            return None
-        return StructuredResponse(request.request_id, payload, raw)
-
-    def _fetch(self, request: StructuredRequest, fingerprint: str, attempt: int) -> _Outcome:
-        """One provider call; a schema-valid reply is stored in the cache."""
+    def _fetch(
+        self, request: StructuredRequest, fingerprint: str, attempt: int, lookup: bool
+    ) -> _Outcome:
+        """A cache lookup if ``lookup``, else one provider call, whose valid reply is stored."""
+        if lookup and self.cache is not None and (raw := self.cache.get(fingerprint)) is not None:
+            try:
+                payload = validate_payload(raw, request.output_schema)
+            except SchemaInvalid:
+                log.warning("cache entry for %s is invalid; refetching", request.request_id)
+            else:
+                return _Outcome(StructuredResponse(request.request_id, payload, raw), cached=True)
         outcome = _Outcome()
         try:
             result = self.provider.complete(request)
@@ -217,11 +190,10 @@ class BatchManager:
         """Embed texts, sending only those not in the embedding store.
 
         The misses go to the provider once each, in text order, in chunks of
-        ``chunk_size``; a failed chunk is retried, and exhaustion raises
-        :class:`ProviderError` naming the failed indexes. Every chunk must
-        be a finite 2-D matrix with one row per text, as wide as every
-        other row, stored ones included. Returns the rows of all texts, in
-        order, as stored.
+        ``chunk_size``, in the attempt waves of :meth:`submit_batch`; each
+        reply is checked and stored on the calling thread, in chunk order.
+        Then a chunk still failing raises :class:`ProviderError` naming its
+        texts' indexes. Returns the rows of all texts, in order, as stored.
         """
         if not texts:
             raise UsageError("embed_texts requires at least one text")
@@ -235,41 +207,82 @@ class BatchManager:
             raise ProviderError("embedding dimension changed mid-run")
         width = widths.pop() if widths else None
         misses = list(dict.fromkeys(t for t, location in zip(texts, locations) if location is None))
-        for start in range(0, len(misses), chunk_size):
-            chunk = misses[start : start + chunk_size]
-            vectors = self._embed_chunk(texts, chunk)
-            if width is None:
+        chunks = [misses[start : start + chunk_size] for start in range(0, len(misses), chunk_size)]
+        error: ProviderError | None = None
+
+        def embed(index: int) -> object:
+            try:
+                return self.provider.embed(chunks[index])
+            except ProviderError as exc:
+                return exc
+
+        def wave(attempt: int, pending: Sequence[int]) -> tuple[list[int], bool]:
+            nonlocal error, width
+            failed = []
+            for index, reply in self._dispatch(pending, embed):
+                if isinstance(reply, ProviderError):
+                    log.info("embedding chunk %d attempt %d failed: %s", index, attempt, reply)
+                    error = reply
+                    failed.append(index)
+                    continue
+                vectors = _checked_rows(reply, len(chunks[index]), width)
                 width = vectors.shape[1]
-            elif vectors.shape[1] != width:
-                raise ProviderError("embedding dimension changed mid-run")
-            store.append(chunk, np.ascontiguousarray(vectors), width)
+                store.append(chunks[index], vectors, width)
+            return failed, bool(failed)
+
+        if failed := self._attempts(len(chunks), wave):
+            lost = {text for index in failed for text in chunks[index]}
+            indexes = [index for index, text in enumerate(texts) if text in lost]
+            raise ProviderError(f"embedding failed for texts {indexes}: {error}")
         if misses:
             locations = [location or store.find(text) for text, location in zip(texts, locations)]
         return EmbeddingRows(store, locations)
 
-    def _embed_chunk(self, texts: Sequence[str], chunk: list[str]) -> np.ndarray:
-        """One chunk of embeddings with the batch retry policy, checked."""
-        error: Exception | None = None
-        for attempt in range(1, self.policy.max_attempts + 1):
-            try:
-                vectors = self.provider.embed(chunk)
+    def _attempts(
+        self, count: int, wave: Callable[[int, Sequence[int]], tuple[list[int], bool]]
+    ) -> Sequence[int]:
+        """Run ``wave(attempt, pending)`` over ``range(count)``; return the indexes left.
+
+        ``wave`` returns the indexes still pending and whether a provider call failed.
+        """
+        policy = self.policy
+        pending: Sequence[int] = range(count)
+        throttled = False
+        for attempt in range(1, policy.max_attempts + 1):
+            if not pending:
                 break
-            except ProviderError as exc:
-                error = exc
-                if attempt < self.policy.max_attempts and self.policy.backoff_base > 0:
-                    time.sleep(self.policy.backoff_base * 2 ** (attempt - 1))
+            if throttled and policy.backoff_base > 0:
+                time.sleep(policy.backoff_base * 2 ** (attempt - 2))
+            pending, throttled = wave(attempt, pending)
+        return pending
+
+    def _dispatch(self, indexes: Sequence[int], call: Callable[[int], T]) -> Iterator[tuple[int, T]]:
+        """Yield ``(index, call(index))`` in index order.
+
+        Threads help only while calls wait on the network; for in-process
+        providers they would contend for the GIL, and the ordered loop lets
+        a duplicate later in a batch hit the first one's answer.
+        """
+        if self.policy.max_in_flight > 1 and getattr(self.provider, "waits_on_io", False):
+            with ThreadPoolExecutor(max_workers=min(self.policy.max_in_flight, len(indexes))) as pool:
+                yield from zip(indexes, pool.map(call, indexes))
         else:
-            sent = set(chunk)
-            failed = [index for index, text in enumerate(texts) if text in sent]
-            raise ProviderError(f"embedding failed for texts {failed}: {error}")
-        try:
-            vectors = np.asarray(vectors, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ProviderError(f"provider returned malformed embeddings: {exc}") from exc
-        if vectors.ndim != 2:
-            raise ProviderError(f"provider returned {vectors.ndim}-D embeddings, not 2-D")
-        if vectors.shape[0] != len(chunk):
-            raise ProviderError("provider returned wrong number of embeddings")
-        if not np.isfinite(vectors).all():
-            raise ProviderError("provider returned embeddings that are not finite")
-        return vectors
+            for index in indexes:
+                yield index, call(index)
+
+
+def _checked_rows(reply: object, count: int, width: int | None) -> np.ndarray:
+    """The reply as a float64 C-contiguous matrix: 2-D, ``count`` finite rows, ``width`` wide."""
+    try:
+        vectors = np.ascontiguousarray(reply, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric rows
+        raise ProviderError(f"provider returned malformed embeddings: {exc}") from exc
+    if vectors.ndim != 2:
+        raise ProviderError(f"provider returned {vectors.ndim}-D embeddings, not 2-D")
+    if vectors.shape[0] != count:
+        raise ProviderError("provider returned wrong number of embeddings")
+    if not np.isfinite(vectors).all():
+        raise ProviderError("provider returned embeddings that are not finite")
+    if width is not None and vectors.shape[1] != width:
+        raise ProviderError("embedding dimension changed mid-run")
+    return vectors

@@ -19,7 +19,7 @@ from typing import ClassVar, Protocol, Sequence
 
 import numpy as np
 
-from ..errors import ProviderError, UsageError
+from ..errors import ProviderError
 from .schema import Schema
 
 _TASK_LINE_RE = re.compile(r"^\s*(-?\d+)\.\s+(.*\S)\s*$", re.MULTILINE)
@@ -80,12 +80,13 @@ class Provider(Protocol):
     """Anything that can answer structured requests and embed text.
 
     A provider whose calls wait on the network sets a true class attribute
-    ``waits_on_io``; the batch manager runs only those on threads.
+    ``waits_on_io``; the batch manager runs only those on threads. ``embed``
+    returns one row per text, and the batch manager checks the rows.
     """
 
     def complete(self, request: StructuredRequest) -> ProviderResult: ...
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray: ...
+    def embed(self, texts: Sequence[str]) -> np.ndarray | list[list[float]]: ...
 
 
 @dataclass
@@ -120,8 +121,6 @@ class MockProvider:
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         self.embed_calls += 1
-        if any(not text for text in texts):
-            raise UsageError("cannot embed empty text")
         vectors = np.empty((len(texts), self.dimension))
         for row, text in enumerate(texts):
             rng = np.random.default_rng(stable_hash("embed:" + text))
@@ -281,6 +280,8 @@ class HttpProvider:
             raw = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed completion response: {exc}") from exc
+        if not isinstance(raw, str):
+            raise ProviderError(f"malformed completion response: content is {type(raw).__name__}")
         usage = data.get("usage", {})
         return ProviderResult(
             raw,
@@ -288,24 +289,17 @@ class HttpProvider:
             output_tokens=int(usage.get("completion_tokens", 0)),
         )
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        if any(not text for text in texts):
-            raise UsageError("cannot embed empty text")
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
         data = self._post("/embeddings", {"model": self.embed_model or self.model, "input": list(texts)})
         try:
-            vectors = [entry["embedding"] for entry in data["data"]]
+            return [entry["embedding"] for entry in data["data"]]
         except (KeyError, TypeError) as exc:
-            raise ProviderError(f"malformed embedding response: {exc}") from exc
-        if len(vectors) != len(texts):
-            raise ProviderError(f"expected {len(texts)} embeddings, got {len(vectors)}")
-        try:
-            return np.asarray(vectors, dtype=float)
-        except (TypeError, ValueError) as exc:  # ragged or non-numeric vectors
             raise ProviderError(f"malformed embedding response: {exc}") from exc
 
     def _post(self, path: str, body: dict) -> dict:
         # imported here: urllib.request pulls in http.client, ssl and email,
         # which no run with an in-process provider needs
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -322,5 +316,6 @@ class HttpProvider:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
             raise ProviderError(f"provider returned HTTP {exc.code}: {exc.reason}") from exc
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+        # OSError covers URLError, timeouts and resets; IncompleteRead is an HTTPException
+        except (OSError, http.client.HTTPException, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProviderError(f"provider transport failure: {exc}") from exc

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
+import http.client
 import json
 import sys
 import threading
 import time
 import tracemalloc
+import urllib.request
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -408,7 +410,9 @@ class SleepyProvider:
         return MockProvider().complete(request)
 
     def embed(self, texts):
-        raise NotImplementedError
+        self.threads.add(threading.get_ident())
+        time.sleep(0.005)
+        return MockProvider(dimension=8).embed(texts)
 
 
 class TestConcurrency:
@@ -456,6 +460,15 @@ class TestConcurrency:
         requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(8)]
         BatchManager(Recording(), policy=RetryPolicy(max_in_flight=8)).submit_batch(requests)
         assert seen == {threading.get_ident()}
+
+    def test_io_bound_provider_embeds_on_pool_threads(self):
+        texts = [f"text {i}" for i in range(64)]
+        provider = SleepyProvider()
+        manager = BatchManager(provider, policy=RetryPolicy(max_in_flight=4))
+        rows = manager.embed_texts(texts, chunk_size=4)
+        assert threading.get_ident() not in provider.threads
+        assert len(provider.threads) > 1
+        assert stored_matrix(rows).tobytes() == MockProvider(dimension=8).embed(texts).tobytes()
 
 
 @dataclass
@@ -545,6 +558,20 @@ def stored_matrix(rows):
     return matrix
 
 
+@dataclass
+class ChunkFailingProvider(MockProvider):
+    """Fails every chunk that starts with a text in ``failing``; records what it is sent."""
+
+    failing: frozenset = frozenset()
+    sent: list = field(default_factory=list)
+
+    def embed(self, texts):
+        self.sent.append(list(texts))
+        if texts[0] in self.failing:
+            raise ProviderError("chunk down")
+        return super().embed(texts)
+
+
 class TestEmbeddings:
     def test_empty_text_rejected(self, manager):
         with pytest.raises(UsageError):
@@ -597,6 +624,33 @@ class TestEmbeddings:
         with pytest.raises(ProviderError, match="dimension changed mid-run"):
             BatchManager(GrowingProvider(dimension=4)).embed_texts(["a", "b", "c"], chunk_size=2)
 
+    def test_failed_chunks_retry_in_waves_with_one_sleep_per_wave(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(batch.time, "sleep", sleeps.append)
+        texts = [f"text {i}" for i in range(6)]
+        provider = ChunkFailingProvider(dimension=4, failing=frozenset({"text 0", "text 2"}))
+        manager = BatchManager(provider, policy=RetryPolicy(max_attempts=3, backoff_base=0.5))
+        with pytest.raises(ProviderError, match=r"texts \[0, 1, 2, 3\]"):
+            manager.embed_texts(texts, chunk_size=2)
+        c0, c1, c2 = texts[0:2], texts[2:4], texts[4:6]
+        assert provider.sent == [c0, c1, c2, c0, c1, c0, c1]
+        assert sleeps == [0.5, 1.0]
+
+    def test_rerun_embeds_only_the_chunk_that_failed(self, tmp_path):
+        texts = ["a", "b", "c", "d"]
+        failing = ChunkFailingProvider(dimension=4, failing=frozenset({"a"}))
+        manager = BatchManager(
+            failing, cache=ResponseCache(tmp_path, scope="s:"), policy=RetryPolicy(backoff_base=0.0)
+        )
+        with pytest.raises(ProviderError, match=r"texts \[0, 1\]"):
+            manager.embed_texts(texts, chunk_size=2)
+        healthy = MockProvider(dimension=4)
+        rows = BatchManager(healthy, cache=ResponseCache(tmp_path, scope="s:")).embed_texts(
+            texts, chunk_size=2
+        )
+        assert healthy.embed_calls == 1
+        assert stored_matrix(rows).tobytes() == MockProvider(dimension=4).embed(texts).tobytes()
+
 
 def http_provider(reply: dict) -> HttpProvider:
     """An HTTP provider whose every request gets ``reply`` without a network call."""
@@ -609,12 +663,17 @@ class TestHttpEmbeddings:
     def test_ragged_vectors_are_provider_error(self):
         reply = {"data": [{"embedding": [0.1, 0.2]}, {"embedding": [0.3]}]}
         with pytest.raises(ProviderError, match="malformed embedding"):
-            http_provider(reply).embed(["a", "b"])
+            BatchManager(http_provider(reply)).embed_texts(["a", "b"])
 
     def test_non_numeric_vectors_are_provider_error(self):
         reply = {"data": [{"embedding": ["x", None]}]}
         with pytest.raises(ProviderError, match="malformed embedding"):
-            http_provider(reply).embed(["a"])
+            BatchManager(http_provider(reply)).embed_texts(["a"])
+
+    def test_one_row_short_is_provider_error(self):
+        reply = {"data": [{"embedding": [0.1, 0.2]}]}
+        with pytest.raises(ProviderError, match="wrong number"):
+            BatchManager(http_provider(reply)).embed_texts(["a", "b"])
 
     def test_nan_from_server_json_is_provider_error(self):
         # json.loads accepts the bare NaN token some servers emit
@@ -622,3 +681,57 @@ class TestHttpEmbeddings:
         manager = BatchManager(http_provider(reply))
         with pytest.raises(ProviderError, match="finite"):
             manager.embed_texts(["a", "b"])
+
+
+class BrokenReply:
+    """An HTTP response whose body read returns ``body`` or raises it."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def read(self):
+        if isinstance(self.body, Exception):
+            raise self.body
+        return self.body
+
+
+class TestHttpTransport:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            http.client.IncompleteRead(b'{"data": [{"embed'),
+            ConnectionResetError(104, "Connection reset by peer"),
+            b"\xff\xfe not UTF-8",
+        ],
+        ids=["torn-body", "reset-during-read", "not-utf8"],
+    )
+    def test_failure_while_reading_reply_is_retried_provider_error(self, monkeypatch, body):
+        opened = []
+
+        def urlopen(request, timeout):
+            opened.append(request)
+            return BrokenReply(body)
+
+        monkeypatch.setenv("TASKSHIFT_API_KEY", "key")
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        provider = HttpProvider(base_url="http://localhost:9", model="m")
+        manager = BatchManager(provider, policy=RetryPolicy(max_attempts=3, backoff_base=0.0))
+        with pytest.raises(ProviderError, match="transport failure"):
+            manager.embed_texts(["a"])
+        assert len(opened) == 3
+
+    def test_null_message_content_becomes_failure_entry(self):
+        posts = []
+        provider = HttpProvider(base_url="http://localhost:9", model="m")
+        reply = {"choices": [{"message": {"content": None}}]}
+        provider._post = lambda path, body: posts.append(path) or reply
+        manager = BatchManager(provider, policy=RetryPolicy(max_attempts=3, backoff_base=0.0))
+        responses, report = manager.submit_batch([extraction_request("r")])
+        assert responses == [] and report.failed == [("r", "ProviderError")]
+        assert posts == ["/chat/completions"] * 3
