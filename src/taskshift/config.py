@@ -8,7 +8,7 @@ parameter changes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import UsageError
@@ -77,9 +77,6 @@ class PipelineConfig:
             raise UsageError("remote provider needs remote_base_url and remote_model")
         if not 0.0 < self.new_tasks_fraction <= 1.0:
             raise UsageError("new_tasks_fraction must lie in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def load(cls, path: str | Path | None = None, overrides: dict | None = None) -> "PipelineConfig":

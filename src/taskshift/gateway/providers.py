@@ -282,12 +282,16 @@ class HttpProvider:
             raise ProviderError(f"malformed completion response: {exc}") from exc
         if not isinstance(raw, str):
             raise ProviderError(f"malformed completion response: content is {type(raw).__name__}")
-        usage = data.get("usage", {})
-        return ProviderResult(
-            raw,
-            input_tokens=int(usage.get("prompt_tokens", 0)),
-            output_tokens=int(usage.get("completion_tokens", 0)),
-        )
+        # token counts are advisory: a missing or null one counts as 0
+        usage = data.get("usage")
+        usage = {} if usage is None else usage
+        if not isinstance(usage, dict):
+            raise ProviderError(f"malformed completion response: usage is {type(usage).__name__}")
+        counts = [usage.get(key) for key in ("prompt_tokens", "completion_tokens")]
+        counts = [0 if count is None else count for count in counts]
+        if any(type(count) is not int for count in counts):
+            raise ProviderError(f"malformed completion response: token counts {counts!r}")
+        return ProviderResult(raw, input_tokens=counts[0], output_tokens=counts[1])
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         data = self._post("/embeddings", {"model": self.embed_model or self.model, "input": list(texts)})

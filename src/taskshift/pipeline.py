@@ -7,8 +7,9 @@ unchanged inputs and parameters is a no-op, and any upstream content or
 parameter change invalidates everything below it.
 
 ``STAGE_TABLE`` at the end of this module is the single place where a
-stage's dependencies, outputs, parameters and input files are declared,
-next to the method that runs it; the manifest machinery reads nothing
+stage is declared: the stages whose outputs it opens, the files it
+writes and the ``PipelineConfig`` fields it reads, by their own names,
+next to the method that runs it. The manifest machinery reads nothing
 else.
 """
 
@@ -63,20 +64,20 @@ _ROLE_FIELDS = ("vacancy_id", "title", "department", "grade", "profession", "sal
 class Stage:
     """One pipeline stage.
 
-    Its fingerprint covers ``params(config)``, the contents of the files
-    ``files(config)`` names (name -> path; an unset path is left out) and
-    the output hashes of every stage in ``deps``; for a stage that asks the
-    provider (``provider``), also the provider identity of
-    ``_provider_params``. ``run(pipeline)`` must write each of ``outputs``
-    under the output directory.
+    ``params`` names the ``PipelineConfig`` fields the stage reads. Its
+    fingerprint covers the value of each, except that a ``*_path`` field
+    stands for the contents of its file (an unset path is left out); the
+    output hashes of every stage in ``deps``, the stages whose outputs it
+    opens; and, for a stage that asks the provider (``provider``), the
+    provider identity of ``_provider_params``. ``run(pipeline)`` must write
+    each of ``outputs`` under the output directory.
     """
 
     name: str
     deps: tuple[str, ...]
     outputs: tuple[str, ...]
-    params: Callable[[PipelineConfig], dict]
+    params: tuple[str, ...]
     run: Callable[["Pipeline"], None]
-    files: Callable[[PipelineConfig], dict[str, str | None]] = lambda config: {}
     provider: bool = False
 
 
@@ -278,8 +279,9 @@ class Pipeline:
         if stage.name in _memo:
             return _memo[stage.name]
         inputs = {}
-        for name, raw in stage.files(self.config).items():
-            if not raw:
+        for name in stage.params:
+            raw = getattr(self.config, name)
+            if not name.endswith("_path") or not raw:
                 continue
             path = Path(raw)
             if not path.exists():
@@ -308,7 +310,11 @@ class Pipeline:
         return inputs
 
     def _fingerprint(self, stage: Stage, inputs: dict[str, str]) -> str:
-        params = stage.params(self.config)
+        params = {
+            name: getattr(self.config, name)
+            for name in stage.params
+            if not name.endswith("_path")
+        }
         if stage.provider:
             params.update(_provider_params(self.config, self._hash))
         blob = _canonical(
@@ -1000,26 +1006,24 @@ STAGE_TABLE: tuple[Stage, ...] = (
         "ingest",
         deps=(),
         outputs=("vacancies.jsonl", "ingest_issues.json"),
-        params=lambda config: {
-            "min_department_vacancies": config.min_department_vacancies,
-            "population_total": config.population_total,
-        },
-        files=lambda config: {
-            "corpus": config.corpus_path,
-            "fte": config.fte_path,
-            "salary": config.salary_path,
-            "grade_totals": config.grade_totals_path,
-            "professions": config.profession_totals_path,
-            "grade_map": config.grade_map_path,
-            "vocab": config.vocab_path,
-        },
+        params=(
+            "corpus_path",
+            "fte_path",
+            "salary_path",
+            "grade_totals_path",
+            "profession_totals_path",
+            "grade_map_path",
+            "vocab_path",
+            "min_department_vacancies",
+            "population_total",
+        ),
         run=Pipeline._run_ingest,
     ),
     Stage(
         "extract",
         deps=("ingest",),
         outputs=("tasks.jsonl", "extract_summary.json"),
-        params=lambda config: {"truncate_chars": config.truncate_chars},
+        params=("truncate_chars",),
         run=Pipeline._run_extract,
         provider=True,
     ),
@@ -1027,69 +1031,55 @@ STAGE_TABLE: tuple[Stage, ...] = (
         "weight",
         deps=("ingest", "extract"),
         outputs=("roles.jsonl", "task_weights.jsonl"),
-        params=lambda config: {"delta": config.delta},
+        params=("delta",),
         run=Pipeline._run_weight,
     ),
     Stage(
         "cluster",
         deps=("weight",),
         outputs=("role_clusters.jsonl", "taxonomy.jsonl", "projection.json"),
-        params=lambda config: {
-            "seed": config.seed,
-            "categories": config.taxonomy_categories,
-            "subclusters": config.taxonomy_subclusters,
-            "pca_dim": config.pca_dim,
-            "label_cap": config.label_sample_cap,
-            # the path stays here so existing fingerprints hold; the file's
-            # contents are hashed through ``files``
-            "stopwords": config.stopwords_path,
-        },
-        files=lambda config: {"stopwords": config.stopwords_path},
+        params=(
+            "seed",
+            "taxonomy_categories",
+            "taxonomy_subclusters",
+            "pca_dim",
+            "label_sample_cap",
+            "stopwords_path",
+        ),
         run=Pipeline._run_cluster,
         provider=True,
     ),
     Stage(
         "rake",
-        deps=("ingest", "weight"),
+        deps=("weight",),
         outputs=("raked_weights.jsonl", "rake_summary.json"),
-        params=lambda config: {"population_total": config.population_total},
-        files=lambda config: {
-            "fte": config.fte_path,
-            "grade_totals": config.grade_totals_path,
-            "professions": config.profession_totals_path,
-        },
+        params=(
+            "fte_path",
+            "salary_path",
+            "grade_totals_path",
+            "profession_totals_path",
+            "population_total",
+        ),
         run=Pipeline._run_rake,
     ),
     Stage(
         "savings",
         deps=("weight", "rake"),
         outputs=("sweep.jsonl", "sensitivity.jsonl", "savings_summary.json"),
-        params=lambda config: {
-            "delta": config.delta,
-            "theta": config.theta,
-            "grid": config.theta_grid,
-            "sensitivity": config.sensitivity_deltas,
-        },
+        params=("delta", "theta", "theta_grid", "sensitivity_deltas"),
         run=Pipeline._run_savings,
     ),
     Stage(
         "redesign",
-        # profiles come from weight's tables; ingest and extract stay listed
-        # only so that existing fingerprints hold
-        deps=("ingest", "extract", "weight"),
+        deps=("weight",),
         outputs=("plans.jsonl", "redesign_summary.json"),
-        params=lambda config: {
-            "theta": config.theta,
-            "delta": config.delta,
-            "seed": config.seed,
-            "fraction": config.new_tasks_fraction,
-        },
+        params=("theta", "delta", "seed", "new_tasks_fraction"),
         run=Pipeline._run_redesign,
         provider=True,
     ),
     Stage(
         "report",
-        deps=("ingest", "extract", "weight", "cluster", "rake", "savings", "redesign"),
+        deps=("weight", "cluster", "rake", "savings", "redesign"),
         outputs=(
             "report/exposure_histogram.csv",
             "report/band_shares.csv",
@@ -1102,7 +1092,7 @@ STAGE_TABLE: tuple[Stage, ...] = (
             "report/theme_shares.csv",
             "report/focus_by_decile.csv",
         ),
-        params=lambda config: {"theta": config.theta},
+        params=("theta", "delta"),
         run=Pipeline._run_report,
     ),
 )

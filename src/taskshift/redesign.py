@@ -358,14 +358,13 @@ def stratified_sample(
     profiles: Sequence[RoleProfile],
     fraction: float = 0.10,
     seed: int = 0,
-    strata: Callable[[RoleProfile], tuple] = lambda p: (p.department, p.grade),
 ) -> list[RoleProfile]:
-    """Per-stratum sample of round(fraction*n), at least 1, no replacement."""
+    """Per-(department, grade) sample of round(fraction*n), at least 1, no replacement."""
     if not 0.0 < fraction <= 1.0:
         raise UsageError(f"fraction {fraction} outside (0, 1]")
     groups: dict[tuple, list[RoleProfile]] = {}
     for profile in profiles:
-        groups.setdefault(strata(profile), []).append(profile)
+        groups.setdefault((profile.department, profile.grade), []).append(profile)
     chosen: list[RoleProfile] = []
     for key in sorted(groups):
         members = sorted(groups[key], key=lambda p: p.vacancy_id)

@@ -735,3 +735,32 @@ class TestHttpTransport:
         responses, report = manager.submit_batch([extraction_request("r")])
         assert responses == [] and report.failed == [("r", "ProviderError")]
         assert posts == ["/chat/completions"] * 3
+
+    @pytest.mark.parametrize(
+        "reply_usage, tokens",
+        [
+            ({"usage": None}, (0, 0)),
+            ({"usage": {"prompt_tokens": None, "completion_tokens": 5}}, (0, 5)),
+            ({"usage": []}, None),
+            ({"usage": {"prompt_tokens": "abc", "completion_tokens": 5}}, None),
+            ({"usage": {"prompt_tokens": 7, "completion_tokens": 2.0}}, None),
+        ],
+        ids=["usage-null", "count-null", "usage-list", "count-text", "count-float"],
+    )
+    def test_malformed_usage_counts_zero_or_is_retried_provider_error(self, reply_usage, tokens):
+        posts = []
+        provider = HttpProvider(base_url="http://localhost:9", model="m")
+        reply = {
+            "choices": [{"message": {"content": json.dumps(tasks_payload(0.5))}}],
+            **reply_usage,
+        }
+        provider._post = lambda path, body: posts.append(path) or reply
+        manager = BatchManager(provider, policy=RetryPolicy(max_attempts=3, backoff_base=0.0))
+        responses, report = manager.submit_batch([extraction_request("r")])
+        if tokens is None:
+            assert responses == [] and report.failed == [("r", "ProviderError")]
+            assert posts == ["/chat/completions"] * 3
+        else:
+            assert [response.request_id for response in responses] == ["r"]
+            assert (report.input_tokens, report.output_tokens) == tokens
+            assert posts == ["/chat/completions"]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +44,14 @@ class TestStageGraph:
         # every upstream output hash, so these pin the whole chain up to the
         # report's own outputs; they do not depend on the out or cache paths
         expected = {
-            "ingest": "7f275efeb89855974344a280bf0f32a92354fa38d475623c5bed12370c9a8ea4",
+            "ingest": "dddea08482f45740d7629f70325071b5b650087831f29627c7e1da7396b4a452",
             "extract": "05e5018da564b03448a7574a1c17e0724fbaa0b4d759cbe6af45139df17f6ce4",
             "weight": "3c927ded5d21d37425d12ddbebd0ee14e50bc9cccbca8acc47707dcca448e228",
-            "cluster": "e791d103ed3eefdfa3ac6f541a6a75d4e74e62c4f172fd4aa9efa76955c4bb65",
-            "rake": "5d7bbe302531cd88c903da221b78d3b984637ee38737cc9d659975b8215c5308",
-            "savings": "fe69e3fe1bd07803aefb5fc64b0b31548c8deeeda3494fab9474b49a4a867d20",
-            "redesign": "1e4f52602c039ac470f4dbecf11a68fac6075195be996a5ed521030e7092532f",
-            "report": "ddc92f3c098cfa9ac5cb03aa6689f6d6b7e22db406c0dbc6c1b0372a307bd1c3",
+            "cluster": "871101eefd566161fc8b1eb67b24eb5febcbb60f759fca98d5604e0740911fa6",
+            "rake": "a6d54680c87c30d2d2ce1705f20e7eeb632ea9d496cc1429ee9ffe77d47f96b1",
+            "savings": "4059bfcbd08dd695a301555858d00777f295a3dd648c9a42131202c615e30a89",
+            "redesign": "df83dbb57d4928ac6c64a35524946c6165d4d9169e73bebb75773c2a83018df1",
+            "report": "8552004db0272d0a78b9cda97b2c8204d85548551a1c0f760440c1aa0260153c",
         }
         run_all(fixture_config)
         manifests = Path(fixture_config.out_dir) / "manifests"
@@ -61,6 +62,70 @@ class TestStageGraph:
     def test_unknown_stage_rejected(self, fixture_config):
         with pytest.raises(UsageError):
             Pipeline(fixture_config).run_stage("nonsense")
+
+
+class FieldRecorder:
+    """Stands in for a config and notes the name of each field read through it."""
+
+    def __init__(self, config: PipelineConfig, read: set):
+        self._config = config
+        self._read = read
+
+    def __getattr__(self, name):
+        self._read.add(name)
+        return getattr(self._config, name)
+
+
+class TestStageDeclarations:
+    """Each stage declares what its ``run`` reads, so its fingerprint covers it."""
+
+    def test_deps_are_the_stages_whose_outputs_a_stage_opens(self, fixture_config, monkeypatch):
+        pipeline = run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        producer = {out / name: stage.name for stage in STAGE_TABLE for name in stage.outputs}
+        opened: list[Path] = []
+        real_open = Path.open
+
+        def recording_open(self, mode="r", *args, **kwargs):
+            if not set(mode) & set("wax+"):
+                opened.append(self)
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        read = {}
+        for stage in STAGE_TABLE:
+            opened.clear()
+            stage.run(pipeline)
+            read[stage.name] = {
+                producer[path]
+                for path in opened
+                if path.is_relative_to(out) and not path.is_relative_to(out / "manifests")
+            }
+        assert read == {stage.name: set(stage.deps) for stage in STAGE_TABLE}
+
+    def test_stages_read_only_the_config_fields_they_declare(self, fixture_config):
+        pipeline = run_all(fixture_config)
+        pipeline.manager  # built from the provider fields before the swap
+        undeclared = {}
+        for stage in STAGE_TABLE:
+            read: set = set()
+            pipeline.config = FieldRecorder(fixture_config, read)
+            stage.run(pipeline)
+            undeclared[stage.name] = read - set(stage.params)
+        assert undeclared == {stage.name: set() for stage in STAGE_TABLE}
+
+    def test_every_config_field_is_declared_or_cannot_change_an_output(self):
+        names = {field.name for field in fields(PipelineConfig)}
+        declared = {name for stage in STAGE_TABLE for name in stage.params}
+        assert declared <= names, declared - names
+        identity: set = set()
+        for provider in ("mock", "remote"):
+            config = FieldRecorder(PipelineConfig(provider=provider), identity)
+            pipeline_module._provider_params(config, lambda path: "")
+        no_output = {
+            "out_dir", "cache_dir", "api_key_env", "max_attempts", "max_in_flight", "backoff_base"
+        }
+        assert names <= declared | identity | no_output, names - declared - identity - no_output
 
 
 class TestEndToEnd:
