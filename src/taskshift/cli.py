@@ -7,6 +7,7 @@ Configuration precedence is defaults < config file < flags. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -46,19 +47,8 @@ def main(argv: list[str] | None = None) -> int:
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        overrides = {
-            key: getattr(args, key)
-            for key in (
-                "corpus_path",
-                "out_dir",
-                "cache_dir",
-                "delta",
-                "theta",
-                "seed",
-                "provider",
-                "fixtures_path",
-            )
-        }
+        fields = {field.name for field in dataclasses.fields(PipelineConfig)}
+        overrides = {key: value for key, value in vars(args).items() if key in fields}
         config = PipelineConfig.load(args.config, overrides)
         pipeline = Pipeline(config)
         stages = STAGES if args.stage == "all" else (args.stage,)

@@ -465,11 +465,14 @@ def build_taxonomy(
     top = kmeans(projected, k=n_categories, seed=_subseed(seed, "taxonomy-top"))
     subcategories = np.full(len(tasks), -1)
 
+    # each label request beside its (category,) or (category, subcluster) key
+    label_keys: list[tuple[int, ...]] = []
     label_requests = []
     members_by_cluster: dict[int, np.ndarray] = {}
     for category in range(n_categories):
         members = np.flatnonzero(top.assignments == category)
         members_by_cluster[category] = members
+        label_keys.append((category,))
         label_requests.append(
             _label_request(f"label:cat:{category}", tasks, members, seed, sample_cap)
         )
@@ -481,6 +484,7 @@ def build_taxonomy(
         subcategories[members] = sub.assignments
         for subcluster in range(sub_k):
             sub_members = members[sub.assignments == subcluster]
+            label_keys.append((category, subcluster))
             label_requests.append(
                 _label_request(
                     f"label:sub:{category}:{subcluster}", tasks, sub_members, seed, sample_cap
@@ -493,19 +497,13 @@ def build_taxonomy(
 
     category_labels: dict[int, str] = {}
     subcategory_labels: dict[tuple[int, int], str] = {}
-    for request in label_requests:
-        parts = request.request_id.split(":")
+    for key, request in zip(label_keys, label_requests):
         response = by_id.get(request.request_id)
-        if parts[1] == "cat":
-            category = int(parts[2])
-            category_labels[category] = (
-                response.payload["label"] if response else f"cluster-{category}"
-            )
+        label = response.payload["label"] if response else "cluster-" + "-".join(map(str, key))
+        if len(key) == 1:
+            category_labels[key[0]] = label
         else:
-            key = (int(parts[2]), int(parts[3]))
-            subcategory_labels[key] = (
-                response.payload["label"] if response else f"cluster-{key[0]}-{key[1]}"
-            )
+            subcategory_labels[key] = label
     if failures:
         log.warning("placeholder labels for failed requests: %s", failures)
 

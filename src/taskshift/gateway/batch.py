@@ -14,11 +14,12 @@ attempts in all, with one backoff sleep before a wave that follows a
 failed provider call. With a ``nudge``, attempt k carries a note naming
 the attempt and the nudge, and is looked up in the cache first. Without
 one, a retry repeats the same bytes, whose answer was never stored, so
-each request is looked up in the cache once.
+each request is looked up in the cache once. A manager built without a
+cache keeps its answers in an anonymous temporary one.
 
 Embeddings go through a :class:`SegmentStore` in the cache directory,
-under the cache's provider scope (a temporary file when there is no
-cache): only texts it does not hold are sent to the provider, and
+under the cache's provider scope (a temporary file when the cache has
+none): only texts it does not hold are sent to the provider, and
 ``embed_texts`` returns the rows of every text as stored, to be read
 back in chunks, so no caller holds the whole n×d matrix.
 """
@@ -63,9 +64,6 @@ class BatchReport:
     output_tokens: int = 0
     cache_hits: int = 0
 
-    def reconciles(self) -> bool:
-        return self.submitted == self.succeeded + len(self.failed)
-
 
 @dataclass
 class _Outcome:
@@ -86,14 +84,10 @@ class BatchManager:
         policy: RetryPolicy | None = None,
     ):
         self.provider = provider
-        self.cache = cache
+        self.cache = cache if cache is not None else ResponseCache(None)
         self.policy = policy or RetryPolicy()
-        # embeddings share the chat cache's directory and provider scope;
-        # without a cache they are spooled to a temporary file
-        if cache is None:
-            self.embeddings = SegmentStore(None)
-        else:
-            self.embeddings = SegmentStore(cache.directory, cache.scope)
+        # embeddings share the chat cache's directory and provider scope
+        self.embeddings = SegmentStore(self.cache.directory, self.cache.scope)
 
     def submit_batch(
         self,
@@ -161,7 +155,7 @@ class BatchManager:
         self, request: StructuredRequest, fingerprint: str, attempt: int, lookup: bool
     ) -> _Outcome:
         """A cache lookup if ``lookup``, else one provider call, whose valid reply is stored."""
-        if lookup and self.cache is not None and (raw := self.cache.get(fingerprint)) is not None:
+        if lookup and (raw := self.cache.get(fingerprint)) is not None:
             try:
                 payload = validate_payload(raw, request.output_schema)
             except SchemaInvalid:
@@ -181,8 +175,7 @@ class BatchManager:
             outcome.error_class = "ProviderError"
             log.info("request %s attempt %d failed: %s", request.request_id, attempt, exc)
         else:
-            if self.cache is not None:
-                self.cache.put(fingerprint, result.raw)
+            self.cache.put(fingerprint, result.raw)
             outcome.response = StructuredResponse(request.request_id, payload, result.raw)
         return outcome
 

@@ -730,56 +730,38 @@ class Pipeline:
 
     def _run_redesign(self) -> None:
         config = self.config
-        profiles = self._read_profiles("roles.jsonl", "task_weights.jsonl")
-        eligible = redesign.eligible_roles(profiles, config.theta)
-        eligible.sort(key=lambda profile: profile.vacancy_id)
-
-        plans: list[dict] = []
+        eligible = redesign.eligible_roles(
+            self._read_profiles("roles.jsonl", "task_weights.jsonl"), config.theta
+        )
+        sampled = redesign.stratified_sample(
+            eligible, fraction=config.new_tasks_fraction, seed=config.seed
+        )
+        plans_by_variant: dict[str, dict[str, redesign.RedesignPlan]] = {}
         failures: dict[str, dict[str, str]] = {}
+        for variant, bulk, roles in (
+            (redesign.FOCUS, redesign.select_focus_bulk, eligible),
+            (redesign.AUGMENT_REORDER, redesign.reorder_plan_bulk, eligible),
+            (redesign.NEW_TASKS, redesign.new_tasks_plan_bulk, sampled),
+        ):
+            plans_by_variant[variant], failures[variant] = bulk(roles, self.manager)
 
-        focus_results, focus_failures = redesign.select_focus_bulk(eligible, self.manager)
-        focus_plans: dict[str, redesign.RedesignPlan] = {}
-        for profile in eligible:
-            if profile.vacancy_id not in focus_results:
-                continue
-            number, reasoning = focus_results[profile.vacancy_id]
-            focus_plans[profile.vacancy_id] = redesign.RedesignPlan(
-                role_key=profile.vacancy_id,
-                variant=redesign.FOCUS,
-                automated=redesign.automated_numbers(profile),
-                freed_share=redesign.freed_share(profile),
-                post_weights=redesign.apply_focus(profile, number),
-                focus_task=number,
-                reasoning=reasoning,
-            )
-        failures[redesign.FOCUS] = focus_failures
-
+        focus_plans = plans_by_variant[redesign.FOCUS]
         ordered_focus = [focus_plans[key] for key in sorted(focus_plans)]
         themes, theme_failures = redesign.tag_themes(
             [plan.reasoning for plan in ordered_focus], self.manager
         )
         for plan, tags in zip(ordered_focus, themes):
             plan.themes = tags
-        shares = redesign.theme_shares(themes)
 
-        reorder_results, reorder_failures = redesign.reorder_plan_bulk(eligible, self.manager)
-        failures[redesign.AUGMENT_REORDER] = reorder_failures
-
-        sampled = redesign.stratified_sample(
-            eligible, fraction=config.new_tasks_fraction, seed=config.seed
+        plans = sorted(
+            (plan for collection in plans_by_variant.values() for plan in collection.values()),
+            key=lambda plan: (plan.role_key, plan.variant),
         )
-        new_results, new_failures = redesign.new_tasks_plan_bulk(sampled, self.manager)
-        failures[redesign.NEW_TASKS] = new_failures
+        for plan in plans:
+            redesign.check_plan(plan)
+        write_jsonl(self.out_dir / "plans.jsonl", [plan.to_record() for plan in plans])
 
-        for collection in (focus_plans, reorder_results, new_results):
-            for key in sorted(collection):
-                plan = collection[key]
-                redesign.check_plan(plan)
-                plans.append(plan.to_record())
-        plans.sort(key=lambda record: (record["role_key"], record["variant"]))
-        write_jsonl(self.out_dir / "plans.jsonl", plans)
-
-        freed = [plan.freed_share for plan in focus_plans.values()]
+        freed = [plan.freed_share for plan in ordered_focus]
         write_json(
             self.out_dir / "redesign_summary.json",
             {
@@ -787,7 +769,7 @@ class Pipeline:
                 "sampled_for_new_tasks": len(sampled),
                 "failures": {variant: dict(sorted(f.items())) for variant, f in failures.items()},
                 "theme_failures": {str(k): v for k, v in sorted(theme_failures.items())},
-                "theme_shares": shares,
+                "theme_shares": redesign.theme_shares(themes),
                 "median_freed_share": statistics.median(freed) if freed else None,
             },
         )

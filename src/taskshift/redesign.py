@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, SchemaInvalid, UsageError
-from .exposure import RoleProfile, decay_weights
+from .exposure import HOURS_PER_WEEK, RoleProfile, decay_weights
 from .gateway import BatchManager, StructuredRequest, stable_hash
 from .prompts import (
     THEME_NAMES,
@@ -106,13 +106,6 @@ def surviving_numbers(profile: RoleProfile) -> tuple[int, ...]:
     return tuple(task.task_number for task in profile.tasks if not task.high)
 
 
-def freed_share(profile: RoleProfile) -> float:
-    shares = profile.weights.normalized
-    return math.fsum(
-        share for share, task in zip(shares, profile.tasks) if task.high
-    )
-
-
 def eligible_roles(profiles: Iterable[RoleProfile], theta: float) -> list[RoleProfile]:
     """Roles with at least one automatable task that stay below theta."""
     kept = []
@@ -144,9 +137,8 @@ def apply_focus(profile: RoleProfile, focus_task: int) -> dict[int, float]:
     if focus_task not in surviving:
         raise UsageError(f"focus task {focus_task} is not a surviving task")
     shares = dict(zip((t.task_number for t in profile.tasks), profile.weights.normalized))
-    freed = freed_share(profile)
     post = {number: shares[number] for number in sorted(surviving)}
-    post[focus_task] += freed
+    post[focus_task] += profile.aggregates.high_share
     return post
 
 
@@ -165,7 +157,7 @@ def _run_waves(
     build: Callable[[str, object], StructuredRequest],
     check: Callable[[object, dict], object],
     nudge: str,
-) -> tuple[dict, dict[str, str]]:
+) -> tuple[dict, dict]:
     """Submit one request per context as one batch; the batch manager retries.
 
     ``build(request_id, context)`` gives the request. A reply that
@@ -181,8 +173,9 @@ def _run_waves(
         results[keys[index]] = check(contexts[keys[index]], payload)
 
     requests = [build(f"{kind}:{key}", contexts[key]) for key in keys]
+    key_of = {request.request_id: key for request, key in zip(requests, keys)}
     _, report = manager.submit_batch(requests, check=checked, nudge=nudge)
-    failures = {request_id[len(kind) + 1 :]: error for request_id, error in report.failed}
+    failures = {key_of[request_id]: error for request_id, error in report.failed}
     for key, error in failures.items():
         log.warning("redesign request for %s flagged after retries: %s", key, error)
     return results, failures
@@ -190,35 +183,52 @@ def _run_waves(
 
 def select_focus_bulk(
     profiles: Sequence[RoleProfile], manager: BatchManager
-) -> tuple[dict[str, tuple[int, str]], dict[str, str]]:
-    """Pick, per role, the surviving task that should absorb the freed time."""
-    forced: dict[str, tuple[int, str]] = {}
+) -> tuple[dict[str, RedesignPlan], dict[str, str]]:
+    """Plan, per role, the surviving task that absorbs the freed time.
+
+    A role with one surviving task gets it without a request.
+    """
+
+    def plan(profile: RoleProfile, number: int, reasoning: str) -> RedesignPlan:
+        return RedesignPlan(
+            role_key=profile.vacancy_id,
+            variant=FOCUS,
+            automated=automated_numbers(profile),
+            freed_share=profile.aggregates.high_share,
+            post_weights=apply_focus(profile, number),
+            focus_task=number,
+            reasoning=reasoning,
+        )
+
+    forced: dict[str, RedesignPlan] = {}
     ask: dict[str, RoleProfile] = {}
     for profile in profiles:
         survivors = surviving_numbers(profile)
         if not survivors:
             raise UsageError(f"role {profile.vacancy_id} has no surviving tasks")
         if len(survivors) == 1:
-            forced[profile.vacancy_id] = (survivors[0], "Only one task remains after automation.")
+            forced[profile.vacancy_id] = plan(
+                profile, survivors[0], "Only one task remains after automation."
+            )
         else:
             ask[profile.vacancy_id] = profile
 
     def build(request_id: str, profile: RoleProfile) -> StructuredRequest:
         return focus_choice_request(request_id, profile.title, _survivor_pairs(profile))
 
-    def check(profile: RoleProfile, payload: dict) -> tuple[int, str]:
+    def check(profile: RoleProfile, payload: dict) -> RedesignPlan:
         number = payload["task_number"]
         if number not in set(surviving_numbers(profile)):
             raise SchemaInvalid(
                 "$.task_number", f"{number} does not reference a surviving task"
             )
-        return number, payload["reasoning"]
+        return plan(profile, number, payload["reasoning"])
 
     results, failures = _run_waves(
         manager, "focus", ask, build, check, "answer with one of the listed task numbers"
     )
     results.update(forced)
-    return results, failures  # type: ignore[return-value]
+    return results, failures
 
 
 def tag_themes(
@@ -228,7 +238,6 @@ def tag_themes(
 
     Returns per-reasoning theme tuples plus failures by input index.
     """
-    contexts = {str(index): reasoning for index, reasoning in enumerate(reasonings)}
 
     def check(reasoning: str, payload: dict) -> tuple[str, ...]:
         flags = tuple(name for name in THEME_NAMES if payload[name] == 1)
@@ -237,10 +246,14 @@ def tag_themes(
         return flags
 
     results, failures = _run_waves(
-        manager, "themes", contexts, theme_flags_request, check, "set between one and three flags"
+        manager,
+        "themes",
+        dict(enumerate(reasonings)),
+        theme_flags_request,
+        check,
+        "set between one and three flags",
     )
-    themed = [results.get(str(index), ()) for index in range(len(reasonings))]
-    return themed, {int(key): reason for key, reason in failures.items()}
+    return [results.get(index, ()) for index in range(len(reasonings))], failures
 
 
 def theme_shares(theme_sets: Sequence[tuple[str, ...]]) -> dict[str, float]:
@@ -285,15 +298,14 @@ def reorder_plan_bulk(
             role_key=profile.vacancy_id,
             variant=AUGMENT_REORDER,
             automated=automated_numbers(profile),
-            freed_share=freed_share(profile),
+            freed_share=profile.aggregates.high_share,
             post_weights=_order_weights(profile, returned),
             new_details=new_details,
         )
 
-    results, failures = _run_waves(
+    return _run_waves(
         manager, "reorder", contexts, build, check, "return every listed task exactly once"
     )
-    return results, failures  # type: ignore[return-value]
 
 
 def new_tasks_plan_bulk(
@@ -339,7 +351,7 @@ def new_tasks_plan_bulk(
             role_key=profile.vacancy_id,
             variant=NEW_TASKS,
             automated=automated_numbers(profile),
-            freed_share=freed_share(profile),
+            freed_share=profile.aggregates.high_share,
             post_weights=_order_weights(profile, numbers),
             new_tasks=tuple(
                 NewTask(e["task_number"], e["task_details"], e["task_category"]) for e in new
@@ -350,8 +362,7 @@ def new_tasks_plan_bulk(
         "keep every remaining task, give new tasks unique negative "
         "numbers, and do not exceed the new-task cap"
     )
-    results, failures = _run_waves(manager, "newtasks", contexts, build, check, nudge)
-    return results, failures  # type: ignore[return-value]
+    return _run_waves(manager, "newtasks", contexts, build, check, nudge)
 
 
 def stratified_sample(
@@ -443,7 +454,6 @@ def time_shift_report(
     profiles: Sequence[RoleProfile],
     plans_by_variant: dict[str, dict[str, RedesignPlan]],
     category_of: dict[tuple[str, int], str],
-    hours_per_week: float = 37.0,
 ) -> list[dict]:
     """Per-category time shares for the five-column comparison.
 
@@ -499,6 +509,6 @@ def time_shift_report(
             row[column] = share
             if column != "pre_automation":
                 baseline = columns["pre_automation"].get(name, 0.0)
-                row[f"{column}_minutes_delta"] = (share - baseline) * hours_per_week * 60.0
+                row[f"{column}_minutes_delta"] = (share - baseline) * HOURS_PER_WEEK * 60.0
         rows.append(row)
     return rows

@@ -112,11 +112,6 @@ def _split_shares(exposures: Sequence[float], weights: Sequence[float]) -> tuple
     return high, medium
 
 
-def role_savings(role: RoleInput, theta: float, delta: float = 0.75) -> RoleSavings:
-    high, medium = exposure_shares(role.exposures, delta)
-    return savings_from_shares(role.role_key, high, medium, role.salary, theta)
-
-
 @dataclass(frozen=True)
 class SweepCurve:
     """Weighted totals and class counts across the threshold grid."""

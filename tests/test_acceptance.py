@@ -220,22 +220,9 @@ def test_criterion_07_redesign_conservation(fixture_profiles):
     eligible = redesign.eligible_roles(fixture_profiles, 0.8)
     assert eligible, "fixture corpus must contain redesignable roles"
 
-    plans: list[redesign.RedesignPlan] = []
     focus_results, focus_failures = redesign.select_focus_bulk(eligible, manager)
     assert not focus_failures
-    for profile in eligible:
-        number, reasoning = focus_results[profile.vacancy_id]
-        plans.append(
-            redesign.RedesignPlan(
-                role_key=profile.vacancy_id,
-                variant=redesign.FOCUS,
-                automated=redesign.automated_numbers(profile),
-                freed_share=redesign.freed_share(profile),
-                post_weights=redesign.apply_focus(profile, number),
-                focus_task=number,
-                reasoning=reasoning,
-            )
-        )
+    plans = [focus_results[profile.vacancy_id] for profile in eligible]
     reorder_results, reorder_failures = redesign.reorder_plan_bulk(eligible, manager)
     assert not reorder_failures
     new_results, new_failures = redesign.new_tasks_plan_bulk(eligible, manager)
@@ -244,7 +231,7 @@ def test_criterion_07_redesign_conservation(fixture_profiles):
     plans.extend(new_results.values())
 
     themes, theme_failures = redesign.tag_themes(
-        [focus_results[p.vacancy_id][1] for p in eligible], manager
+        [plan.reasoning for plan in focus_results.values()], manager
     )
     assert not theme_failures
 

@@ -631,6 +631,18 @@ class TestBuildTaxonomy:
         assert taxonomy.category_labels[0] == "cluster-0"
         assert taxonomy.label_failures
 
+    def test_every_failed_label_names_its_cluster_key(self):
+        texts, vectors, _ = grouped_tasks()
+        provider = GroupedEmbedProvider(vectors, inner=MockProvider(strict=True))
+        manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
+        taxonomy, _ = build_taxonomy(texts, manager, seed=3)
+        assert taxonomy.category_labels == {c: f"cluster-{c}" for c in range(10)}
+        assert taxonomy.subcategory_labels == {
+            key: f"cluster-{key[0]}-{key[1]}" for key in taxonomy.subcategory_labels
+        }
+        assert (3, 1) in taxonomy.subcategory_labels
+        assert len(taxonomy.label_failures) == 10 + len(taxonomy.subcategory_labels)
+
     def test_sampling_caps_at_population(self):
         texts = [f"duty {i}" for i in range(150)]
         request = _label_request("label:cat:0", texts, np.arange(150), seed=1, cap=200)

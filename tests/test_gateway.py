@@ -55,6 +55,11 @@ SUPPORT_OFFICER_DESCRIPTION = """The support officer keeps the programme running
 """
 
 
+def reconciles(report) -> bool:
+    """Every submitted request ended as one response or one failure entry."""
+    return report.submitted == report.succeeded + len(report.failed)
+
+
 def tasks_payload(*scores):
     return {
         "tasks": [
@@ -225,7 +230,7 @@ class TestSubmitBatch:
         assert [r.request_id for r in responses] == ["r0", "r1", "r2"]
         assert report.failed == []
         assert report.submitted == report.succeeded == 3
-        assert report.reconciles()
+        assert reconciles(report)
         assert report.input_tokens > 0 and report.output_tokens > 0
 
     def test_out_of_range_fixture_fails_with_schema_class(self):
@@ -235,7 +240,7 @@ class TestSubmitBatch:
         responses, report = manager.submit_batch([request])
         assert responses == []
         assert report.failed == [("bad", "RangeViolation")]
-        assert report.reconciles()
+        assert reconciles(report)
 
     def test_duplicate_request_ids_rejected(self, manager):
         with pytest.raises(UsageError):
@@ -259,7 +264,7 @@ class TestSubmitBatch:
         manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
         responses, report = manager.submit_batch([good, bad])
         assert report.submitted == 2 and report.succeeded == 1 and len(report.failed) == 1
-        assert report.reconciles()
+        assert reconciles(report)
 
 
 class TestBulkScaleBatch:
@@ -284,7 +289,7 @@ class TestBulkScaleBatch:
         assert report.submitted == 216_548
         assert report.succeeded + len(report.failed) == 216_548
         assert len(responses) == 216_548
-        assert report.reconciles()
+        assert reconciles(report)
 
 
 class TestCaching:
@@ -387,6 +392,14 @@ class TestCaching:
         assert ResponseCache(tmp_path, scope="remote:").get("k") is None
         assert ResponseCache(tmp_path, scope="mock:").get("k") == "answer"
 
+    def test_manager_without_cache_keeps_answers_in_a_temporary_store(self):
+        provider = MockProvider()
+        manager = BatchManager(provider)
+        requests = [extraction_request(f"r{i}") for i in range(3)]
+        responses, report = manager.submit_batch(requests)
+        assert [r.request_id for r in responses] == ["r0", "r1", "r2"]
+        assert provider.calls == 1 and report.cache_hits == 2
+
     def test_duplicates_in_inline_batch_make_one_call(self, tmp_path):
         provider = MockProvider()
         manager = BatchManager(provider, cache=ResponseCache(tmp_path))
@@ -394,7 +407,7 @@ class TestCaching:
         responses, report = manager.submit_batch(requests)
         assert [r.request_id for r in responses] == ["first", "again"]
         assert provider.calls == 1 and report.cache_hits == 1
-        assert report.reconciles()
+        assert reconciles(report)
 
 
 @dataclass
@@ -427,7 +440,7 @@ class TestConcurrency:
         assert threading.get_ident() not in provider.threads
         assert len(provider.threads) > 1
         assert report.cache_hits == 8 and report.submitted == report.succeeded == 32
-        assert report.reconciles()
+        assert reconciles(report)
 
     def test_concurrent_puts_land_whole_in_one_segment(self, tmp_path):
         requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(200)]
@@ -529,7 +542,7 @@ class TestRetry:
         assert report.failed == [("r0", "RangeViolation"), ("r1", "RangeViolation")]
         # without a nudge each retry repeats the same bytes, straight to the provider
         assert seen == [0, 1] * 3 and provider.calls == 6 and report.cache_hits == 0
-        assert report.reconciles()
+        assert reconciles(report)
 
     def test_nudged_retry_is_looked_up_in_the_cache(self, tmp_path):
         request = extraction_request("r", "- a\n- b")

@@ -7,13 +7,14 @@ import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import taskshift
-from taskshift import pipeline as pipeline_module
+from taskshift import cli, pipeline as pipeline_module
 from taskshift.cli import main
 from taskshift.config import PipelineConfig
 from taskshift.corpus import Vacancy
@@ -367,6 +368,77 @@ def json_lines(path: Path) -> list:
         return [json.loads(line) for line in handle if line.strip()]
 
 
+def fingerprint(pipeline: Pipeline, stage: str) -> str:
+    return json.loads(pipeline._manifest_path(stage).read_text())["params_fingerprint"]
+
+
+class TestConfigKnobs:
+    """Config fields that no other pipeline test, bench workload or README example sets."""
+
+    def test_truncate_chars_caps_every_extraction_prompt(self, tmp_path, monkeypatch):
+        plain = Pipeline(PipelineConfig.load(write_config(tmp_path)))
+        plain.run_stage("ingest")
+        plain.run_stage("extract")
+        before = fingerprint(plain, "extract")
+        sent = []
+        complete = MockProvider.complete
+
+        def record(provider, request):
+            sent.append(request)
+            return complete(provider, request)
+
+        monkeypatch.setattr(MockProvider, "complete", record)
+        cut = Pipeline(PipelineConfig.load(write_config(tmp_path, truncate_chars=120)))
+        assert cut.run_stage("ingest").reused
+        assert not cut.run_stage("extract").reused
+        assert fingerprint(cut, "extract") != before
+
+        fields_by_id = {
+            row["vacancy_id"]: {"description": row["job_description"], "summary": row["job_summary"]}
+            for row in read_jsonl(tmp_path / "out" / "vacancies.jsonl")
+        }
+        assert sent and all(request.request_id.startswith("extract:") for request in sent)
+        longer = 0
+        for request in sent:
+            _, vacancy_id, field = request.request_id.split(":")
+            text = request.user_prompt.split("<job_description>")[1].split("</job_description>")[0]
+            original = fields_by_id[vacancy_id][field]
+            assert text == original[:120]
+            longer += len(original) > 120
+        assert longer > 0
+
+    def test_small_department_is_dropped_and_listed(self, tmp_path):
+        # the fixture corpus has 2 CO vacancies and 4 each in HO and HMRC
+        pipeline = Pipeline(PipelineConfig.load(write_config(tmp_path, min_department_vacancies=3)))
+        pipeline.run_stage("ingest")
+        out = tmp_path / "out"
+        issues = json.loads((out / "ingest_issues.json").read_text())
+        assert issues["filtered_departments"] == ["CO"]
+        assert (issues["parsed"], issues["kept"]) == (10, 8)
+        departments = Counter(row["department"] for row in read_jsonl(out / "vacancies.jsonl"))
+        assert departments == {"HO": 4, "HMRC": 4}
+
+    @pytest.mark.parametrize(
+        "name, first, edited",
+        [
+            (
+                "vocab_path",
+                {"departments": ["CO", "HMRC", "HO"]},
+                {"departments": ["CO", "DfE", "HMRC", "HO"]},
+            ),
+            ("grade_map_path", {"eo": "EO"}, {"eo": "EO", "band 5": "EO"}),
+        ],
+    )
+    def test_editing_a_reference_file_rebuilds_ingest(self, tmp_path, name, first, edited):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(first))
+        config = PipelineConfig.load(write_config(tmp_path, **{name: str(path)}))
+        assert not Pipeline(config).run_stage("ingest").reused
+        assert Pipeline(config).run_stage("ingest").reused
+        path.write_text(json.dumps(edited))
+        assert not Pipeline(config).run_stage("ingest").reused
+
+
 class TestJsonlCodec:
     @settings(
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -649,6 +721,27 @@ class TestCli:
         config = write_config(tmp_path)
         assert main(["all", "--config", str(config)]) == 0
         assert "report: built" in capsys.readouterr().out
+
+    def test_flags_are_config_fields_and_reach_the_pipeline(self, tmp_path, monkeypatch):
+        names = {field.name for field in fields(PipelineConfig)}
+        own = {"stage", "config", "force", "verbose"}
+        # "help" is argparse's own action
+        dests = {action.dest for action in cli.build_parser()._actions} - {"help"}
+        assert dests - own <= names and not own & names
+        seen = []
+
+        class Recorder:
+            def __init__(self, config):
+                seen.append(config)
+
+            def run_stage(self, stage, force=False):
+                return SimpleNamespace(reused=True, content_hash="0" * 64)
+
+        monkeypatch.setattr(cli, "Pipeline", Recorder)
+        argv = ["ingest", "--config", str(write_config(tmp_path))]
+        assert main(argv + ["--theta", "0.5", "--delta", "0.6", "--seed", "3"]) == 0
+        (config,) = seen
+        assert (config.theta, config.delta, config.seed) == (0.5, 0.6, 3)
 
     def test_usage_error_exit_one_unknown_stage(self, capsys):
         assert main(["transmogrify"]) == 1

@@ -107,8 +107,8 @@ class TestSelectFocus:
         role = reference_role()
         request = focus_choice_request("x", role.title, self.survivors(role))
         fixtures = {request.fingerprint(): {"task_number": 3, "reasoning": "Deepest leverage."}}
-        number, reasoning = single(redesign.select_focus_bulk, role, mock_manager(fixtures))
-        assert number == 3 and reasoning == "Deepest leverage."
+        plan = single(redesign.select_focus_bulk, role, mock_manager(fixtures))
+        assert plan.focus_task == 3 and plan.reasoning == "Deepest leverage."
 
     def test_automated_choice_rejected_then_retried(self):
         role = reference_role()
@@ -117,18 +117,18 @@ class TestSelectFocus:
         fixtures = {request.fingerprint(): {"task_number": 1, "reasoning": "bad"}}
         provider = MockProvider(fixtures=fixtures)
         manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
-        number, _ = single(redesign.select_focus_bulk, role, manager)
-        assert number == 3  # synthesizer picks the lowest surviving number
+        plan = single(redesign.select_focus_bulk, role, manager)
+        assert plan.focus_task == 3  # synthesizer picks the lowest surviving number
         assert provider.calls >= 2
 
     def test_single_survivor_short_circuits_without_provider(self):
         role = build_role([0.9, 0.8, 0.4])
         provider = MockProvider(strict=True)
         manager = BatchManager(provider)
-        number, reasoning = single(redesign.select_focus_bulk, role, manager)
-        assert number == 3
+        plan = single(redesign.select_focus_bulk, role, manager)
+        assert plan.focus_task == 3
         assert provider.calls == 0
-        assert reasoning
+        assert plan.reasoning
 
     def test_unfixable_choice_flags_role(self):
         role = reference_role()
@@ -145,16 +145,7 @@ class TestSelectFocus:
 
     def test_focus_plan_invariants(self):
         role = reference_role()
-        focus_task, reasoning = single(redesign.select_focus_bulk, role, mock_manager())
-        plan = redesign.RedesignPlan(
-            role_key=role.vacancy_id,
-            variant=redesign.FOCUS,
-            automated=redesign.automated_numbers(role),
-            freed_share=redesign.freed_share(role),
-            post_weights=redesign.apply_focus(role, focus_task),
-            focus_task=focus_task,
-            reasoning=reasoning,
-        )
+        plan = single(redesign.select_focus_bulk, role, mock_manager())
         redesign.check_plan(plan)
         assert plan.post_weights[plan.focus_task] - dict(
             zip((t.task_number for t in role.tasks), role.weights.normalized)
@@ -220,7 +211,7 @@ class TestWaves:
         cold, cold_calls = run()
         warm, warm_calls = run()
         assert (cold_calls, warm_calls) == (2, 0)
-        assert warm == cold and cold[0][role.vacancy_id][0] == 3
+        assert warm == cold and cold[0][role.vacancy_id].focus_task == 3
         assert sleeps == []  # a rejected answer is not a provider failure
 
     def test_theme_failures_keyed_by_input_index(self):

@@ -1,0 +1,67 @@
+"""Every function, class and method in ``src/`` is used by ``src/``, or is listed here.
+
+A definition counts as used when some ``Name`` or ``Attribute`` node in
+``src/`` carries its name; the check reads the syntax tree, not the text,
+so docstrings and comments do not count. Dunder methods are called by the
+language and are left out. The match is by name alone, so a same-named
+reference elsewhere hides a definition: the list errs short, never long.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# qualified name -> why it stays without a caller in src/
+ALLOWED = {
+    "taskshift.metrics.spearman": "acceptance criterion 9",
+    "taskshift.metrics.krippendorff_alpha": "acceptance criterion 9",
+    "taskshift.exposure.DecayWeights.from_values": (
+        "acceptance criteria 2 and 3 weight tasks by the rounded reference weights"
+    ),
+    "taskshift.raking.WeightedSample.weighted_share": "acceptance criterion 4",
+    "taskshift.savings.savings_from_shares": (
+        "the reference oracle for sweep; acceptance criteria 3 and 5"
+    ),
+    "taskshift.savings.exposure_shares": (
+        "the reference oracle for sweep; acceptance criterion 5"
+    ),
+    "taskshift.pipeline.read_jsonl": (
+        "the benchmark's JSONL read hook (bench/spans.py); the memory tests' size measure"
+    ),
+    "taskshift.pipeline.Pipeline.run_all": (
+        "the library call that runs every stage; acceptance criterion 10"
+    ),
+}
+
+
+def definitions_and_references() -> tuple[dict[str, str], set[str]]:
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in tree.body:
+            if isinstance(node, kinds):
+                defined[f"{module}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, kinds):
+                        defined[f"{module}.{node.name}.{member.name}"] = member.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return defined, referenced
+
+
+def test_unreferenced_definitions_are_exactly_the_allowed_ones():
+    defined, referenced = definitions_and_references()
+    unreferenced = {
+        qualified
+        for qualified, name in defined.items()
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert unreferenced == set(ALLOWED)

@@ -13,10 +13,15 @@ from taskshift.savings import (
     classify_role,
     decay_sensitivity,
     exposure_shares,
-    role_savings,
     savings_from_shares,
     sweep,
 )
+
+def role_savings(role, theta, delta=0.75):
+    """One role's entry at ``delta``: its shares under decay, then the money."""
+    high, medium = exposure_shares(role.exposures, delta)
+    return savings_from_shares(role.role_key, high, medium, role.salary, theta)
+
 
 TABLE_ROLE = dict(role_key="table2", high_share=0.53, medium_share=0.17, salary=38680.0)
 
