@@ -10,6 +10,7 @@ samples members for human-readable labels.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import re
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, ProviderError, UsageError
-from .gateway import BatchManager, EmbeddingRows, stable_hash
+from .gateway import ArrayStore, BatchManager, EmbeddingRows, subseed
 from .prompts import cluster_label_request
 
 log = logging.getLogger(__name__)
@@ -65,14 +66,40 @@ def kmeans(
     seed: int,
     n_init: int = 10,
     max_iter: int = 300,
+    store: ArrayStore | None = None,
 ) -> KMeansResult:
-    """Seeded k-means over row vectors; deterministic for fixed inputs."""
+    """Seeded k-means over row vectors; deterministic for fixed inputs.
+
+    With a ``store``, the result is looked up under a digest of the point
+    bytes, the shape and every argument, and computed and stored on a miss.
+    """
     matrix = np.asarray(points, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] == 0:
         raise UsageError("kmeans needs a non-empty 2-D point matrix")
     if k < 1 or k > matrix.shape[0]:
         raise UsageError(f"k={k} invalid for {matrix.shape[0]} points")
+    if store is None:
+        return _restarts(matrix, k, seed, n_init, max_iter)
 
+    def compute() -> tuple:
+        result = _restarts(matrix, k, seed, n_init, max_iter)
+        return result.iterations, result.inertia, result.assignments, result.centroids
+
+    n, d = matrix.shape
+    key = f"kmeans {_digest(matrix)} {n}x{d} k={k} seed={seed} n_init={n_init} max_iter={max_iter}"
+    iterations, inertia, assignments, centroids = store.replay(
+        key, [(), (), (n,), (k, d)], compute
+    )
+    # assignments are stored as float64, exact below 2**53
+    return KMeansResult(assignments.astype(np.intp), centroids, float(inertia), int(iterations))
+
+
+def _digest(matrix: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(matrix)).hexdigest()
+
+
+def _restarts(matrix: np.ndarray, k: int, seed: int, n_init: int, max_iter: int) -> KMeansResult:
+    """The lowest-inertia Lloyd run of ``n_init`` seeded k-means++ starts."""
     root = np.random.default_rng(seed)
     restart_seeds = root.integers(0, 2**63 - 1, size=n_init)
     best: KMeansResult | None = None
@@ -202,12 +229,13 @@ class RoleClusters:
 
 
 def cluster_roles(
-    role_points: Sequence[tuple[float, float]], seed: int
+    role_points: Sequence[tuple[float, float]], seed: int, store: ArrayStore | None = None
 ) -> RoleClusters:
     """Partition (mean, std) exposure pairs into the four named clusters.
 
     Names follow ascending centroid mean. Raw axes are used directly,
-    both being on comparable [0, 1]-bounded scales.
+    both being on comparable [0, 1]-bounded scales. ``store`` is passed to
+    :func:`kmeans`.
     """
     matrix = np.asarray(role_points, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] != 2:
@@ -217,7 +245,7 @@ def cluster_roles(
     if _distinct_rows(matrix) < len(CLUSTER_NAME_ORDER):
         raise DataError("degenerate geometry: fewer than 4 distinct (mean, std) points")
 
-    result = kmeans(matrix, k=4, seed=seed)
+    result = kmeans(matrix, k=4, seed=seed, store=store)
     order = np.argsort(result.centroids[:, 0], kind="stable")
     name_for = {int(cluster): CLUSTER_NAME_ORDER[rank] for rank, cluster in enumerate(order)}
     labels = tuple(name_for[int(assignment)] for assignment in result.assignments)
@@ -381,7 +409,9 @@ def _moments(rows: EmbeddingRows) -> tuple[np.ndarray, np.ndarray]:
     return mean, scatter
 
 
-def fit_pca(rows: EmbeddingRows, out_dim: int = 25) -> ProjectionModel:
+def fit_pca(
+    rows: EmbeddingRows, out_dim: int = 25, store: ArrayStore | None = None
+) -> ProjectionModel:
     """Fit a PCA projection; errors if the data cannot support ``out_dim``.
 
     ``rows`` are the stored rows :meth:`BatchManager.embed_texts` returns,
@@ -390,12 +420,38 @@ def fit_pca(rows: EmbeddingRows, out_dim: int = 25) -> ProjectionModel:
     centred scatter matrix are the components. An eigenvalue counts toward
     the rank when it exceeds ``d * eps`` times the largest: below that,
     eigenvalues of a d×d scatter matrix are rounding noise.
+
+    With a ``store``, the components, variances and ratios are looked up
+    under a digest of the scatter matrix, ``n`` and ``out_dim``, and
+    computed and stored on a miss; only fits that pass the rank check are
+    stored.
     """
     n, d = rows.shape
     if out_dim < 1 or out_dim > d:
         raise UsageError(f"out_dim={out_dim} invalid for {d}-dim input")
     # no chunk buffer is alive next to eigh's own input copy and LAPACK workspace
     mean, scatter = _moments(rows)
+    if store is None:
+        components, variances, ratios = _principal_axes(scatter, n, out_dim)
+    else:
+        key = f"pca {_digest(scatter)} {d}x{d} n={n} out_dim={out_dim}"
+        shapes = [(out_dim, d), (out_dim,), (out_dim,)]
+        components, variances, ratios = store.replay(
+            key, shapes, lambda: _principal_axes(scatter, n, out_dim)
+        )
+    return ProjectionModel(
+        mean=mean,
+        components=components,
+        explained_variance=variances,
+        explained_variance_ratio=ratios,
+    )
+
+
+def _principal_axes(
+    scatter: np.ndarray, n: int, out_dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The top ``out_dim`` components of a d×d scatter matrix, their variances and ratios."""
+    d = scatter.shape[0]
     eigenvalues, vectors = np.linalg.eigh(scatter)
     eigenvalues = eigenvalues[::-1]
     if eigenvalues[0] <= 0.0:
@@ -413,12 +469,7 @@ def fit_pca(rows: EmbeddingRows, out_dim: int = 25) -> ProjectionModel:
     variances = eigenvalues[:out_dim] / n
     total = np.trace(scatter) / n
     ratios = variances / total if total > 0 else np.zeros(out_dim)
-    return ProjectionModel(
-        mean=mean,
-        components=components,
-        explained_variance=variances,
-        explained_variance_ratio=ratios,
-    )
+    return components, variances, ratios
 
 
 @dataclass
@@ -447,7 +498,8 @@ def build_taxonomy(
     """Cluster normalized task texts and label every (sub-)cluster.
 
     The projection dimension is clamped to what the corpus can support;
-    label-request failures degrade to "cluster-<id>" placeholders.
+    label-request failures degrade to "cluster-<id>" placeholders. The PCA
+    fit and every k-means run go through ``manager.arrays``.
     """
     minimum = n_categories * n_subclusters
     if len(tasks) < minimum:
@@ -459,10 +511,11 @@ def build_taxonomy(
     effective_dim = min(pca_dim, embeddings.shape[1], embeddings.shape[0] - 1)
     if effective_dim < pca_dim:
         log.info("clamping projection from %d to %d dims", pca_dim, effective_dim)
-    projection = fit_pca(embeddings, out_dim=effective_dim)
+    store = manager.arrays
+    projection = fit_pca(embeddings, out_dim=effective_dim, store=store)
     projected = projection.transform(embeddings)
 
-    top = kmeans(projected, k=n_categories, seed=_subseed(seed, "taxonomy-top"))
+    top = kmeans(projected, k=n_categories, seed=subseed(seed, "taxonomy-top"), store=store)
     subcategories = np.full(len(tasks), -1)
 
     # each label request beside its (category,) or (category, subcluster) key
@@ -480,7 +533,8 @@ def build_taxonomy(
     for category in range(n_categories):
         members = members_by_cluster[category]
         sub_k = min(n_subclusters, _distinct_rows(projected[members]))
-        sub = kmeans(projected[members], k=sub_k, seed=_subseed(seed, f"taxonomy-sub-{category}"))
+        sub_seed = subseed(seed, f"taxonomy-sub-{category}")
+        sub = kmeans(projected[members], k=sub_k, seed=sub_seed, store=store)
         subcategories[members] = sub.assignments
         for subcluster in range(sub_k):
             sub_members = members[sub.assignments == subcluster]
@@ -517,14 +571,10 @@ def build_taxonomy(
 
 
 def _label_request(request_id: str, tasks: Sequence[str], members: np.ndarray, seed: int, cap: int):
-    rng = np.random.default_rng(_subseed(seed, request_id))
+    rng = np.random.default_rng(subseed(seed, request_id))
     size = min(cap, members.size)
     sampled = rng.choice(members, size=size, replace=False) if size else np.empty(0, dtype=int)
     texts = [tasks[int(index)] for index in np.sort(sampled)]
     if not texts:
         raise ProviderError(f"cannot label an empty cluster ({request_id})")
     return cluster_label_request(request_id, texts)
-
-
-def _subseed(seed: int, name: str) -> int:
-    return (seed * 1_000_003 + stable_hash(name)) % 2**63

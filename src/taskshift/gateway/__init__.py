@@ -1,7 +1,7 @@
 """Provider abstraction, schema validation, batching and caching."""
 
 from .batch import BatchManager, BatchReport, RetryPolicy
-from .cache import EmbeddingRows, ResponseCache, SegmentStore
+from .cache import ArrayStore, EmbeddingRows, ResponseCache, SegmentStore
 from .providers import (
     HttpProvider,
     MockProvider,
@@ -11,6 +11,7 @@ from .providers import (
     StructuredResponse,
     request_fingerprint,
     stable_hash,
+    subseed,
 )
 from .schema import FieldSpec, Schema, validate, validate_payload
 
@@ -19,6 +20,7 @@ __all__ = [
     "BatchReport",
     "RetryPolicy",
     "ResponseCache",
+    "ArrayStore",
     "EmbeddingRows",
     "SegmentStore",
     "HttpProvider",
@@ -29,6 +31,7 @@ __all__ = [
     "StructuredResponse",
     "request_fingerprint",
     "stable_hash",
+    "subseed",
     "FieldSpec",
     "Schema",
     "validate",

@@ -21,7 +21,9 @@ Embeddings go through a :class:`SegmentStore` in the cache directory,
 under the cache's provider scope (a temporary file when the cache has
 none): only texts it does not hold are sent to the provider, and
 ``embed_texts`` returns the rows of every text as stored, to be read
-back in chunks, so no caller holds the whole n×d matrix.
+back in chunks, so no caller holds the whole n×d matrix. The numeric
+kernels' results go through ``arrays``, an :class:`ArrayStore` in the same
+directory under the numeric identity's scope.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from ..errors import ProviderError, SchemaInvalid, UsageError
-from .cache import EmbeddingRows, ResponseCache, SegmentStore
+from .cache import ArrayStore, EmbeddingRows, ResponseCache, SegmentStore
 from .providers import Provider, StructuredRequest, StructuredResponse
 from .schema import validate_payload
 
@@ -88,6 +90,7 @@ class BatchManager:
         self.policy = policy or RetryPolicy()
         # embeddings share the chat cache's directory and provider scope
         self.embeddings = SegmentStore(self.cache.directory, self.cache.scope)
+        self.arrays = ArrayStore(self.cache.directory)
 
     def submit_batch(
         self,

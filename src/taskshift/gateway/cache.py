@@ -15,24 +15,31 @@ record is: records are read back on demand. A crash can leave a torn
 tail, an index line without its newline or a record that runs past the
 end of its segment; either is skipped, so that entry is fetched again.
 
-Two stores share a cache directory. Chat answers (:class:`ResponseCache`)
+Three stores share a cache directory. Chat answers (:class:`ResponseCache`)
 go to ``.answers`` segments as UTF-8 with ``surrogatepass``, so any
 ``str`` round-trips, with lengths in bytes. Embedding rows go to
 ``.vectors`` segments as raw native-endian float64, with lengths (widths)
-in floats. Chat ``*.jsonl`` segments written by earlier versions are
-ignored, so the first run after upgrading asks the provider again.
+in floats. Both are scoped by the provider identity. The results of the
+taxonomy's numeric kernels (:class:`ArrayStore`) go to ``.arrays``
+segments as raw float64 too, keyed by a digest of the kernel's inputs and
+scoped by :func:`numeric_identity`, so a result is replayed only where
+recomputing it gives the same bits. Chat ``*.jsonl`` segments written by
+earlier versions are ignored, so the first run after upgrading asks the
+provider again.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import os
 import tempfile
 import threading
 import time
 import weakref
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -182,6 +189,74 @@ class ResponseCache(SegmentStore):
     def put(self, fingerprint: str, raw: str) -> None:
         data = raw.encode("utf-8", "surrogatepass")
         self.append([fingerprint], data, len(data))
+
+
+# the environment variables OpenBLAS takes its thread count from
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def numeric_identity() -> str:
+    """What sets the bits of a numeric kernel's result besides its inputs.
+
+    numpy's version; its BLAS entry (build, version and the CPU kernel
+    OpenBLAS chose); the SIMD extensions numpy's own loops dispatch to; and
+    what sets OpenBLAS's thread count, its environment variables and the
+    CPUs this process may use. ``eigh`` bits change with any of them. All
+    are equal for every process started the same way on one machine.
+    """
+    config = np.show_config(mode="dicts")
+    if hasattr(os, "sched_getaffinity"):
+        cpus: object = sorted(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    identity = {
+        "numpy": np.__version__,
+        "blas": config["Build Dependencies"]["blas"],
+        "simd": config.get("SIMD Extensions"),
+        "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        "cpus": cpus,
+    }
+    return json.dumps(identity, sort_keys=True)
+
+
+class ArrayStore(SegmentStore):
+    """Float64 results of deterministic numeric kernels, scoped by :func:`numeric_identity`.
+
+    A record is the result's arrays raveled back to back; its key is a
+    text the caller builds from a digest of every input of the kernel.
+    ``replayed`` and ``computed`` count the results read back and stored.
+    """
+
+    suffix = ".arrays"
+
+    def __init__(self, directory: str | Path | None):
+        super().__init__(directory, numeric_identity())
+        self.replayed = 0
+        self.computed = 0
+
+    def replay(
+        self, key: str, shapes: Sequence[tuple[int, ...]], compute: Callable[[], Sequence[object]]
+    ) -> list[np.ndarray]:
+        """The float64 arrays stored under ``key``, one per shape; else ``compute()``'s, stored.
+
+        A record whose length does not fit ``shapes`` counts as a miss.
+        Both paths return views into one record, so a replay gives the
+        bytes the computing run stored.
+        """
+        sizes = [math.prod(shape) for shape in shapes]
+        length = sum(sizes)
+        location = self.find(key)
+        if location is not None and location[2] == length:
+            record = np.empty(length)
+            self.read(location[0], location[1], memoryview(record).cast("B"))
+            self.replayed += 1
+        else:
+            parts = compute()
+            record = np.concatenate([np.asarray(part, dtype=np.float64).ravel() for part in parts])
+            self.append([key], record, length)
+            self.computed += 1
+        bounds = np.cumsum(sizes)[:-1]
+        return [part.reshape(shape) for part, shape in zip(np.split(record, bounds), shapes)]
 
 
 class EmbeddingRows:

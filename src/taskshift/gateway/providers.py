@@ -76,6 +76,11 @@ def stable_hash(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
+def subseed(seed: int, name: str) -> int:
+    """A seed for the random draw called ``name`` within a run seeded with ``seed``."""
+    return (seed * 1_000_003 + stable_hash(name)) % 2**63
+
+
 class Provider(Protocol):
     """Anything that can answer structured requests and embed text.
 

@@ -545,6 +545,8 @@ class Pipeline:
 
     def _run_cluster(self) -> None:
         config = self.config
+        store = self.manager.arrays
+        before = store.replayed, store.computed
         self._write_role_clusters()
         stopwords = clustering.load_stopwords(config.stopwords_path)
         # one (vacancy_id, task_number) key and one normalised text per task
@@ -591,13 +593,20 @@ class Pipeline:
             )
         write_jsonl(self.out_dir / "taxonomy.jsonl", rows)
         write_json(self.out_dir / "projection.json", projection.to_dict())
+        log.info(
+            "cluster: %d PCA and k-means results replayed from the cache, %d computed",
+            store.replayed - before[0],
+            store.computed - before[1],
+        )
 
     def _write_role_clusters(self) -> None:
         vacancy_ids, points = [], []
         for row in iter_jsonl(self.out_dir / "roles.jsonl"):
             vacancy_ids.append(row["vacancy_id"])
             points.append((row["exposure_mean"], row["exposure_std"]))
-        clusters = clustering.cluster_roles(points, seed=self.config.seed)
+        clusters = clustering.cluster_roles(
+            points, seed=self.config.seed, store=self.manager.arrays
+        )
         write_jsonl(
             self.out_dir / "role_clusters.jsonl",
             [

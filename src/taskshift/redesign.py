@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataError, SchemaInvalid, UsageError
 from .exposure import HOURS_PER_WEEK, RoleProfile, decay_weights
-from .gateway import BatchManager, StructuredRequest, stable_hash
+from .gateway import BatchManager, StructuredRequest, subseed
 from .prompts import (
     THEME_NAMES,
     focus_choice_request,
@@ -381,9 +381,7 @@ def stratified_sample(
         members = sorted(groups[key], key=lambda p: p.vacancy_id)
         take = max(1, int(math.floor(fraction * len(members) + 0.5)))
         take = min(take, len(members))
-        rng = np.random.default_rng(
-            (seed * 1_000_003 + stable_hash("stratum:" + repr(key))) % 2**63
-        )
+        rng = np.random.default_rng(subseed(seed, "stratum:" + repr(key)))
         picks = rng.choice(len(members), size=take, replace=False)
         chosen.extend(members[int(index)] for index in sorted(picks))
     return sorted(chosen, key=lambda p: p.vacancy_id)
@@ -471,7 +469,7 @@ def time_shift_report(
                     return new.task_category
         return category_of.get((role_key, task_number), "uncategorized")
 
-    def accumulate(column: str, shares_by_role: dict[str, dict[int, float]], plans=None):
+    def accumulate(shares_by_role: dict[str, dict[int, float]], plans=None):
         totals: dict[str, float] = {}
         count = len(shares_by_role)
         for role_key, weights in shares_by_role.items():
@@ -487,18 +485,17 @@ def time_shift_report(
         for key, profile in keyed.items()
     }
     if pre:
-        columns["pre_automation"] = accumulate("pre_automation", pre)
+        columns["pre_automation"] = accumulate(pre)
         columns["post_automation"] = accumulate(
-            "post_automation", {key: proportional_weights(keyed[key]) for key in keyed}
+            {key: proportional_weights(keyed[key]) for key in keyed}
         )
     for variant in (FOCUS, AUGMENT_REORDER, NEW_TASKS):
         plans = plans_by_variant.get(variant, {})
         plans = {key: plan for key, plan in plans.items() if key in keyed}
         if not plans:
             continue
-        columns[variant] = accumulate(
-            variant, {key: plan.post_weights for key, plan in plans.items()}, plans
-        )
+        post = {key: plan.post_weights for key, plan in plans.items()}
+        columns[variant] = accumulate(post, plans)
 
     categories = sorted({name for totals in columns.values() for name in totals})
     rows = []

@@ -31,6 +31,19 @@ def stored_rows(matrix) -> EmbeddingRows:
     return EmbeddingRows(store, [store.find(key) for key in keys])
 
 
+def record_calls(monkeypatch, owner, name: str) -> list:
+    """Patch ``owner.name`` to note the arguments of each call; return the notes."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 def make_tasks(scores):
     return [task_record(i, f"task number {i}", s) for i, s in enumerate(scores, start=1)]
 

@@ -1,4 +1,5 @@
 import itertools
+import os
 import tracemalloc
 import warnings
 from dataclasses import dataclass, field
@@ -23,9 +24,10 @@ from taskshift.clustering import (
     normalize_text,
 )
 from taskshift.errors import DataError, UsageError
-from taskshift.gateway import BatchManager, MockProvider, ResponseCache, RetryPolicy
+from taskshift.gateway import ArrayStore, BatchManager, MockProvider, ResponseCache, RetryPolicy
+from taskshift.gateway import cache as cache_module
 
-from conftest import stored_rows
+from conftest import record_calls, stored_rows
 
 REFERENCE_CENTROIDS = [(0.381, 0.118), (0.483, 0.158), (0.586, 0.162), (0.697, 0.136)]
 
@@ -691,3 +693,106 @@ class TestStoredRows:
         finally:
             tracemalloc.stop()
         assert peak < n * d * 8 / 2
+
+
+def assert_same_model(model, expected):
+    for key, values in expected.to_dict().items():
+        assert np.asarray(model.to_dict()[key]).tobytes() == np.asarray(values).tobytes(), key
+
+
+class TestKernelReplay:
+    @settings(max_examples=80, deadline=None)
+    @given(matrix=point_sets(), data=st.data())
+    def test_replayed_kmeans_equals_computed(self, matrix, data):
+        k = data.draw(st.integers(min_value=1, max_value=matrix.shape[0]), label="k")
+        seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
+        max_iter = data.draw(st.integers(min_value=0, max_value=5), label="max_iter")
+        store = ArrayStore(None)
+        computed = kmeans(matrix, k, seed, n_init=2, max_iter=max_iter, store=store)
+        replayed = kmeans(matrix, k, seed, n_init=2, max_iter=max_iter, store=store)
+        assert (store.computed, store.replayed) == (1, 1)
+        plain = kmeans(matrix, k, seed, n_init=2, max_iter=max_iter)
+        assert_same_result(computed, plain)
+        assert_same_result(replayed, plain)
+
+    def test_replayed_fit_equals_computed(self, tmp_path):
+        rows = stored_rows(np.random.default_rng(2).normal(size=(300, 12)))
+        computed = fit_pca(rows, out_dim=5, store=ArrayStore(tmp_path))
+        store = ArrayStore(tmp_path)  # a later run, reading the directory afresh
+        replayed = fit_pca(rows, out_dim=5, store=store)
+        assert (store.computed, store.replayed) == (0, 1)
+        plain = fit_pca(rows, out_dim=5)
+        assert_same_model(computed, plain)
+        assert_same_model(replayed, plain)
+
+    def test_rank_deficient_fit_is_not_stored(self, tmp_path):
+        data = np.tile(np.arange(6.0), (20, 1)) * np.arange(1.0, 21.0)[:, None]
+        store = ArrayStore(tmp_path)
+        for _ in range(2):
+            with pytest.raises(DataError, match="rank 1"):
+                fit_pca(stored_rows(data), out_dim=3, store=store)
+        assert store.computed == 0
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"coordinate": True},
+            {"k": 4},
+            {"seed": 8},
+            {"n_init": 3},
+            {"max_iter": 299},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_kmeans_recomputes_for_any_other_input(self, tmp_path, monkeypatch, change):
+        points = np.random.default_rng(5).normal(size=(40, 3))
+        arguments = {"k": 3, "seed": 7, "n_init": 2, "max_iter": 300}
+        kmeans(points, **arguments, store=ArrayStore(tmp_path))
+        if change.pop("coordinate", False):
+            points = points.copy()
+            points[17, 1] = np.nextafter(points[17, 1], np.inf)
+        arguments.update(change)
+        lloyd_runs = record_calls(monkeypatch, clustering, "_lloyd")
+        store = ArrayStore(tmp_path)
+        result = kmeans(points, **arguments, store=store)
+        assert (store.computed, store.replayed) == (1, 0)
+        assert len(lloyd_runs) == arguments["n_init"]
+        assert_same_result(result, kmeans(points, **arguments))
+
+    def test_fit_recomputes_for_another_out_dim(self, tmp_path, monkeypatch):
+        rows = stored_rows(np.random.default_rng(6).normal(size=(200, 10)))
+        fit_pca(rows, out_dim=4, store=ArrayStore(tmp_path))
+        eigh_calls = record_calls(monkeypatch, np.linalg, "eigh")
+        store = ArrayStore(tmp_path)
+        assert_same_model(fit_pca(rows, out_dim=5, store=store), fit_pca(rows, out_dim=5))
+        assert (store.computed, store.replayed) == (1, 0)
+        assert len(eigh_calls) == 2
+
+    def test_no_result_replayed_under_another_numeric_identity(self, tmp_path, monkeypatch):
+        points = np.random.default_rng(9).normal(size=(30, 2))
+        rows = stored_rows(points)
+        first = ArrayStore(tmp_path)
+        kmeans(points, 3, seed=1, store=first)
+        fit_pca(rows, out_dim=2, store=first)
+        same = ArrayStore(tmp_path)
+        kmeans(points, 3, seed=1, store=same)
+        fit_pca(rows, out_dim=2, store=same)
+        assert (same.computed, same.replayed) == (0, 2)
+        identity = cache_module.numeric_identity()
+        monkeypatch.setattr(cache_module, "numeric_identity", lambda: identity + " elsewhere")
+        other = ArrayStore(tmp_path)
+        kmeans(points, 3, seed=1, store=other)
+        fit_pca(rows, out_dim=2, store=other)
+        assert (other.computed, other.replayed) == (2, 0)
+
+    @pytest.mark.parametrize("variable", cache_module.BLAS_THREAD_VARIABLES)
+    def test_thread_settings_enter_the_numeric_identity(self, monkeypatch, variable):
+        identity = cache_module.numeric_identity()
+        monkeypatch.setenv(variable, "2" if os.environ.get(variable) == "1" else "1")
+        assert cache_module.numeric_identity() != identity
+
+    def test_usable_cpus_enter_the_numeric_identity(self, monkeypatch):
+        identity = cache_module.numeric_identity()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5, 6, 7, 64})
+        assert cache_module.numeric_identity() != identity

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import taskshift
-from taskshift import cli, pipeline as pipeline_module
+from taskshift import cli, clustering, pipeline as pipeline_module
 from taskshift.cli import main
 from taskshift.config import PipelineConfig
 from taskshift.corpus import Vacancy
@@ -23,7 +23,7 @@ from taskshift.gateway import MockProvider, ResponseCache
 from taskshift.pipeline import STAGE_TABLE, STAGES, Pipeline, read_jsonl, write_jsonl
 from taskshift.prompts import task_extraction_request
 
-from conftest import write_config
+from conftest import record_calls, write_config
 
 
 def run_all(config: PipelineConfig) -> Pipeline:
@@ -142,6 +142,28 @@ class TestEndToEnd:
         pipeline = run_all(fixture_config)
         again = [pipeline.run_stage(stage) for stage in STAGES]
         assert all(artifact.reused for artifact in again)
+
+    def test_every_table_is_written_in_key_order(self, fixture_config):
+        task, role = ("vacancy_id", "task_number"), ("vacancy_id",)
+        keys = {
+            "vacancies.jsonl": role,
+            "tasks.jsonl": task,
+            "roles.jsonl": role,
+            "task_weights.jsonl": task,
+            "role_clusters.jsonl": role,
+            "taxonomy.jsonl": task,
+            "raked_weights.jsonl": ("role_key",),
+            "sweep.jsonl": ("theta",),
+            "sensitivity.jsonl": ("delta", "theta"),
+            "plans.jsonl": ("role_key", "variant"),
+        }
+        out = Path(run_all(fixture_config).out_dir)
+        assert sorted(path.name for path in out.rglob("*.jsonl")) == sorted(keys)
+        for name, fields in keys.items():
+            order = [tuple(row[field] for field in fields) for row in read_jsonl(out / name)]
+            assert len(order) > 1, name
+            # strictly increasing: sorted, and no key written twice
+            assert all(one < other for one, other in zip(order, order[1:])), name
 
     def test_warm_cache_run_is_bit_identical(self, tmp_path):
         import hashlib
@@ -714,6 +736,83 @@ class TestEmbeddingCache:
         sent.clear()
         assert main(["cluster", "--config", str(config), "--force"]) == 0
         assert sent == []
+
+
+def record_kernel_runs(monkeypatch) -> tuple[list, list]:
+    """Every ``np.linalg.eigh`` call and every Lloyd run, as two lists."""
+    eigh_calls = record_calls(monkeypatch, np.linalg, "eigh")
+    return eigh_calls, record_calls(monkeypatch, clustering, "_lloyd")
+
+
+def artifacts(out_dir: Path) -> dict[str, bytes]:
+    """Every output file's bytes by relative path, manifests left out."""
+    return {
+        path.relative_to(out_dir).as_posix(): path.read_bytes()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file() and "manifests" not in path.relative_to(out_dir).parts
+    }
+
+
+class TestKernelReplay:
+    def test_primed_cache_run_makes_no_eigh_or_lloyd_call(self, tmp_path, monkeypatch):
+        first, second = tmp_path / "out1", tmp_path / "out2"
+        run_all(PipelineConfig.load(write_config(tmp_path, out_dir=str(first))))
+        files = sorted((tmp_path / "cache").iterdir())
+        assert any(path.name.endswith(".arrays") for path in files)
+        eigh_calls, lloyd_runs = record_kernel_runs(monkeypatch)
+        warm = run_all(PipelineConfig.load(write_config(tmp_path, out_dir=str(second))))
+        assert (len(eigh_calls), len(lloyd_runs)) == (0, 0)
+        assert warm.manager.arrays.replayed == 13  # role clusters, PCA, 1 + 10 taxonomy runs
+        assert artifacts(second) == artifacts(first)
+        assert sorted((tmp_path / "cache").iterdir()) == files
+
+    def test_delta_rerun_runs_lloyd_only_for_the_role_clusters(self, tmp_path, monkeypatch):
+        run_all(PipelineConfig.load(write_config(tmp_path)))
+        eigh_calls, lloyd_runs = record_kernel_runs(monkeypatch)
+        rerun = run_all(PipelineConfig.load(write_config(tmp_path, delta=0.5)))
+        assert len(eigh_calls) == 0
+        # the role points changed, the task texts did not: one k-means of 10 restarts
+        assert len(lloyd_runs) == 10
+        assert (rerun.manager.arrays.computed, rerun.manager.arrays.replayed) == (1, 12)
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        monkeypatch.undo()
+        run_all(PipelineConfig.load(write_config(fresh, delta=0.5)))
+        assert artifacts(tmp_path / "out") == artifacts(fresh / "out")
+
+    @pytest.mark.parametrize("damage", ["torn", "resized"])
+    def test_damaged_record_is_recomputed(self, tmp_path, monkeypatch, caplog, damage):
+        config = write_config(tmp_path)
+        for stage in UP_TO_CLUSTER:
+            assert main([stage, "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        before = {name: (out / name).read_bytes() for name in CLUSTER_OUTPUTS}
+        (segment,) = (tmp_path / "cache").glob("*.arrays")
+        (index,) = (tmp_path / "cache").glob("*.arrays.index")
+        lines = index.read_text().splitlines()
+        # records in run order: role clusters, PCA, top-level, 10 sub-cluster runs
+        assert len(lines) == 13
+        if damage == "torn":
+            # a crash inside the last record: that sub-cluster run is lost
+            segment.write_bytes(segment.read_bytes()[:-12])
+        else:
+            # a later line gives the PCA record another length, and wins
+            key, offset, length = lines[1].split()
+            with index.open("a") as handle:
+                handle.write(f"{key} {offset} {int(length) - 1}\n")
+        eigh_calls, lloyd_runs = record_kernel_runs(monkeypatch)
+        caplog.set_level("INFO", logger="taskshift.pipeline")
+        assert main(["cluster", "--config", str(config), "--force"]) == 0
+        if damage == "torn":
+            assert (len(eigh_calls), len(lloyd_runs)) == (0, 10)
+        else:
+            assert (len(eigh_calls), len(lloyd_runs)) == (1, 0)
+        assert "12 PCA and k-means results replayed from the cache, 1 computed" in caplog.text
+        assert {name: (out / name).read_bytes() for name in CLUSTER_OUTPUTS} == before
+        eigh_calls.clear()
+        lloyd_runs.clear()
+        assert main(["cluster", "--config", str(config), "--force"]) == 0
+        assert (len(eigh_calls), len(lloyd_runs)) == (0, 0)
 
 
 class TestCli:
