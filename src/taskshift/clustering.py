@@ -339,14 +339,16 @@ def normalize_text(text: str, stopwords: frozenset[str] | None = None) -> str:
     return " ".join(token for token in kept if token and token not in stopwords)
 
 
-def _chunks(rows: EmbeddingRows, buffer: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def _chunks(rows: EmbeddingRows) -> Iterator[tuple[int, np.ndarray]]:
     """``(start, chunk)`` for each ``PCA_CHUNK_ROWS``-row chunk of ``rows``, in row order.
 
-    Every chunk is read from the embedding store into ``buffer`` (at least
-    ``min(n, PCA_CHUNK_ROWS)`` rows, reused), so a caller may overwrite it;
-    no array as large as the input is made.
+    Every chunk is read from the embedding store into one buffer of
+    ``min(n, PCA_CHUNK_ROWS)`` rows, reused, so a caller may overwrite it;
+    no array as large as the input is made. The buffer is freed once the
+    caller lets go of the last chunk.
     """
-    n = rows.shape[0]
+    n, d = rows.shape
+    buffer = np.empty((min(n, PCA_CHUNK_ROWS), d))
     for start in range(0, n, PCA_CHUNK_ROWS):
         chunk = buffer[: min(PCA_CHUNK_ROWS, n - start)]
         rows.readinto(start, chunk)
@@ -366,8 +368,7 @@ class ProjectionModel:
         """Project stored rows onto the components, one ``PCA_CHUNK_ROWS`` chunk at a time."""
         n = rows.shape[0]
         projected = np.empty((n, self.components.shape[0]))
-        buffer = np.empty((min(n, PCA_CHUNK_ROWS), rows.shape[1]))
-        for start, chunk in _chunks(rows, buffer):
+        for start, chunk in _chunks(rows):
             chunk -= self.mean
             np.matmul(chunk, self.components.T, out=projected[start : start + chunk.shape[0]])
         return projected
@@ -381,32 +382,40 @@ class ProjectionModel:
         }
 
 
-def _moments(rows: EmbeddingRows) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and centred scatter matrix, each from one pass over the chunks.
+def _column_mean(rows: EmbeddingRows, hasher: hashlib._Hash | None = None) -> np.ndarray:
+    """Column mean of ``rows`` from one pass over the chunks; ``hasher`` is fed their bytes.
 
     The mean is a running sum in row order: each chunk after the first
     carries the sum so far in its first row, and ``np.add.reduce`` over
     axis 0 adds rows one after another, so the sum rounds as
     ``matrix.mean(axis=0)`` rounds it whenever d > 1 (numpy sums a single
-    column pairwise) or the rows fit in one chunk. The scatter matrix is
-    the sum of each centred chunk's ``chunk.T @ chunk``, formed in one
-    reused d×d buffer. The chunk buffers are freed when this returns.
+    column pairwise) or the rows fit in one chunk. Each chunk is hashed
+    before the sum is carried into it, so ``hasher`` digests the rows'
+    float64 bytes in row order.
     """
-    n, d = rows.shape
-    buffer = np.empty((min(n, PCA_CHUNK_ROWS), d))
-    total = np.zeros(d)
-    for start, chunk in _chunks(rows, buffer):
+    total = np.zeros(rows.shape[1])
+    for start, chunk in _chunks(rows):
+        if hasher is not None:
+            hasher.update(chunk)
         if start:
             chunk[0] += total
         np.add.reduce(chunk, axis=0, out=total)
-    mean = total / n
+    return total / rows.shape[0]
+
+
+def _scatter(rows: EmbeddingRows, mean: np.ndarray) -> np.ndarray:
+    """The centred scatter matrix: the sum of each centred chunk's ``chunk.T @ chunk``.
+
+    Each product is formed in one reused d×d buffer, freed when this returns.
+    """
+    d = rows.shape[1]
     scatter = np.zeros((d, d))
     product = np.empty((d, d))
-    for _, chunk in _chunks(rows, buffer):
+    for _, chunk in _chunks(rows):
         chunk -= mean
         np.matmul(chunk.T, chunk, out=product)
         scatter += product
-    return mean, scatter
+    return scatter
 
 
 def fit_pca(
@@ -415,30 +424,35 @@ def fit_pca(
     """Fit a PCA projection; errors if the data cannot support ``out_dim``.
 
     ``rows`` are the stored rows :meth:`BatchManager.embed_texts` returns,
-    read in ``PCA_CHUNK_ROWS``-row chunks in row order (see ``_moments``),
-    so no array as large as the input is made. The top eigenvectors of the
-    centred scatter matrix are the components. An eigenvalue counts toward
-    the rank when it exceeds ``d * eps`` times the largest: below that,
-    eigenvalues of a d×d scatter matrix are rounding noise.
+    read in ``PCA_CHUNK_ROWS``-row chunks in row order (see ``_column_mean``
+    and ``_scatter``), so no array as large as the input is made. The top
+    eigenvectors of the centred scatter matrix are the components. An
+    eigenvalue counts toward the rank when it exceeds ``d * eps`` times the
+    largest: below that, eigenvalues of a d×d scatter matrix are rounding
+    noise.
 
     With a ``store``, the components, variances and ratios are looked up
-    under a digest of the scatter matrix, ``n`` and ``out_dim``, and
-    computed and stored on a miss; only fits that pass the rank check are
-    stored.
+    under the SHA-256 of the rows' float64 bytes, taken in the mean's pass,
+    and the shape and ``out_dim``. A hit forms no d×d array; a miss makes
+    the scatter pass with that mean, and stores the fit only if it passes
+    the rank check.
     """
     n, d = rows.shape
     if out_dim < 1 or out_dim > d:
         raise UsageError(f"out_dim={out_dim} invalid for {d}-dim input")
-    # no chunk buffer is alive next to eigh's own input copy and LAPACK workspace
-    mean, scatter = _moments(rows)
+    hasher = None if store is None else hashlib.sha256()
+    mean = _column_mean(rows, hasher)
+
+    def compute() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # no chunk buffer is alive next to eigh's own input copy and LAPACK workspace
+        return _principal_axes(_scatter(rows, mean), n, out_dim)
+
     if store is None:
-        components, variances, ratios = _principal_axes(scatter, n, out_dim)
+        components, variances, ratios = compute()
     else:
-        key = f"pca {_digest(scatter)} {d}x{d} n={n} out_dim={out_dim}"
+        key = f"pca-rows {hasher.hexdigest()} {n}x{d} out_dim={out_dim}"
         shapes = [(out_dim, d), (out_dim,), (out_dim,)]
-        components, variances, ratios = store.replay(
-            key, shapes, lambda: _principal_axes(scatter, n, out_dim)
-        )
+        components, variances, ratios = store.replay(key, shapes, compute)
     return ProjectionModel(
         mean=mean,
         components=components,

@@ -30,6 +30,7 @@ provider again.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -195,14 +196,33 @@ class ResponseCache(SegmentStore):
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+def blas_thread_count() -> int | None:
+    """The thread count of the OpenBLAS bundled with numpy's wheel, asked of the library.
+
+    OpenBLAS reads its environment variables once, when numpy is loaded,
+    so a variable set later does not change this count. ``None`` where no
+    bundled OpenBLAS exports the query.
+    """
+    libraries = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libraries.glob("libscipy_openblas64_*.so")):
+        try:
+            query = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        query.restype = ctypes.c_int
+        return int(query())
+    return None
+
+
 def numeric_identity() -> str:
     """What sets the bits of a numeric kernel's result besides its inputs.
 
     numpy's version; its BLAS entry (build, version and the CPU kernel
     OpenBLAS chose); the SIMD extensions numpy's own loops dispatch to; and
-    what sets OpenBLAS's thread count, its environment variables and the
-    CPUs this process may use. ``eigh`` bits change with any of them. All
-    are equal for every process started the same way on one machine.
+    what sets OpenBLAS's thread count: the count the library reports, its
+    environment variables and the CPUs this process may use. ``eigh`` bits
+    change with any of them. All are equal for every process started the
+    same way on one machine.
     """
     config = np.show_config(mode="dicts")
     if hasattr(os, "sched_getaffinity"):
@@ -214,6 +234,7 @@ def numeric_identity() -> str:
         "blas": config["Build Dependencies"]["blas"],
         "simd": config.get("SIMD Extensions"),
         "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        "blas_threads": blas_thread_count(),
         "cpus": cpus,
     }
     return json.dumps(identity, sort_keys=True)

@@ -156,8 +156,11 @@ def read_jsonl(path: Path) -> list[dict]:
 
 
 def write_json(path: Path, data: object) -> None:
+    """Write ``data`` as indented JSON, a piece at a time rather than as one string."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n", "utf-8")
+    with path.open("w", encoding="utf-8") as handle:
+        json.dump(data, handle, sort_keys=True, indent=1)
+        handle.write("\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:

@@ -1,5 +1,8 @@
 import itertools
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import dataclass, field
@@ -734,6 +737,101 @@ class TestKernelReplay:
         assert store.computed == 0
         assert not list(tmp_path.iterdir())
 
+    def test_replay_reads_the_rows_once_and_forms_no_scatter(self, tmp_path, monkeypatch):
+        n, d = 300, 256
+        rows = stored_rows(np.random.default_rng(3).normal(size=(n, d)))
+        fit_pca(rows, out_dim=25, store=ArrayStore(tmp_path))
+        eigh_calls = record_calls(monkeypatch, np.linalg, "eigh")
+        scatter_passes = record_calls(monkeypatch, clustering, "_scatter")
+        reads = record_calls(monkeypatch, rows, "readinto")
+        store = ArrayStore(tmp_path)
+        tracemalloc.start()
+        try:
+            replayed = fit_pca(rows, out_dim=25, store=store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (store.computed, store.replayed) == (0, 1)
+        assert eigh_calls == [] and scatter_passes == []
+        assert len(reads) == 1
+        # one 300×256 chunk (614 KB); no d×d scatter or product buffer
+        assert peak < n * d * 8 + 256 * 1024
+        assert_same_model(replayed, fit_pca(rows, out_dim=25))
+
+    def test_miss_frees_every_chunk_before_eigh(self, tmp_path, monkeypatch):
+        n, d = 20_000, 256
+        rows = stored_rows(np.random.default_rng(12).normal(size=(n, d)))
+        traced_at_entry = []
+        real_eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            traced_at_entry.append(tracemalloc.get_traced_memory()[0])
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        # note the first row of each read and count the scatter passes, keeping
+        # no buffer alive
+        starts, scatter_passes = [], []
+        real_readinto, real_scatter = rows.readinto, clustering._scatter
+
+        def recording_readinto(start, out):
+            starts.append(start)
+            real_readinto(start, out)
+
+        def counting_scatter(*args):
+            scatter_passes.append(len(starts))
+            return real_scatter(*args)
+
+        monkeypatch.setattr(rows, "readinto", recording_readinto)
+        monkeypatch.setattr(clustering, "_scatter", counting_scatter)
+        store = ArrayStore(tmp_path)
+        tracemalloc.start()
+        try:
+            computed = fit_pca(rows, out_dim=25, store=store)
+        finally:
+            tracemalloc.stop()
+        assert (store.computed, store.replayed) == (1, 0)
+        # the mean's pass, hashed, then one scatter pass
+        chunk_starts = list(range(0, n, PCA_CHUNK_ROWS))
+        assert starts == 2 * chunk_starts
+        assert scatter_passes == [len(chunk_starts)]
+        # the d×d scatter matrix and the mean may be alive; no chunk (8.4 MB)
+        assert len(traced_at_entry) == 1
+        assert traced_at_entry[0] < 2 * d * d * 8 + 2**20
+        assert_same_model(computed, fit_pca(rows, out_dim=25))
+
+    def test_scatter_keyed_record_is_recomputed_once(self, tmp_path, monkeypatch):
+        n, d, out_dim = 300, 12, 5
+        rows = stored_rows(np.random.default_rng(4).normal(size=(n, d)))
+        plain = fit_pca(rows, out_dim=out_dim)
+        # the record an earlier version stored, keyed by the scatter matrix
+        scatter = clustering._scatter(rows, plain.mean)
+        old_key = f"pca {clustering._digest(scatter)} {d}x{d} n={n} out_dim={out_dim}"
+        record = np.concatenate(
+            [plain.components.ravel(), plain.explained_variance, plain.explained_variance_ratio]
+        )
+        ArrayStore(tmp_path).append([old_key], record, record.size)
+        eigh_calls = record_calls(monkeypatch, np.linalg, "eigh")
+        store = ArrayStore(tmp_path)
+        upgraded = fit_pca(rows, out_dim=out_dim, store=store)
+        assert (store.computed, store.replayed) == (1, 0)
+        assert len(eigh_calls) == 1
+        later = ArrayStore(tmp_path)
+        replayed = fit_pca(rows, out_dim=out_dim, store=later)
+        assert (later.computed, later.replayed) == (0, 1)
+        assert len(eigh_calls) == 1
+        assert_same_model(upgraded, plain)
+        assert_same_model(replayed, plain)
+
+    def test_fit_recomputes_when_a_later_chunk_changes(self, tmp_path):
+        data = np.random.default_rng(8).normal(size=(2 * PCA_CHUNK_ROWS + 8, 4))
+        fit_pca(stored_rows(data), out_dim=2, store=ArrayStore(tmp_path))
+        data[PCA_CHUNK_ROWS + 3, 2] = np.nextafter(data[PCA_CHUNK_ROWS + 3, 2], np.inf)
+        store = ArrayStore(tmp_path)
+        refit = fit_pca(stored_rows(data), out_dim=2, store=store)
+        assert (store.computed, store.replayed) == (1, 0)
+        assert_same_model(refit, fit_pca(stored_rows(data), out_dim=2))
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -796,3 +894,20 @@ class TestKernelReplay:
         identity = cache_module.numeric_identity()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5, 6, 7, 64})
         assert cache_module.numeric_identity() != identity
+
+    def test_library_thread_count_enters_the_numeric_identity(self, monkeypatch):
+        count = cache_module.blas_thread_count()
+        # OpenBLAS read its variables when numpy was loaded; setting one now changes no thread
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str((count or 1) + 1))
+        assert json.loads(cache_module.numeric_identity())["blas_threads"] == count
+        assert cache_module.blas_thread_count() == count
+
+    def test_thread_count_is_read_from_the_library(self):
+        src = os.path.dirname(os.path.dirname(clustering.__file__))
+        script = "from taskshift.gateway import cache; print(cache.blas_thread_count())"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        expected = "None" if cache_module.blas_thread_count() is None else "1"
+        assert result.stdout.strip() == expected
