@@ -67,8 +67,8 @@ class PipelineConfig:
             raise UsageError(f"delta {self.delta} outside (0, 1]")
         if not 0.0 <= self.theta <= 1.0:
             raise UsageError(f"theta {self.theta} outside [0, 1]")
-        if any(not 0.0 <= theta <= 1.0 for theta in self.theta_grid):
-            raise UsageError("theta grid values must lie in [0, 1]")
+        if not self.theta_grid or any(not 0.0 <= theta <= 1.0 for theta in self.theta_grid):
+            raise UsageError("theta grid must hold at least one value, each in [0, 1]")
         if any(not 0.0 < delta <= 1.0 for delta in self.sensitivity_deltas):
             raise UsageError("sensitivity decay rates must lie in (0, 1]")
         if self.provider not in ("mock", "remote"):

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
 import os
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -56,8 +58,6 @@ from .raking import (
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-# the role fields ``build_profile`` reads
-_ROLE_FIELDS = ("vacancy_id", "title", "department", "grade", "profession", "salary")
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,43 @@ def iter_jsonl(path: Path) -> Iterator[dict]:
 
 def read_jsonl(path: Path) -> list[dict]:
     return list(iter_jsonl(path))
+
+
+def iter_groups(path: Path) -> Iterator[tuple[str, list[dict]]]:
+    """Each ``vacancy_id`` of a key-ordered table with its run of rows, one run at a time.
+
+    A key that goes backwards or repeats, or a task number that does not
+    increase within a run, is a ``DataError``: a tampered table is
+    reported, not misjoined.
+    """
+    key, run = None, []
+    for row in iter_jsonl(path):
+        vacancy_id = row["vacancy_id"]
+        number = row.get("task_number")
+        if vacancy_id == key and number is not None and run[-1]["task_number"] < number:
+            run.append(row)
+            continue
+        if run:
+            if not key < vacancy_id:
+                raise DataError(f"{path.name} is out of key order at vacancy {vacancy_id!r}")
+            yield key, run
+        key, run = vacancy_id, [row]
+    if run:
+        yield key, run
+
+
+def iter_joined(roles: Path, tasks: Path) -> Iterator[tuple[dict, list[dict]]]:
+    """Each role row with its task rows, by a merge of two key-ordered tables.
+
+    A role with no tasks (extract drops a role whose answers held none) is
+    skipped; tasks whose role is missing are a ``DataError``.
+    """
+    role_groups = iter_groups(roles)
+    for vacancy_id, task_rows in iter_groups(tasks):
+        role_id, (role,) = next((g for g in role_groups if g[0] >= vacancy_id), (None, [None]))
+        if role_id != vacancy_id:
+            raise DataError(f"{tasks.name} holds vacancy {vacancy_id!r}, which {roles.name} lacks")
+        yield role, task_rows
 
 
 def write_json(path: Path, data: object) -> None:
@@ -391,23 +428,15 @@ class Pipeline:
 
         Weight joins vacancies with tasks; redesign and report join weight's
         own tables, so no stage after weight decodes a job description.
-        Only the fields ``build_profile`` reads are kept, and profiles are
-        built one at a time in ``vacancy_id`` order, each role's rows freed
-        once its profile is built.
+        The join is a merge (``iter_joined``): profiles are built one at a
+        time in ``vacancy_id`` order, and one role's rows are held at a time.
         """
-        by_id = {
-            row["vacancy_id"]: {field: row[field] for field in _ROLE_FIELDS}
-            for row in iter_jsonl(self.out_dir / roles)
-        }
-        grouped: dict[str, list[tuple[int, str, float]]] = {}
-        for row in iter_jsonl(self.out_dir / tasks):
-            grouped.setdefault(row["vacancy_id"], []).append(
-                (row["task_number"], row["task_details"], row["exposure_score"])
-            )
-        for vacancy_id in sorted(grouped):
-            rows = sorted(grouped.pop(vacancy_id), key=lambda task: task[0])
-            records = [task_record(*task) for task in rows]
-            yield build_profile(by_id.pop(vacancy_id), records, self.config.delta)
+        for role, rows in iter_joined(self.out_dir / roles, self.out_dir / tasks):
+            records = [
+                task_record(row["task_number"], row["task_details"], row["exposure_score"])
+                for row in rows
+            ]
+            yield build_profile(role, records, self.config.delta)
 
     # -- stage bodies ---------------------------------------------------------
 
@@ -419,9 +448,7 @@ class Pipeline:
             load_grade_map(config.grade_map_path) if config.grade_map_path else None,
             vocab=vocab,
         )
-        counts: dict[str, int] = {}
-        for vacancy in parsed.vacancies:
-            counts[vacancy.department] = counts.get(vacancy.department, 0) + 1
+        counts = Counter(vacancy.department for vacancy in parsed.vacancies)
         small = {
             dept for dept, n in counts.items() if n < config.min_department_vacancies
         }
@@ -461,17 +488,16 @@ class Pipeline:
                 vacancy.job_description = vacancy.job_description[:cap]
                 vacancy.job_summary = vacancy.job_summary[:cap]
         result = extract_corpus(vacancies, self.manager)
-        rows = []
-        for vacancy_id in sorted(result.tasks_by_vacancy):
-            for task in result.tasks_by_vacancy[vacancy_id]:
-                rows.append(
-                    {
-                        "vacancy_id": vacancy_id,
-                        "task_number": task.task_number,
-                        "task_details": task.task_details,
-                        "exposure_score": task.exposure,
-                    }
-                )
+        rows = [
+            {
+                "vacancy_id": vacancy_id,
+                "task_number": task.task_number,
+                "task_details": task.task_details,
+                "exposure_score": task.exposure,
+            }
+            for vacancy_id in sorted(result.tasks_by_vacancy)
+            for task in result.tasks_by_vacancy[vacancy_id]
+        ]
         write_jsonl(self.out_dir / "tasks.jsonl", rows)
         for report in result.reports:
             log.info(
@@ -505,10 +531,8 @@ class Pipeline:
         )
 
     def _run_weight(self) -> None:
-        profiles = self._read_profiles("vacancies.jsonl", "tasks.jsonl")
-        role_rows = []
-        task_rows = []
-        for profile in profiles:
+        role_rows, task_rows = [], []
+        for profile in self._read_profiles("vacancies.jsonl", "tasks.jsonl"):
             aggregates = profile.aggregates
             role_rows.append(
                 {
@@ -680,30 +704,23 @@ class Pipeline:
         )
 
     def _build_role_inputs(self) -> list[savings.RoleInput]:
+        """Each raked role's scores in task order, salary and weight, by the profiles' join."""
         weights = {
             row["role_key"]: row["weight"]
             for row in iter_jsonl(self.out_dir / "raked_weights.jsonl")
         }
-        exposures: dict[str, list[tuple[int, float]]] = {}
-        for row in iter_jsonl(self.out_dir / "task_weights.jsonl"):
-            exposures.setdefault(row["vacancy_id"], []).append(
-                (row["task_number"], row["exposure_score"])
+        joined = iter_joined(self.out_dir / "roles.jsonl", self.out_dir / "task_weights.jsonl")
+        return [
+            savings.RoleInput(
+                role_key=role["vacancy_id"],
+                exposures=tuple(row["exposure_score"] for row in rows),
+                salary=role["salary"],
+                weight=weights[role["vacancy_id"]],
             )
-        inputs = []
-        for role in iter_jsonl(self.out_dir / "roles.jsonl"):
-            vacancy_id = role["vacancy_id"]
-            if vacancy_id not in weights:
-                continue  # dropped before raking, e.g. unmapped grade
-            ordered = [score for _, score in sorted(exposures.pop(vacancy_id))]
-            inputs.append(
-                savings.RoleInput(
-                    role_key=vacancy_id,
-                    exposures=tuple(ordered),
-                    salary=role["salary"],
-                    weight=weights[vacancy_id],
-                )
-            )
-        return inputs
+            for role, rows in joined
+            # a role dropped before raking (e.g. unmapped grade) has no weight
+            if role["vacancy_id"] in weights
+        ]
 
     def _run_savings(self) -> None:
         config = self.config
@@ -791,21 +808,24 @@ class Pipeline:
         config = self.config
 
         # each table is reduced to what the report uses while it is read:
-        # counters, each role's (mean, std, salary) and the eligible profiles
-        score_counts: dict[float, int] = {}
-        band_counts: dict[str, int] = {}
-        count_hist: dict[int, int] = {}
-        role_stats: dict[str, tuple[float, float, float | None]] = {}
+        # counters, each cluster's role means and stds, and the eligible profiles
+        score_counts: Counter[float] = Counter()
+        band_counts: Counter[str] = Counter()
+        count_hist: Counter[int] = Counter()
+        stats_of: dict[str, list[tuple[float, float]]] = {}
 
         def tallied(profiles: Iterator[RoleProfile]) -> Iterator[RoleProfile]:
-            for profile in profiles:
+            # role_clusters.jsonl holds one row per role of roles.jsonl, in order
+            clusters = iter_jsonl(self.out_dir / "role_clusters.jsonl")
+            for profile, row in itertools.zip_longest(profiles, clusters):
+                if profile is None or row is None or row["vacancy_id"] != profile.vacancy_id:
+                    raise DataError("role_clusters.jsonl does not list the roles of roles.jsonl")
                 for task in profile.tasks:
-                    score = round(task.exposure, 2)
-                    score_counts[score] = score_counts.get(score, 0) + 1
-                    band_counts[task.band.value] = band_counts.get(task.band.value, 0) + 1
-                count_hist[len(profile.tasks)] = count_hist.get(len(profile.tasks), 0) + 1
+                    score_counts[round(task.exposure, 2)] += 1
+                    band_counts[task.band.value] += 1
+                count_hist[len(profile.tasks)] += 1
                 aggregates = profile.aggregates
-                role_stats[profile.vacancy_id] = (aggregates.mean, aggregates.std, profile.salary)
+                stats_of.setdefault(row["cluster"], []).append((aggregates.mean, aggregates.std))
                 yield profile
 
         eligible = redesign.eligible_roles(
@@ -821,7 +841,7 @@ class Pipeline:
             report_dir / "band_shares.csv",
             ["band", "count", "share_percent"],
             [
-                [band, band_counts.get(band, 0), f"{100.0 * band_counts.get(band, 0) / total_tasks:.2f}"]
+                [band, band_counts[band], f"{100.0 * band_counts[band] / total_tasks:.2f}"]
                 for band in ("VeryLow", "Low", "Medium", "High")
             ],
         )
@@ -831,19 +851,12 @@ class Pipeline:
             [[count, n] for count, n in sorted(count_hist.items())],
         )
 
-        means_of: dict[str, list[float]] = {}
-        stds_of: dict[str, list[float]] = {}
-        for row in iter_jsonl(self.out_dir / "role_clusters.jsonl"):
-            mean, std, _ = role_stats[row["vacancy_id"]]
-            means_of.setdefault(row["cluster"], []).append(mean)
-            stds_of.setdefault(row["cluster"], []).append(std)
         cluster_rows = []
         for name in ("Low", "Augmentation", "Adaptation", "Automation"):
-            means = means_of.get(name, [])
-            if not means:
+            if name not in stats_of:
                 cluster_rows.append([name, 0, "", "", "", ""])
                 continue
-            stds = stds_of[name]
+            means, stds = zip(*stats_of[name])
             cluster_rows.append(
                 [
                     name,
@@ -864,10 +877,9 @@ class Pipeline:
         # the only roles with plans
         eligible_ids = {profile.vacancy_id for profile in eligible}
         category_of: dict[tuple[str, int], str] = {}
-        tax_counts: dict[tuple[str, str], int] = {}
+        tax_counts: Counter[tuple[str, str]] = Counter()
         for row in iter_jsonl(self.out_dir / "taxonomy.jsonl"):
-            key = (row["category_label"], row["subcategory_label"])
-            tax_counts[key] = tax_counts.get(key, 0) + 1
+            tax_counts[(row["category_label"], row["subcategory_label"])] += 1
             if row["vacancy_id"] in eligible_ids:
                 category_of[(row["vacancy_id"], row["task_number"])] = row["category_label"]
         write_csv(
@@ -878,9 +890,6 @@ class Pipeline:
 
         def _money(value: float) -> str:
             return str(round(value))
-
-        def _ratio(value: float) -> str:
-            return "inf" if math.isinf(value) else f"{value:.4f}"
 
         write_csv(
             report_dir / "sweep.csv",
@@ -900,7 +909,7 @@ class Pipeline:
                     _money(row["cost_reduction"]),
                     _money(row["productivity_gain"]),
                     _money(row["productivity_upper"]),
-                    _ratio(row["ratio"]),
+                    "inf" if math.isinf(row["ratio"]) else f"{row['ratio']:.4f}",
                     row["n_cost"],
                     row["n_productivity"],
                     row["n_no_impact"],
@@ -909,22 +918,20 @@ class Pipeline:
             ],
         )
 
-        at_theta = [
-            row
+        # savings reports at the grid point nearest config.theta
+        theta = json.loads((self.out_dir / "savings_summary.json").read_text("utf-8"))["theta"]
+        by_delta = {
+            row["delta"]: row
             for row in iter_jsonl(self.out_dir / "sensitivity.jsonl")
-            if abs(row["theta"] - config.theta) < 1e-9
-        ]
-        deltas = sorted({row["delta"] for row in at_theta})
-        by_delta = {row["delta"]: row for row in at_theta}
+            if row["theta"] == theta
+        }
+        deltas = sorted(by_delta)
         write_csv(
             report_dir / "decay_sensitivity.csv",
             ["saving_type"] + [f"delta_{delta}" for delta in deltas],
             [
-                ["cost_reduction"] + [_money(by_delta[delta]["cost_reduction"]) for delta in deltas],
-                ["productivity_gain"]
-                + [_money(by_delta[delta]["productivity_gain"]) for delta in deltas],
-                ["productivity_upper"]
-                + [_money(by_delta[delta]["productivity_upper"]) for delta in deltas],
+                [saving] + [_money(by_delta[delta][saving]) for delta in deltas]
+                for saving in ("cost_reduction", "productivity_gain", "productivity_upper")
             ],
         )
 
@@ -964,9 +971,11 @@ class Pipeline:
         }
         focus_plans = plans_by_variant.get(redesign.FOCUS, {})
         salaried = {
-            key: role_stats[key][2]
-            for key in focus_plans
-            if key in role_stats and role_stats[key][2] is not None and key in raked
+            profile.vacancy_id: profile.salary
+            for profile in eligible
+            if profile.salary is not None
+            and profile.vacancy_id in focus_plans
+            and profile.vacancy_id in raked
         }
         decile_rows: list[list] = []
         if salaried:

@@ -101,10 +101,7 @@ def savings_from_shares(
 
 def exposure_shares(exposures: Sequence[float], delta: float) -> tuple[float, float]:
     """(high, medium) time shares of an ordered score list under decay."""
-    return _split_shares(exposures, decay_weights(len(exposures), delta).normalized)
-
-
-def _split_shares(exposures: Sequence[float], weights: Sequence[float]) -> tuple[float, float]:
+    weights = decay_weights(len(exposures), delta).normalized
     high = math.fsum(w for w, e in zip(weights, exposures) if e >= HIGH_CUTOFF)
     medium = math.fsum(
         w for w, e in zip(weights, exposures) if MEDIUM_CUTOFF <= e < HIGH_CUTOFF
@@ -160,14 +157,8 @@ def sweep(
     thetas = tuple(theta_grid) if theta_grid is not None else DEFAULT_THETA_GRID
     row_weights = [role.weight for role in roles]
 
-    # exposure_shares per role, with the decay weights built once per task count
-    by_count: dict[int, tuple[float, ...]] = {}
-    shares = []
-    for role in roles:
-        count = len(role.exposures)
-        if count not in by_count:
-            by_count[count] = decay_weights(count, delta).normalized
-        shares.append(_split_shares(role.exposures, by_count[count]))
+    # decay_weights is cached, so roles with equal task counts share one instance
+    shares = [exposure_shares(role.exposures, delta) for role in roles]
     missing_salary = sum(1 for role in roles if role.salary is None)
     highs = [high for high, _ in shares]
     if highs and thetas:

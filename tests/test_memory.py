@@ -9,6 +9,7 @@ benchmark's generator (``bench/synthetic.py``, ``template`` duties) and is
 built and run once per session.
 """
 
+import collections
 import gc
 import importlib.util
 import json
@@ -124,3 +125,12 @@ def test_cluster_enters_the_taxonomy_without_the_task_rows(generated_run, monkey
     traced_peak(run)
     (entry,) = live
     assert entry <= limit, f"cluster: {entry:,} B live at the taxonomy over {limit:,.0f} B"
+
+
+def test_profile_join_holds_one_role_at_a_time(generated_run):
+    # a merge of the two key-ordered tables: one role's rows and one profile
+    # at a time, not an index over either table
+    limit = 0.1 * largest_decoded(generated_run, ("task_weights.jsonl",))
+    profiles = lambda: generated_run._read_profiles("roles.jsonl", "task_weights.jsonl")
+    peak = traced_peak(lambda: collections.deque(profiles(), maxlen=0))
+    assert peak <= limit, f"profile join: traced peak {peak:,} B over {limit:,.0f} B"

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import itertools
 import json
 import math
 import os
@@ -20,7 +22,15 @@ from taskshift.config import PipelineConfig
 from taskshift.corpus import Vacancy
 from taskshift.errors import DataError, UsageError
 from taskshift.gateway import MockProvider, ResponseCache
-from taskshift.pipeline import STAGE_TABLE, STAGES, Pipeline, read_jsonl, write_jsonl
+from taskshift.pipeline import (
+    STAGE_TABLE,
+    STAGES,
+    Pipeline,
+    iter_groups,
+    iter_joined,
+    read_jsonl,
+    write_jsonl,
+)
 from taskshift.prompts import task_extraction_request
 
 from conftest import record_calls, write_config
@@ -646,6 +656,128 @@ class TestProfileReader:
         assert rebuilt == built
 
 
+# task rows: distinct task numbers under each of a few vacancy ids
+TASK_RUNS = st.dictionaries(
+    st.text(alphabet="V01", min_size=1, max_size=3),
+    st.sets(st.integers(-3, 30), min_size=1, max_size=4),
+    max_size=6,
+)
+
+
+def task_rows(runs: dict[str, set[int]]) -> list[dict]:
+    """The rows of ``runs`` in key order, as a task table is written."""
+    return [
+        {"vacancy_id": key, "task_number": number}
+        for key in sorted(runs)
+        for number in sorted(runs[key])
+    ]
+
+
+def swap_lines(path: Path, first: int, second: int) -> None:
+    lines = path.read_text("utf-8").splitlines(keepends=True)
+    lines[first], lines[second] = lines[second], lines[first]
+    path.write_text("".join(lines), "utf-8")
+
+
+def repin(out: Path, stage: str, name: str) -> None:
+    """Record ``name``'s present hash in ``stage``'s manifest, as if the stage wrote it."""
+    manifest = out / "manifests" / f"{stage}.json"
+    record = json.loads(manifest.read_text("utf-8"))
+    record["outputs"][name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    manifest.write_text(json.dumps(record), "utf-8")
+
+
+class TestOrderedTables:
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(runs=TASK_RUNS)
+    def test_groups_of_ordered_rows_are_groupby_runs(self, tmp_path, runs):
+        rows = task_rows(runs)
+        path = tmp_path / "tasks.jsonl"
+        write_jsonl(path, rows)
+        expected = [
+            (key, list(run)) for key, run in itertools.groupby(rows, lambda row: row["vacancy_id"])
+        ]
+        assert list(iter_groups(path)) == expected
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(runs=TASK_RUNS.filter(lambda runs: sum(map(len, runs.values())) > 1), data=st.data())
+    def test_any_descent_or_repeat_is_a_data_error(self, tmp_path, runs, data):
+        rows = task_rows(runs)
+        first = data.draw(st.integers(0, len(rows) - 2))
+        second = data.draw(st.integers(first + 1, len(rows) - 1))
+        if data.draw(st.booleans()):
+            rows[first], rows[second] = rows[second], rows[first]  # a descent
+        else:
+            rows[second] = rows[first]  # a repeat
+        path = tmp_path / "tasks.jsonl"
+        write_jsonl(path, rows)
+        with pytest.raises(DataError, match="tasks.jsonl is out of key order"):
+            list(iter_groups(path))
+
+    def test_role_table_with_a_repeated_key_is_a_data_error(self, tmp_path):
+        path = tmp_path / "roles.jsonl"
+        write_jsonl(path, [{"vacancy_id": "A"}, {"vacancy_id": "B"}, {"vacancy_id": "B"}])
+        with pytest.raises(DataError, match="roles.jsonl is out of key order at vacancy 'B'"):
+            list(iter_groups(path))
+
+    def test_join_skips_roles_without_tasks_and_refuses_tasks_without_a_role(self, tmp_path):
+        roles, tasks = tmp_path / "roles.jsonl", tmp_path / "tasks.jsonl"
+        write_jsonl(roles, [{"vacancy_id": key} for key in ("A", "B", "D")])
+        write_jsonl(tasks, task_rows({"A": {1, 2}, "D": {1}}))
+        joined = [(role["vacancy_id"], len(rows)) for role, rows in iter_joined(roles, tasks)]
+        assert joined == [("A", 2), ("D", 1)]
+        write_jsonl(tasks, task_rows({"A": {1}, "C": {1}, "D": {1}}))
+        with pytest.raises(DataError, match="tasks.jsonl holds vacancy 'C', which roles.jsonl"):
+            list(iter_joined(roles, tasks))
+
+    @pytest.mark.parametrize("within_role", [True, False])
+    def test_swapped_task_rows_exit_two(self, tmp_path, capsys, within_role):
+        config = write_config(tmp_path)
+        for stage in ("ingest", "extract", "weight"):
+            assert main([stage, "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        table = out / "task_weights.jsonl"
+        keys = [row["vacancy_id"] for row in read_jsonl(table)]
+        run = keys.count(keys[0])
+        assert run > 1
+        # two tasks of the first role, or its last task and the next role's first
+        first = 0 if within_role else run - 1
+        swap_lines(table, first, first + 1)
+        repin(out, "weight", "task_weights.jsonl")
+        with pytest.raises(DataError, match="task_weights.jsonl is out of key order"):
+            Pipeline(PipelineConfig.load(config)).run_stage("redesign")
+        capsys.readouterr()
+        assert main(["redesign", "--config", str(config)]) == 2
+        assert "task_weights.jsonl is out of key order" in capsys.readouterr().err
+
+    def test_tasks_of_a_missing_role_exit_two(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        for stage in ("ingest", "extract", "weight"):
+            assert main([stage, "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        roles = out / "roles.jsonl"
+        lines = roles.read_text("utf-8").splitlines(keepends=True)
+        missing = json.loads(lines[1])["vacancy_id"]
+        roles.write_text("".join(lines[:1] + lines[2:]), "utf-8")
+        repin(out, "weight", "roles.jsonl")
+        assert main(["redesign", "--config", str(config)]) == 2
+        assert f"task_weights.jsonl holds vacancy {missing!r}" in capsys.readouterr().err
+
+    def test_report_checks_role_clusters_key_for_key(self, fixture_config):
+        pipeline = run_all(fixture_config)
+        out = Path(fixture_config.out_dir)
+        clusters = out / "role_clusters.jsonl"
+        lines = clusters.read_text("utf-8").splitlines(keepends=True)
+        clusters.write_text("".join(lines[:-1]), "utf-8")
+        repin(out, "cluster", "role_clusters.jsonl")
+        with pytest.raises(DataError, match="role_clusters.jsonl does not list the roles"):
+            pipeline.run_stage("report", force=True)
+
+
 UP_TO_CLUSTER = STAGES[: STAGES.index("cluster") + 1]
 CLUSTER_OUTPUTS = ("role_clusters.jsonl", "taxonomy.jsonl", "projection.json")
 
@@ -920,6 +1052,31 @@ class TestCli:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().splitlines()[-1] == "0 False"
+
+    def test_empty_theta_grid_is_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, theta_grid=[])
+        with pytest.raises(UsageError, match="theta grid must hold at least one value"):
+            PipelineConfig.load(config)
+        assert main(["all", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_off_grid_theta_reports_sensitivity_at_the_savings_grid_point(self, tmp_path):
+        config = write_config(tmp_path)
+        assert main(["all", "--config", str(config), "--theta", "0.82"]) == 0
+        out = tmp_path / "out"
+        theta = json.loads((out / "savings_summary.json").read_text())["theta"]
+        assert theta == 0.8
+        at_theta = {
+            row["delta"]: row for row in read_jsonl(out / "sensitivity.jsonl") if row["theta"] == theta
+        }
+        deltas = sorted(at_theta)
+        assert len(deltas) == 3
+        with (out / "report" / "decay_sensitivity.csv").open() as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["saving_type"] + [f"delta_{delta}" for delta in deltas]
+        assert len(rows) == 4
+        for saving, *cells in rows[1:]:
+            assert cells == [str(round(at_theta[delta][saving])) for delta in deltas]
 
     def test_single_stage_requires_upstream(self, tmp_path):
         config = write_config(tmp_path)

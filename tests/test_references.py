@@ -23,9 +23,6 @@ ALLOWED = {
     "taskshift.savings.savings_from_shares": (
         "the reference oracle for sweep; acceptance criteria 3 and 5"
     ),
-    "taskshift.savings.exposure_shares": (
-        "the reference oracle for sweep; acceptance criterion 5"
-    ),
     "taskshift.pipeline.read_jsonl": (
         "the benchmark's JSONL read hook (bench/spans.py); the memory tests' size measure"
     ),
