@@ -357,12 +357,17 @@ def _chunks(rows: EmbeddingRows) -> Iterator[tuple[int, np.ndarray]]:
 
 @dataclass
 class ProjectionModel:
-    """Mean-centered projection onto the top principal components."""
+    """Mean-centered projection onto the top principal components.
+
+    ``projected`` holds the fitted rows' coordinates, as :meth:`transform`
+    gives them, when :func:`fit_pca` made the model; ``to_dict`` leaves it out.
+    """
 
     mean: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
     explained_variance_ratio: np.ndarray
+    projected: np.ndarray | None = None
 
     def transform(self, rows: EmbeddingRows) -> np.ndarray:
         """Project stored rows onto the components, one ``PCA_CHUNK_ROWS`` chunk at a time."""
@@ -431,11 +436,12 @@ def fit_pca(
     largest: below that, eigenvalues of a d×d scatter matrix are rounding
     noise.
 
-    With a ``store``, the components, variances and ratios are looked up
-    under the SHA-256 of the rows' float64 bytes, taken in the mean's pass,
-    and the shape and ``out_dim``. A hit forms no d×d array; a miss makes
-    the scatter pass with that mean, and stores the fit only if it passes
-    the rank check.
+    A third pass projects the rows onto the components (``projected``).
+    With a ``store``, the components, variances, ratios and projected rows
+    are looked up under the SHA-256 of the rows' float64 bytes, taken in
+    the mean's pass, and the shape and ``out_dim``. A hit makes no other
+    pass and no BLAS call; a miss makes the scatter and projection passes
+    with that mean, and stores the fit only if it passes the rank check.
     """
     n, d = rows.shape
     if out_dim < 1 or out_dim > d:
@@ -443,22 +449,19 @@ def fit_pca(
     hasher = None if store is None else hashlib.sha256()
     mean = _column_mean(rows, hasher)
 
-    def compute() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def compute() -> tuple[np.ndarray, ...]:
         # no chunk buffer is alive next to eigh's own input copy and LAPACK workspace
-        return _principal_axes(_scatter(rows, mean), n, out_dim)
+        axes = _principal_axes(_scatter(rows, mean), n, out_dim)
+        return (*axes, ProjectionModel(mean, *axes).transform(rows))
 
     if store is None:
-        components, variances, ratios = compute()
+        parts = compute()
     else:
-        key = f"pca-rows {hasher.hexdigest()} {n}x{d} out_dim={out_dim}"
-        shapes = [(out_dim, d), (out_dim,), (out_dim,)]
-        components, variances, ratios = store.replay(key, shapes, compute)
-    return ProjectionModel(
-        mean=mean,
-        components=components,
-        explained_variance=variances,
-        explained_variance_ratio=ratios,
-    )
+        key = f"pca-rows {hasher.hexdigest()} {n}x{d} out_dim={out_dim} projected"
+        parts = store.replay(key, [(out_dim, d), (out_dim,), (out_dim,), (n, out_dim)], compute)
+    # the axes are copied out of the record, so dropping ``projected`` frees it
+    *axes, projected = parts
+    return ProjectionModel(mean, *(axis.copy() for axis in axes), projected)
 
 
 def _principal_axes(
@@ -513,7 +516,8 @@ def build_taxonomy(
 
     The projection dimension is clamped to what the corpus can support;
     label-request failures degrade to "cluster-<id>" placeholders. The PCA
-    fit and every k-means run go through ``manager.arrays``.
+    fit, with its projected rows, and every k-means run go through
+    ``manager.arrays``.
     """
     minimum = n_categories * n_subclusters
     if len(tasks) < minimum:
@@ -527,7 +531,8 @@ def build_taxonomy(
         log.info("clamping projection from %d to %d dims", pca_dim, effective_dim)
     store = manager.arrays
     projection = fit_pca(embeddings, out_dim=effective_dim, store=store)
-    projected = projection.transform(embeddings)
+    # the caller keeps the model, not the n×pca_dim coordinates
+    projected, projection.projected = projection.projected, None
 
     top = kmeans(projected, k=n_categories, seed=subseed(seed, "taxonomy-top"), store=store)
     subcategories = np.full(len(tasks), -1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -791,9 +792,9 @@ class TestKernelReplay:
         finally:
             tracemalloc.stop()
         assert (store.computed, store.replayed) == (1, 0)
-        # the mean's pass, hashed, then one scatter pass
+        # the mean's pass, hashed, then one scatter pass, then the projection's
         chunk_starts = list(range(0, n, PCA_CHUNK_ROWS))
-        assert starts == 2 * chunk_starts
+        assert starts == 3 * chunk_starts
         assert scatter_passes == [len(chunk_starts)]
         # the d×d scatter matrix and the mean may be alive; no chunk (8.4 MB)
         assert len(traced_at_entry) == 1
@@ -822,6 +823,64 @@ class TestKernelReplay:
         assert len(eigh_calls) == 1
         assert_same_model(upgraded, plain)
         assert_same_model(replayed, plain)
+
+    def test_fit_keyed_record_without_projection_is_recomputed_once(self, tmp_path, monkeypatch):
+        n, d, out_dim = 300, 12, 5
+        data = np.random.default_rng(4).normal(size=(n, d))
+        rows = stored_rows(data)
+        plain = fit_pca(rows, out_dim=out_dim)
+        # the record an earlier version stored: the fit without the projected rows
+        old_key = f"pca-rows {hashlib.sha256(data).hexdigest()} {n}x{d} out_dim={out_dim}"
+        record = np.concatenate(
+            [plain.components.ravel(), plain.explained_variance, plain.explained_variance_ratio]
+        )
+        ArrayStore(tmp_path).append([old_key], record, record.size)
+        eigh_calls = record_calls(monkeypatch, np.linalg, "eigh")
+        store = ArrayStore(tmp_path)
+        upgraded = fit_pca(rows, out_dim=out_dim, store=store)
+        assert (store.computed, store.replayed) == (1, 0)
+        assert len(eigh_calls) == 1
+        later = ArrayStore(tmp_path)
+        replayed = fit_pca(rows, out_dim=out_dim, store=later)
+        assert (later.computed, later.replayed) == (0, 1)
+        assert len(eigh_calls) == 1
+        assert_same_model(upgraded, plain)
+        assert_same_model(replayed, plain)
+        assert replayed.projected.tobytes() == plain.projected.tobytes()
+
+    def test_replayed_projection_makes_no_matmul_and_one_pass(self, tmp_path, monkeypatch):
+        n, d, out_dim = PCA_CHUNK_ROWS + 300, 8, 3
+        rows = stored_rows(np.random.default_rng(13).normal(size=(n, d)))
+        fit_pca(rows, out_dim=out_dim, store=ArrayStore(tmp_path))
+        matmul_calls = record_calls(monkeypatch, np, "matmul")
+        reads = record_calls(monkeypatch, rows, "readinto")
+        store = ArrayStore(tmp_path)
+        replayed = fit_pca(rows, out_dim=out_dim, store=store)
+        assert (store.computed, store.replayed) == (0, 1)
+        assert matmul_calls == []
+        assert [start for start, _ in reads] == list(range(0, n, PCA_CHUNK_ROWS))
+        monkeypatch.undo()
+        expected = fit_pca(rows, out_dim=out_dim).transform(rows)
+        assert replayed.projected.tobytes() == expected.tobytes()
+
+    def test_taxonomy_model_holds_no_record_with_the_coordinates(self, tmp_path):
+        texts = [f"duty text {i}" for i in range(2_000)]
+        # the PCA fit and three k-means results computed, then replayed by a later run
+        for expected in [(4, 0), (0, 4)]:
+            manager = BatchManager(MockProvider(dimension=64), cache=ResponseCache(tmp_path))
+            _, projection = build_taxonomy(texts, manager, seed=1, n_categories=2, n_subclusters=1)
+            assert (manager.arrays.computed, manager.arrays.replayed) == expected
+            assert projection.projected is None
+            for values in (
+                projection.mean,
+                projection.components,
+                projection.explained_variance,
+                projection.explained_variance_ratio,
+            ):
+                while values.base is not None:
+                    values = values.base
+                # 2,000 × 25 float64 coordinates are 400 KB
+                assert values.nbytes < 2_000 * 25 * 8 / 10
 
     def test_fit_recomputes_when_a_later_chunk_changes(self, tmp_path):
         data = np.random.default_rng(8).normal(size=(2 * PCA_CHUNK_ROWS + 8, 4))

@@ -898,6 +898,16 @@ class TestKernelReplay:
         assert artifacts(second) == artifacts(first)
         assert sorted((tmp_path / "cache").iterdir()) == files
 
+    def test_primed_cache_run_makes_no_matmul_call(self, tmp_path, monkeypatch):
+        first, second = tmp_path / "out1", tmp_path / "out2"
+        run_all(PipelineConfig.load(write_config(tmp_path, out_dir=str(first))))
+        # the taxonomy's projected rows are replayed with the PCA fit
+        matmul_calls = record_calls(monkeypatch, np, "matmul")
+        warm = run_all(PipelineConfig.load(write_config(tmp_path, out_dir=str(second))))
+        assert matmul_calls == []
+        assert warm.manager.arrays.replayed == 13
+        assert artifacts(second) == artifacts(first)
+
     def test_delta_rerun_runs_lloyd_only_for_the_role_clusters(self, tmp_path, monkeypatch):
         run_all(PipelineConfig.load(write_config(tmp_path)))
         eigh_calls, lloyd_runs = record_kernel_runs(monkeypatch)
