@@ -15,6 +15,7 @@ else.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -27,7 +28,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import IO, Callable, Iterator
 
 import orjson
 
@@ -114,9 +115,25 @@ def _canonical(data: object) -> str:
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def write_jsonl(path: Path, records: list[dict]) -> None:
+@contextlib.contextmanager
+def _replacing(path: Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """Write ``path`` through ``.<name>.<pid>.tmp`` beside it, renamed into place, so
+    a reader or a concurrent run sees the old file or the whole new one. On an
+    error the temporary file is removed and the target keeps its old bytes.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: Path, records: list[dict]) -> None:
+    with _replacing(path, newline="\n") as handle:
         for record in records:
             handle.write(_ROW_ENCODER.encode(record))
             handle.write("\n")
@@ -194,15 +211,13 @@ def iter_joined(roles: Path, tasks: Path) -> Iterator[tuple[dict, list[dict]]]:
 
 def write_json(path: Path, data: object) -> None:
     """Write ``data`` as indented JSON, a piece at a time rather than as one string."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         json.dump(data, handle, sort_keys=True, indent=1)
         handle.write("\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as handle:
+    with _replacing(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -411,11 +426,7 @@ class Pipeline:
             "content_hash": content_hash,
             "produced_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        self.manifest_dir.mkdir(parents=True, exist_ok=True)
-        path = self._manifest_path(stage)
-        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        temp.write_text(json.dumps(manifest, indent=1, sort_keys=True), "utf-8")
-        os.replace(temp, path)
+        write_json(self._manifest_path(stage), manifest)
         return StageArtifact.from_manifest(manifest, reused=False)
 
     def run_all(self, force: bool = False) -> list[StageArtifact]:
