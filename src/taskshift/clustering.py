@@ -44,14 +44,6 @@ class ExposureCluster(str, Enum):
     AUTOMATION = "Automation"
 
 
-CLUSTER_NAME_ORDER = (
-    ExposureCluster.LOW,
-    ExposureCluster.AUGMENTATION,
-    ExposureCluster.ADAPTATION,
-    ExposureCluster.AUTOMATION,
-)
-
-
 @dataclass(frozen=True)
 class KMeansResult:
     assignments: np.ndarray
@@ -240,14 +232,14 @@ def cluster_roles(
     matrix = np.asarray(role_points, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] != 2:
         raise UsageError("cluster_roles expects (mean, std) pairs")
-    if matrix.shape[0] < len(CLUSTER_NAME_ORDER):
+    if matrix.shape[0] < len(ExposureCluster):
         raise DataError(f"need at least 4 roles, got {matrix.shape[0]}")
-    if _distinct_rows(matrix) < len(CLUSTER_NAME_ORDER):
+    if _distinct_rows(matrix) < len(ExposureCluster):
         raise DataError("degenerate geometry: fewer than 4 distinct (mean, std) points")
 
     result = kmeans(matrix, k=4, seed=seed, store=store)
     order = np.argsort(result.centroids[:, 0], kind="stable")
-    name_for = {int(cluster): CLUSTER_NAME_ORDER[rank] for rank, cluster in enumerate(order)}
+    name_for = {int(cluster): name for cluster, name in zip(order, ExposureCluster)}
     labels = tuple(name_for[int(assignment)] for assignment in result.assignments)
     centroids = {
         name_for[int(cluster)]: (

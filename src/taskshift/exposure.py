@@ -128,6 +128,13 @@ def weighted_mean_std(scores: Sequence[float], weights: Sequence[float]) -> tupl
     return mean, math.sqrt(max(variance, 0.0))
 
 
+def time_shares(scores: Sequence[float], shares: Sequence[float]) -> tuple[float, float]:
+    """(High, Medium) time shares: the position shares of the scores in each band."""
+    high = math.fsum(w for w, s in zip(shares, scores) if s >= HIGH_CUTOFF)
+    medium = math.fsum(w for w, s in zip(shares, scores) if MEDIUM_CUTOFF <= s < HIGH_CUTOFF)
+    return high, medium
+
+
 def role_exposure(
     tasks: Sequence[TaskRecord],
     weights: DecayWeights,
@@ -141,9 +148,9 @@ def role_exposure(
     if len(tasks) != len(weights):
         raise UsageError(f"{len(tasks)} tasks vs {len(weights)} weights")
     shares = weights.normalized
-    mean, std = weighted_mean_std([t.exposure for t in tasks], shares)
-    high_share = math.fsum(w for w, t in zip(shares, tasks) if t.high)
-    medium_share = math.fsum(w for w, t in zip(shares, tasks) if t.band is Band.MEDIUM)
+    scores = [t.exposure for t in tasks]
+    mean, std = weighted_mean_std(scores, shares)
+    high_share, medium_share = time_shares(scores, shares)
     hours = tuple(HOURS_PER_WEEK * w for w in shares)
     value = None if salary is None else tuple(salary * w for w in shares)
     return RoleExposure(

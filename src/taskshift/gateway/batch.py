@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -260,6 +259,9 @@ class BatchManager:
         a duplicate later in a batch hit the first one's answer.
         """
         if self.policy.max_in_flight > 1 and getattr(self.provider, "waits_on_io", False):
+            # imported here: only providers that wait on the network start a pool
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=min(self.policy.max_in_flight, len(indexes))) as pool:
                 yield from zip(indexes, pool.map(call, indexes))
         else:

@@ -44,7 +44,7 @@ from .corpus import (
     parse_vacancies,
 )
 from .errors import DataError, UsageError
-from .exposure import RoleProfile, build_profile, extract_corpus, task_record
+from .exposure import Band, RoleProfile, build_profile, extract_corpus, task_record
 from .gateway import BatchManager, HttpProvider, MockProvider, ResponseCache, RetryPolicy
 from .raking import (
     SampleRow,
@@ -821,7 +821,7 @@ class Pipeline:
         # each table is reduced to what the report uses while it is read:
         # counters, each cluster's role means and stds, and the eligible profiles
         score_counts: Counter[float] = Counter()
-        band_counts: Counter[str] = Counter()
+        band_counts: Counter[Band] = Counter()
         count_hist: Counter[int] = Counter()
         stats_of: dict[str, list[tuple[float, float]]] = {}
 
@@ -833,7 +833,7 @@ class Pipeline:
                     raise DataError("role_clusters.jsonl does not list the roles of roles.jsonl")
                 for task in profile.tasks:
                     score_counts[round(task.exposure, 2)] += 1
-                    band_counts[task.band.value] += 1
+                    band_counts[task.band] += 1
                 count_hist[len(profile.tasks)] += 1
                 aggregates = profile.aggregates
                 stats_of.setdefault(row["cluster"], []).append((aggregates.mean, aggregates.std))
@@ -852,8 +852,8 @@ class Pipeline:
             report_dir / "band_shares.csv",
             ["band", "count", "share_percent"],
             [
-                [band, band_counts[band], f"{100.0 * band_counts[band] / total_tasks:.2f}"]
-                for band in ("VeryLow", "Low", "Medium", "High")
+                [band.value, band_counts[band], f"{100.0 * band_counts[band] / total_tasks:.2f}"]
+                for band in Band
             ],
         )
         write_csv(
@@ -863,7 +863,7 @@ class Pipeline:
         )
 
         cluster_rows = []
-        for name in ("Low", "Augmentation", "Adaptation", "Automation"):
+        for name in (cluster.value for cluster in clustering.ExposureCluster):
             if name not in stats_of:
                 cluster_rows.append([name, 0, "", "", "", ""])
                 continue
@@ -952,9 +952,7 @@ class Pipeline:
             plans_by_variant.setdefault(plan.variant, {})[plan.role_key] = plan
         shift = redesign.time_shift_report(eligible, plans_by_variant, category_of)
         columns = ["pre_automation", "post_automation"] + [
-            variant
-            for variant in (redesign.FOCUS, redesign.AUGMENT_REORDER, redesign.NEW_TASKS)
-            if variant in plans_by_variant
+            variant for variant in redesign.VARIANTS if variant in plans_by_variant
         ]
         write_csv(
             report_dir / "redesign_comparison.csv",

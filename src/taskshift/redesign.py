@@ -30,12 +30,15 @@ from .prompts import (
     task_rewrite_request,
     theme_flags_request,
 )
+from .savings import RoleClass, classify_role
 
 log = logging.getLogger(__name__)
 
 FOCUS = "focus"
 AUGMENT_REORDER = "augment_reorder"
 NEW_TASKS = "new_tasks"
+# plan variants in the order the reports list them
+VARIANTS = (FOCUS, AUGMENT_REORDER, NEW_TASKS)
 
 
 @dataclass(frozen=True)
@@ -107,14 +110,12 @@ def surviving_numbers(profile: RoleProfile) -> tuple[int, ...]:
 
 
 def eligible_roles(profiles: Iterable[RoleProfile], theta: float) -> list[RoleProfile]:
-    """Roles with at least one automatable task that stay below theta."""
-    kept = []
-    for profile in profiles:
-        high_share = profile.aggregates.high_share
-        if high_share == 0.0 or high_share >= theta:
-            continue
-        kept.append(profile)
-    return kept
+    """Roles that savings classes as productivity gains at theta."""
+    return [
+        profile
+        for profile in profiles
+        if classify_role(profile.aggregates.high_share, theta) is RoleClass.PRODUCTIVITY_GAIN
+    ]
 
 
 def proportional_weights(profile: RoleProfile) -> dict[int, float]:
@@ -489,7 +490,7 @@ def time_shift_report(
         columns["post_automation"] = accumulate(
             {key: proportional_weights(keyed[key]) for key in keyed}
         )
-    for variant in (FOCUS, AUGMENT_REORDER, NEW_TASKS):
+    for variant in VARIANTS:
         plans = plans_by_variant.get(variant, {})
         plans = {key: plan for key, plan in plans.items() if key in keyed}
         if not plans:

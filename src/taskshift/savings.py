@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_THETA_GRID
 from .errors import UsageError
-from .exposure import HIGH_CUTOFF, HOURS_PER_WEEK, MEDIUM_CUTOFF, decay_weights
+from .exposure import HOURS_PER_WEEK, decay_weights, time_shares
 
 
 class RoleClass(str, Enum):
@@ -101,12 +101,7 @@ def savings_from_shares(
 
 def exposure_shares(exposures: Sequence[float], delta: float) -> tuple[float, float]:
     """(high, medium) time shares of an ordered score list under decay."""
-    weights = decay_weights(len(exposures), delta).normalized
-    high = math.fsum(w for w, e in zip(weights, exposures) if e >= HIGH_CUTOFF)
-    medium = math.fsum(
-        w for w, e in zip(weights, exposures) if MEDIUM_CUTOFF <= e < HIGH_CUTOFF
-    )
-    return high, medium
+    return time_shares(exposures, decay_weights(len(exposures), delta).normalized)
 
 
 @dataclass(frozen=True)
@@ -150,9 +145,10 @@ def sweep(
     Totals are those of summing ``w * amount`` over each role's
     ``savings_from_shares`` entry, bit for bit. Only a role's class depends
     on the threshold, so each weighted amount is computed once, with the
-    same float operations, and each threshold picks per role either that
-    term or ``w * 0.0`` (what an entry outside the amount's class
-    contributes) and sums the terms with ``math.fsum`` in role order.
+    same float operations, and each threshold sums the terms of the roles
+    in the amount's class. ``math.fsum`` rounds the exact sum once, so
+    neither the zero terms of roles outside the class (or without a
+    salary) nor the order of the terms can change a total.
     """
     thetas = tuple(theta_grid) if theta_grid is not None else DEFAULT_THETA_GRID
     row_weights = [role.weight for role in roles]
@@ -172,8 +168,7 @@ def sweep(
 
     high_share = np.array(highs, dtype=float)
     impact = high_share != 0.0
-    paid = np.array([role.salary is not None for role in roles], dtype=bool)
-    zero = np.array([w * 0.0 for w in row_weights], dtype=float)
+    # a role without a salary adds a zero term to every money total
     cost_terms = np.array(
         [w * r.salary if r.salary is not None else 0.0 for w, r in zip(row_weights, roles)],
         dtype=float,
@@ -196,21 +191,19 @@ def sweep(
         [w * (h * HOURS_PER_WEEK) for w, h in zip(row_weights, highs)], dtype=float
     )
 
-    def total(in_class: np.ndarray, terms: np.ndarray, among: np.ndarray | None = None) -> float:
-        picked = np.where(in_class, terms, zero)
-        return math.fsum((picked if among is None else picked[among]).tolist())
+    def total(in_class: np.ndarray, terms: np.ndarray) -> float:
+        return math.fsum(terms[in_class].tolist())
 
     costs, gains, uppers, freed, ratios = [], [], [], [], []
     n_cost, n_gain = [], []
     for theta in thetas:
         is_cost = impact & (high_share >= theta)
         is_gain = impact & ~is_cost
-        # money totals leave out roles without a salary
-        cost_total = total(is_cost, cost_terms, paid)
-        gain_total = total(is_gain, gain_terms, paid)
+        cost_total = total(is_cost, cost_terms)
+        gain_total = total(is_gain, gain_terms)
         costs.append(cost_total)
         gains.append(gain_total)
-        uppers.append(total(is_gain, upper_terms, paid))
+        uppers.append(total(is_gain, upper_terms))
         freed.append(total(is_gain, freed_terms))
         ratios.append(gain_total / cost_total if cost_total > 0 else math.inf)
         n_cost.append(int(np.count_nonzero(is_cost)))

@@ -1,9 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import taskshift
 from taskshift.config import PipelineConfig
 from taskshift.corpus import load_reference_tables, join_salary, parse_vacancies
 from taskshift.exposure import build_profile, extract_corpus, task_record
@@ -86,6 +88,32 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(values))
     return path
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """This environment for a child Python process, with ``taskshift`` importable."""
+    env = dict(os.environ, **overrides)
+    source = str(Path(taskshift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return env
+
+
+def artifacts(out_dir: Path) -> dict[str, bytes]:
+    """Every output file's bytes by relative path, manifests left out."""
+    return {
+        path.relative_to(out_dir).as_posix(): path.read_bytes()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file() and "manifests" not in path.relative_to(out_dir).parts
+    }
+
+
+def manifests(out_dir: Path) -> dict[str, dict]:
+    """Every manifest by stage, ``produced_at`` left out."""
+    found = {}
+    for path in sorted((out_dir / "manifests").glob("*.json")):
+        found[path.stem] = json.loads(path.read_text("utf-8"))
+        del found[path.stem]["produced_at"]
+    return found
 
 
 @pytest.fixture

@@ -1,0 +1,77 @@
+"""Outputs that must not depend on how a run was made.
+
+Each row makes the fixture corpus's outputs another way and compares them
+with one reference run: every output byte, and every manifest apart from
+``produced_at``. The reference is one ``taskshift all`` in a child process
+with ``PYTHONHASHSEED=0`` and an empty cache. Every run is a child process,
+so each starts from a fresh interpreter.
+
+Left out because it does not hold: the BLAS thread count. ``eigh`` returns
+other bits under another OpenBLAS thread count, and they reach
+``projection.json`` and with it the report's fingerprint (ROADMAP item 9).
+"""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from taskshift.pipeline import STAGES
+
+from conftest import artifacts, child_env, manifests, write_config
+
+
+def taskshift(stage: str, config: Path, hash_seed: str = "0") -> None:
+    """``taskshift <stage>`` on ``config`` in a child; it must exit 0 without a traceback."""
+    result = subprocess.run(
+        [sys.executable, "-m", "taskshift.cli", stage, "--config", str(config)],
+        env=child_env(PYTHONHASHSEED=hash_seed),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory) -> Path:
+    base = tmp_path_factory.mktemp("reference")
+    taskshift("all", write_config(base))
+    return base
+
+
+def warm_cache(base: Path, reference: Path) -> Path:
+    shutil.copytree(reference / "cache", base / "cache")
+    cached = sorted(path.name for path in (base / "cache").iterdir())
+    taskshift("all", write_config(base))
+    # every answer and kernel result came from the cache
+    assert sorted(path.name for path in (base / "cache").iterdir()) == cached
+    return base / "out"
+
+
+def stage_by_stage(base: Path, reference: Path) -> Path:
+    config = write_config(base)
+    for stage in STAGES:
+        taskshift(stage, config)
+    return base / "out"
+
+
+def other_hash_seed(base: Path, reference: Path) -> Path:
+    taskshift("all", write_config(base), hash_seed="12345")
+    return base / "out"
+
+
+def other_paths(base: Path, reference: Path) -> Path:
+    out = base / "other place" / "results"
+    taskshift("all", write_config(base, out_dir=str(out), cache_dir=str(base / "answers")))
+    return out
+
+
+@pytest.mark.parametrize("run", [warm_cache, stage_by_stage, other_hash_seed, other_paths])
+def test_outputs_equal_the_reference_run(tmp_path, reference, run):
+    out = run(tmp_path, reference)
+    assert artifacts(out) == artifacts(reference / "out")
+    assert manifests(out) == manifests(reference / "out")

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 from collections import Counter
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-import taskshift
 from taskshift import cli, clustering, pipeline as pipeline_module
 from taskshift.cli import main
 from taskshift.config import PipelineConfig
@@ -35,7 +33,7 @@ from taskshift.pipeline import (
 )
 from taskshift.prompts import task_extraction_request
 
-from conftest import record_calls, write_config
+from conftest import artifacts, child_env, manifests, record_calls, write_config
 
 
 def run_all(config: PipelineConfig) -> Pipeline:
@@ -944,27 +942,15 @@ def record_kernel_runs(monkeypatch) -> tuple[list, list]:
     return eigh_calls, record_calls(monkeypatch, clustering, "_lloyd")
 
 
-def artifacts(out_dir: Path) -> dict[str, bytes]:
-    """Every output file's bytes by relative path, manifests left out."""
-    return {
-        path.relative_to(out_dir).as_posix(): path.read_bytes()
-        for path in sorted(out_dir.rglob("*"))
-        if path.is_file() and "manifests" not in path.relative_to(out_dir).parts
-    }
-
-
 def start_all(config: Path) -> subprocess.Popen:
     """``taskshift all`` on ``config`` in a child process.
 
     With one BLAS thread each: two children that each spin two OpenBLAS
     threads on two cores can take seconds instead of half of one.
     """
-    source = str(Path(taskshift.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "taskshift.cli", "all", "--config", str(config)],
-        env=env,
+        env=child_env(OPENBLAS_NUM_THREADS="1"),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -977,15 +963,6 @@ def finish(*runs: subprocess.Popen) -> None:
     for stderr, code in ends:
         assert code == 0, stderr
         assert "Traceback" not in stderr
-
-
-def manifests(out_dir: Path) -> dict[str, dict]:
-    """Every manifest by stage, ``produced_at`` left out."""
-    found = {}
-    for path in sorted((out_dir / "manifests").glob("*.json")):
-        found[path.stem] = json.loads(path.read_text("utf-8"))
-        del found[path.stem]["produced_at"]
-    return found
 
 
 class TestConcurrentRuns:
@@ -1172,32 +1149,36 @@ class TestCli:
     def test_import_leaves_out_http_client(self):
         # the HTTP stack (urllib.request pulls in http.client, ssl and email)
         # is imported only when a remote provider makes a call
-        source = str(Path(taskshift.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
         probe = "import sys, taskshift.cli; print('urllib.request' in sys.modules)"
         result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "False"
+
+    @staticmethod
+    def loaded_after_full_run(tmp_path: Path, module: str) -> str:
+        """The exit code of a fixture ``all`` run in a child, and whether it imported ``module``."""
+        config = write_config(tmp_path)
+        probe = (
+            "import sys; from taskshift.cli import main; "
+            f"code = main(['all', '--config', {str(config)!r}]); "
+            f"print(code, {module!r} in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.strip().splitlines()[-1]
 
     def test_full_run_leaves_out_numpy_ma(self, tmp_path):
         # np.unique(..., axis=0) imports numpy.ma; the pipeline only needs a
         # count of distinct rows and should not pay for that import
-        config = write_config(tmp_path)
-        source = str(Path(taskshift.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-        probe = (
-            "import sys; from taskshift.cli import main; "
-            f"code = main(['all', '--config', {str(config)!r}]); "
-            "print(code, 'numpy.ma' in sys.modules)"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip().splitlines()[-1] == "0 False"
+        assert self.loaded_after_full_run(tmp_path, "numpy.ma") == "0 False"
+
+    def test_full_run_leaves_out_the_thread_pool(self, tmp_path):
+        # only providers that wait on the network start a pool; for the
+        # others concurrent.futures would cost resident memory and nothing else
+        assert self.loaded_after_full_run(tmp_path, "concurrent.futures") == "0 False"
 
     def test_empty_theta_grid_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path, theta_grid=[])

@@ -16,6 +16,7 @@ from taskshift.prompts import (
 )
 from taskshift import redesign
 from taskshift.pipeline import read_jsonl, write_jsonl
+from taskshift.savings import RoleClass, classify_role
 
 REFERENCE_WEIGHTS = [0.30, 0.23, 0.17, 0.13, 0.10, 0.07]
 REFERENCE_SCORES = [0.8, 0.9, 0.6, 0.4, 0.3, 0.2]
@@ -74,6 +75,21 @@ class TestEligibility:
     def test_partially_exposed_included(self):
         role = reference_role()
         assert redesign.eligible_roles([role], 0.8) == [role]
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 0.53, 0.8, 1.0])
+    def test_eligible_roles_are_the_productivity_gain_class(self, fixture_profiles, theta):
+        roles = fixture_profiles + [reference_role(), build_role([0.2, 0.3])]
+        kept = [
+            role
+            for role in roles
+            if classify_role(role.aggregates.high_share, theta) is RoleClass.PRODUCTIVITY_GAIN
+        ]
+        assert redesign.eligible_roles(roles, theta) == kept
+
+    def test_threshold_outside_unit_interval_is_usage_error(self):
+        # savings' classification, with its checks, decides eligibility
+        with pytest.raises(UsageError, match="threshold"):
+            redesign.eligible_roles([reference_role()], 1.5)
 
 
 class TestApplyFocus:

@@ -5,6 +5,8 @@ A definition counts as used when some ``Name`` or ``Attribute`` node in
 so docstrings and comments do not count. Dunder methods are called by the
 language and are left out. The match is by name alone, so a same-named
 reference elsewhere hides a definition: the list errs short, never long.
+
+The same reading checks that the exposure band cutoffs have one owner.
 """
 
 import ast
@@ -62,3 +64,23 @@ def test_unreferenced_definitions_are_exactly_the_allowed_ones():
         if name not in referenced and not (name.startswith("__") and name.endswith("__"))
     }
     assert unreferenced == set(ALLOWED)
+
+
+def test_band_cutoffs_are_read_only_in_exposure():
+    # every other module bands scores through exposure.py, so a cutoff
+    # cannot change in one table and not in another
+    cutoffs = {"HIGH_CUTOFF", "MEDIUM_CUTOFF", "LOW_CUTOFF"}
+    readers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):  # from .exposure import HIGH_CUTOFF
+                name = node.name
+            else:
+                continue
+            if name in cutoffs:
+                readers.add(path.relative_to(SRC).as_posix())
+    assert readers == {"taskshift/exposure.py"}
