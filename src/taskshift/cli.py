@@ -11,7 +11,7 @@ import dataclasses
 import logging
 import sys
 
-from .config import PipelineConfig
+from .config import PROVIDERS, PipelineConfig
 from .errors import DataError, ProviderError, UsageError
 from .pipeline import STAGES, Pipeline
 
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--delta", type=float, help="decay rate in (0, 1]")
     parser.add_argument("--theta", type=float, help="automation threshold in [0, 1]")
     parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--provider", choices=("mock", "remote"), help="LLM provider")
+    parser.add_argument("--provider", choices=PROVIDERS, help="LLM provider")
     parser.add_argument("--fixtures", dest="fixtures_path", help="mock fixture table (JSON)")
     parser.add_argument("--force", action="store_true", help="rerun even if up to date")
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")

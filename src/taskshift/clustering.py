@@ -30,6 +30,8 @@ log = logging.getLogger(__name__)
 
 _NON_ALPHA_RE = re.compile(r"[^a-z]+")
 _VOWELS = set("aeiou")
+# the category label of a task the taxonomy does not place (its text normalizes to nothing)
+UNCATEGORIZED = "uncategorized"
 # Rows per chunk when fitting and applying the PCA projection; the chunk
 # order is fixed, so the scatter matrix sums the same way on every run.
 PCA_CHUNK_ROWS = 4096

@@ -14,6 +14,7 @@ from pathlib import Path
 from .errors import UsageError
 
 DEFAULT_THETA_GRID = tuple(round(step * 0.05, 2) for step in range(21))
+PROVIDERS = ("mock", "remote")
 
 
 @dataclass
@@ -71,7 +72,7 @@ class PipelineConfig:
             raise UsageError("theta grid must hold at least one value, each in [0, 1]")
         if any(not 0.0 < delta <= 1.0 for delta in self.sensitivity_deltas):
             raise UsageError("sensitivity decay rates must lie in (0, 1]")
-        if self.provider not in ("mock", "remote"):
+        if self.provider not in PROVIDERS:
             raise UsageError(f"unknown provider {self.provider!r}")
         if self.provider == "remote" and not (self.remote_base_url and self.remote_model):
             raise UsageError("remote provider needs remote_base_url and remote_model")

@@ -27,6 +27,8 @@ log = logging.getLogger(__name__)
 
 SUPPRESSION_TOKEN = "c"
 OTHER_DEPTS = "OTHER_DEPTS"
+# the sink profession: missing or unknown ones, and those without a reference total
+OTHER_PROFESSION = "Other"
 
 _EMAIL_RE = re.compile(r"[\w.+-]+@[\w-]+\.[\w.-]+")
 # 9+ digits allowing separators, so years and task counts survive
@@ -83,7 +85,7 @@ class Vacancy:
             department=record["department"],
             grade_raw=record.get("grade_raw", ""),
             grade=GradeBucket(record["grade"]) if record.get("grade") else GradeBucket.UNMAPPED,
-            profession=record.get("profession", "Other"),
+            profession=record.get("profession", OTHER_PROFESSION),
             posting_date=_parse_date(record.get("posting_date")),
             closing_date=_parse_date(record.get("closing_date")),
             job_summary=record.get("job_summary", ""),
@@ -235,7 +237,7 @@ def parse_vacancies(
     source raises :class:`DataError`. PII is scrubbed from the two free-text
     fields at this boundary so nothing downstream ever sees it. With a
     vocabulary, records in unknown departments are skipped and unknown
-    professions are folded into "Other".
+    professions are folded into ``OTHER_PROFESSION``.
     """
     lines = _iter_lines(source)
     vacancies: list[Vacancy] = []
@@ -260,12 +262,15 @@ def parse_vacancies(
                 ParseIssue(line_number, vacancy_id, f"department {department!r} not in vocabulary")
             )
             continue
-        profession = str(record.get("profession") or "Other")
+        profession = str(record.get("profession") or OTHER_PROFESSION)
         if vocab is not None and vocab.professions is not None and profession not in vocab.professions:
             log.info(
-                "vacancy %s profession %r not in vocabulary; using Other", vacancy_id, profession
+                "vacancy %s profession %r not in vocabulary; using %s",
+                vacancy_id,
+                profession,
+                OTHER_PROFESSION,
             )
-            profession = "Other"
+            profession = OTHER_PROFESSION
         seen.add(vacancy_id)
         vacancies.append(
             Vacancy(

@@ -35,6 +35,7 @@ import orjson
 from . import clustering, redesign, savings
 from .config import PipelineConfig
 from .corpus import (
+    OTHER_PROFESSION,
     GradeBucket,
     Vacancy,
     join_salary,
@@ -224,6 +225,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def make_manager(config: PipelineConfig, hash_file: Callable[[Path], str]) -> BatchManager:
+    settings = _provider_settings(config)
     if config.provider == "mock":
         fixtures = {}
         if config.fixtures_path:
@@ -235,20 +237,9 @@ def make_manager(config: PipelineConfig, hash_file: Callable[[Path], str]) -> Ba
                 raise DataError(
                     f"fixtures {config.fixtures_path} are not valid JSON: {exc.msg}"
                 ) from exc
-        provider = MockProvider(
-            fixtures=fixtures,
-            strict=config.strict_fixtures,
-            dimension=config.embed_dimension,
-        )
+        provider = MockProvider(fixtures=fixtures, **settings)
     else:
-        provider = HttpProvider(
-            base_url=config.remote_base_url,
-            model=config.remote_model,
-            embed_model=config.remote_embed_model,
-            api_key_env=config.api_key_env,
-            temperature=config.remote_temperature,
-            max_tokens=config.remote_max_tokens,
-        )
+        provider = HttpProvider(api_key_env=config.api_key_env, **settings)
     policy = RetryPolicy(
         max_attempts=config.max_attempts,
         max_in_flight=config.max_in_flight,
@@ -261,22 +252,26 @@ def make_manager(config: PipelineConfig, hash_file: Callable[[Path], str]) -> Ba
     return BatchManager(provider, cache=cache, policy=policy)
 
 
-def _provider_params(config: PipelineConfig, hash_file: Callable[[Path], str]) -> dict:
-    params: dict = {"provider": config.provider}
+def _provider_settings(config: PipelineConfig) -> dict:
+    """The provider's answer-changing constructor arguments, which ``_provider_params`` hashes."""
     if config.provider == "mock":
-        params["strict"] = config.strict_fixtures
-        params["dimension"] = config.embed_dimension
-        if config.fixtures_path:
-            fixtures = Path(config.fixtures_path)
-            if not fixtures.exists():
-                raise UsageError(f"fixtures file not found: {fixtures}")
-            params["fixtures"] = hash_file(fixtures)
-    else:
-        params["base_url"] = config.remote_base_url
-        params["model"] = config.remote_model
-        params["embed_model"] = config.remote_embed_model
-        params["temperature"] = config.remote_temperature
-        params["max_tokens"] = config.remote_max_tokens
+        return {"strict": config.strict_fixtures, "dimension": config.embed_dimension}
+    return {
+        "base_url": config.remote_base_url,
+        "model": config.remote_model,
+        "embed_model": config.remote_embed_model,
+        "temperature": config.remote_temperature,
+        "max_tokens": config.remote_max_tokens,
+    }
+
+
+def _provider_params(config: PipelineConfig, hash_file: Callable[[Path], str]) -> dict:
+    params: dict = {"provider": config.provider, **_provider_settings(config)}
+    if config.provider == "mock" and config.fixtures_path:
+        fixtures = Path(config.fixtures_path)
+        if not fixtures.exists():
+            raise UsageError(f"fixtures file not found: {fixtures}")
+        params["fixtures"] = hash_file(fixtures)
     return params
 
 
@@ -618,7 +613,7 @@ class Pipeline:
                 category_label, subcategory_label = taxonomy.label_of(index_of[text])
             else:
                 category, subcategory = -1, -1
-                category_label = subcategory_label = "uncategorized"
+                category_label = subcategory_label = clustering.UNCATEGORIZED
             rows.append(
                 {
                     "vacancy_id": vacancy_id,
@@ -670,21 +665,21 @@ class Pipeline:
             if role["grade"] == GradeBucket.UNMAPPED.value:
                 dropped_unmapped += 1
                 continue
-            profession = role["profession"] if role["profession"] in known_professions else "Other"
+            profession = role["profession"]
             rows.append(
                 SampleRow(
                     role_key=role["vacancy_id"],
                     department=role["department"],
                     grade=role["grade"],
-                    profession=profession,
+                    profession=profession if profession in known_professions else OTHER_PROFESSION,
                 )
             )
         if not rows:
             raise DataError("no rakeable roles (all grades unmapped?)")
         sample = WeightedSample.unit(rows)
-        marginals = collapse_unsampled(marginals, sample, "profession", "Other")
+        marginals = collapse_unsampled(marginals, sample, "profession", OTHER_PROFESSION)
         sample = append_other_depts(sample, marginals)
-        raked = rake(sample, marginals, tol=1e-6, max_iter=30)
+        raked = rake(sample, marginals)
         scaled = scale_to_population(raked, marginals.population_total)
         write_jsonl(
             self.out_dir / "raked_weights.jsonl",
@@ -998,7 +993,7 @@ class Pipeline:
                 theme_mass: dict[str, float] = {}
                 for key in members:
                     plan = focus_plans[key]
-                    label = category_of.get((key, plan.focus_task), "uncategorized")
+                    label = category_of.get((key, plan.focus_task), clustering.UNCATEGORIZED)
                     category_mass[label] = category_mass.get(label, 0.0) + raked[key]
                     for theme in plan.themes:
                         theme_mass[theme] = theme_mass.get(theme, 0.0) + raked[key]

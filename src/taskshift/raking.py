@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import OTHER_DEPTS, ReferenceTables, department_fte
+from .corpus import OTHER_DEPTS, GradeBucket, ReferenceTables, department_fte
 from .errors import DataError, UsageError
 
 log = logging.getLogger(__name__)
@@ -83,17 +83,14 @@ class MarginalSet:
             raise DataError("population total must be positive")
 
 
-def build_marginals(
-    ref: ReferenceTables,
-    population_total: float | None = None,
-) -> MarginalSet:
+def build_marginals(ref: ReferenceTables) -> MarginalSet:
     """Marginal targets from reference tables, with an OTHER_DEPTS remainder.
 
     Each dimension is normalized over its own published totals; the
     department dimension gets the uncovered share of the population as
     OTHER_DEPTS mass.
     """
-    total = population_total if population_total is not None else ref.population_total
+    total = ref.population_total
     covered = department_fte(ref)
     covered_sum = sum(covered.values())
     if covered_sum > total:
@@ -103,7 +100,7 @@ def build_marginals(
     departments = {name: fte / total for name, fte in sorted(covered.items())}
     departments[OTHER_DEPTS] = (total - covered_sum) / total
 
-    valid_buckets = {"AA/AO", "EO", "HEO/SEO", "G6/G7", "SCS"}
+    valid_buckets = {bucket.value for bucket in GradeBucket} - {GradeBucket.UNMAPPED.value}
     grade_totals = {g: v for g, v in ref.grade_totals.items() if g in valid_buckets}
     dropped = set(ref.grade_totals) - set(grade_totals)
     if dropped:

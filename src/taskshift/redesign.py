@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .clustering import UNCATEGORIZED
 from .errors import DataError, SchemaInvalid, UsageError
 from .exposure import HOURS_PER_WEEK, RoleProfile, decay_weights
 from .gateway import BatchManager, StructuredRequest, subseed
@@ -468,7 +469,7 @@ def time_shift_report(
             for new in plan.new_tasks:
                 if new.task_number == task_number:
                     return new.task_category
-        return category_of.get((role_key, task_number), "uncategorized")
+        return category_of.get((role_key, task_number), UNCATEGORIZED)
 
     def accumulate(shares_by_role: dict[str, dict[int, float]], plans=None):
         totals: dict[str, float] = {}

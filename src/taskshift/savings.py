@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -151,54 +151,42 @@ def sweep(
     salary) nor the order of the terms can change a total.
     """
     thetas = tuple(theta_grid) if theta_grid is not None else DEFAULT_THETA_GRID
-    row_weights = [role.weight for role in roles]
-
     # decay_weights is cached, so roles with equal task counts share one instance
     shares = [exposure_shares(role.exposures, delta) for role in roles]
     missing_salary = sum(1 for role in roles if role.salary is None)
     highs = [high for high, _ in shares]
-    if highs and thetas:
-        # classify_role's checks, met in the order a per-threshold,
-        # per-role loop meets them: every share at the first threshold,
-        # then each later threshold
-        for high in highs:
-            classify_role(high, thetas[0])
-        for theta in thetas[1:]:
-            classify_role(highs[0], theta)
+    # a role's class depends on its high share alone, so classify_role
+    # classes each distinct share once per threshold
+    distinct_highs, share_of_role = np.unique(highs, return_inverse=True)
 
-    high_share = np.array(highs, dtype=float)
-    impact = high_share != 0.0
     # a role without a salary adds a zero term to every money total
-    cost_terms = np.array(
-        [w * r.salary if r.salary is not None else 0.0 for w, r in zip(row_weights, roles)],
-        dtype=float,
-    )
-    gain_terms = np.array(
-        [
-            w * (h * r.salary) if r.salary is not None else 0.0
-            for w, r, h in zip(row_weights, roles, highs)
-        ],
-        dtype=float,
-    )
-    upper_terms = np.array(
-        [
-            w * ((h + m) * r.salary) if r.salary is not None else 0.0
-            for w, r, (h, m) in zip(row_weights, roles, shares)
-        ],
-        dtype=float,
-    )
-    freed_terms = np.array(
-        [w * (h * HOURS_PER_WEEK) for w, h in zip(row_weights, highs)], dtype=float
-    )
+    def money_terms(amount: Callable[[float, float, float], float]) -> np.ndarray:
+        return np.array(
+            [
+                r.weight * amount(r.salary, h, m) if r.salary is not None else 0.0
+                for r, (h, m) in zip(roles, shares)
+            ],
+            dtype=float,
+        )
+
+    cost_terms = money_terms(lambda salary, high, medium: salary)
+    gain_terms = money_terms(lambda salary, high, medium: high * salary)
+    upper_terms = money_terms(lambda salary, high, medium: (high + medium) * salary)
+    freed_terms = np.array([r.weight * (h * HOURS_PER_WEEK) for r, h in zip(roles, highs)])
 
     def total(in_class: np.ndarray, terms: np.ndarray) -> float:
         return math.fsum(terms[in_class].tolist())
 
     costs, gains, uppers, freed, ratios = [], [], [], [], []
-    n_cost, n_gain = [], []
+    n_cost, n_gain, n_none = [], [], []
     for theta in thetas:
-        is_cost = impact & (high_share >= theta)
-        is_gain = impact & ~is_cost
+        by_share = [classify_role(high, theta) for high in distinct_highs.tolist()]
+        in_class = {
+            role_class: np.array([c is role_class for c in by_share], dtype=bool)[share_of_role]
+            for role_class in RoleClass
+        }
+        is_cost = in_class[RoleClass.COST_REDUCTION]
+        is_gain = in_class[RoleClass.PRODUCTIVITY_GAIN]
         cost_total = total(is_cost, cost_terms)
         gain_total = total(is_gain, gain_terms)
         costs.append(cost_total)
@@ -208,7 +196,7 @@ def sweep(
         ratios.append(gain_total / cost_total if cost_total > 0 else math.inf)
         n_cost.append(int(np.count_nonzero(is_cost)))
         n_gain.append(int(np.count_nonzero(is_gain)))
-    n_none = [len(roles) - int(np.count_nonzero(impact))] * len(thetas)
+        n_none.append(int(np.count_nonzero(in_class[RoleClass.NO_IMPACT])))
 
     return SweepCurve(
         thetas=thetas,

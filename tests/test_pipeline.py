@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from collections import Counter
+import socket
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from taskshift import cli, clustering, pipeline as pipeline_module
 from taskshift.cli import main
-from taskshift.config import PipelineConfig
+from taskshift.config import PROVIDERS, PipelineConfig
 from taskshift.corpus import Vacancy
 from taskshift.errors import DataError, UsageError
 from taskshift.gateway import MockProvider, ResponseCache
@@ -137,6 +138,44 @@ class TestStageDeclarations:
             "out_dir", "cache_dir", "api_key_env", "max_attempts", "max_in_flight", "backoff_base"
         }
         assert names <= declared | identity | no_output, names - declared - identity - no_output
+
+    @pytest.mark.parametrize("provider", PROVIDERS)
+    def test_manager_builds_the_provider_with_the_hashed_settings(
+        self, tmp_path, monkeypatch, provider
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("building a provider opened a socket")
+
+        monkeypatch.setattr(socket, "socket", refuse)
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({"fingerprint": {"tasks": []}}))
+        # every setting away from its default, so one left out would show
+        config = PipelineConfig(
+            provider=provider,
+            cache_dir=str(tmp_path / "cache"),
+            fixtures_path=str(fixtures),
+            strict_fixtures=True,
+            embed_dimension=16,
+            remote_base_url="http://localhost:9",
+            remote_model="chat",
+            remote_embed_model="embed",
+            remote_temperature=0.5,
+            remote_max_tokens=7,
+        )
+        built = pipeline_module.make_manager(config, lambda path: "digest").provider
+        params = pipeline_module._provider_params(config, lambda path: "digest")
+        assert params.pop("provider") == provider
+        if provider == "mock":
+            assert params.pop("fixtures") == "digest"
+            assert built.fixtures == json.loads(fixtures.read_text())
+        assert {name: getattr(built, name) for name in params} == params
+        # the constructor's other fields cannot change an answer
+        unhashed = {field.name for field in fields(built)} - set(params)
+        assert unhashed == (
+            {"fixtures", "calls", "embed_calls"}
+            if provider == "mock"
+            else {"api_key_env", "timeout"}
+        )
 
 
 class TestEndToEnd:

@@ -6,11 +6,14 @@ so docstrings and comments do not count. Dunder methods are called by the
 language and are left out. The match is by name alone, so a same-named
 reference elsewhere hides a definition: the list errs short, never long.
 
-The same reading checks that the exposure band cutoffs have one owner.
+The same reading checks that the exposure band cutoffs, the sink labels
+and the grade buckets each have one owner.
 """
 
 import ast
 from pathlib import Path
+
+from taskshift.corpus import GradeBucket
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -84,3 +87,17 @@ def test_band_cutoffs_are_read_only_in_exposure():
             if name in cutoffs:
                 readers.add(path.relative_to(SRC).as_posix())
     assert readers == {"taskshift/exposure.py"}
+
+
+def test_sink_labels_and_grade_buckets_are_written_only_by_their_owner():
+    # other modules name these labels through the owner's constant or enum,
+    # so a label cannot change in one table and not in another
+    owner_of = {"Other": "taskshift/corpus.py", "uncategorized": "taskshift/clustering.py"}
+    owner_of.update({bucket.value: "taskshift/corpus.py" for bucket in GradeBucket})
+    writers: dict[str, set] = {label: set() for label in owner_of}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value in owner_of:
+                    writers[node.value].add(path.relative_to(SRC).as_posix())
+    assert writers == {label: {owner} for label, owner in owner_of.items()}

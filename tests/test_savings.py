@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taskshift import savings as savings_module
 from taskshift.errors import UsageError
 from taskshift.exposure import decay_weights
 from taskshift.savings import (
@@ -309,6 +310,38 @@ class TestSweepBitIdentity:
             for field in ("cost_reduction", "productivity_gain", "productivity_upper", "freed_hours"):
                 assert repr(getattr(curve, field)[i]) == repr(row[field])
         assert curve.n_missing_salary == sum(role.salary is None for role in roles)
+
+    @pytest.mark.parametrize(
+        "rule, no_impact",
+        [
+            (lambda high, theta: RoleClass.NO_IMPACT, 4),
+            # the boundary moved: a share equal to theta is a productivity gain
+            (
+                lambda high, theta: (
+                    RoleClass.NO_IMPACT
+                    if high == 0.0
+                    else RoleClass.COST_REDUCTION if high > theta else RoleClass.PRODUCTIVITY_GAIN
+                ),
+                1,
+            ),
+        ],
+        ids=["no_impact", "boundary_moved"],
+    )
+    def test_classes_follow_classify_role(self, monkeypatch, rule, no_impact):
+        monkeypatch.setattr(savings_module, "classify_role", rule)
+        roles = [
+            RoleInput("a", (0.9,), 1000.0),
+            RoleInput("b", (0.9, 0.2), 2000.0, weight=3.0),
+            RoleInput("c", (0.2,), 500.0),
+            RoleInput("d", (0.8, 0.6), None),
+        ]
+        thetas = sorted({0.0, 0.5, 1.0} | {exposure_shares(r.exposures, 0.75)[0] for r in roles})
+        curve = sweep(roles, theta_grid=thetas)
+        assert curve.n_no_impact == (no_impact,) * len(thetas)
+        # the per-role entries follow the same rule, so the totals still match theirs
+        expected = per_role_curve(roles, thetas, 0.75, [role.weight for role in roles])
+        for field in expected[0]:
+            assert list(getattr(curve, field)) == [row[field] for row in expected]
 
     def test_bad_threshold_raises_as_per_role_check_does(self):
         roles = [RoleInput("a", (0.9,), 1.0), RoleInput("b", (0.9,), 1.0)]
