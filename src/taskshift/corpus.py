@@ -368,9 +368,10 @@ def _load_cell_table(
             reader.fieldnames
         ):
             raise DataError(f"{path}: expected header with department,grade,{value_column}")
+        buckets = {bucket.value for bucket in GradeBucket}
         for line, row in enumerate(reader, start=2):
             key = (row["department"].strip(), row["grade"].strip())
-            if key[1] not in {bucket.value for bucket in GradeBucket}:
+            if key[1] not in buckets:
                 raise DataError(f"{path}:{line}: unknown grade bucket {key[1]!r}")
             if (
                 vocab is not None

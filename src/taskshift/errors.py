@@ -23,6 +23,8 @@ class UsageError(TaskshiftError):
 class ProviderError(TaskshiftError):
     """The LLM/embedding provider failed after retries (exit code 3)."""
 
+    error_class = "ProviderError"
+
 
 class SchemaInvalid(TaskshiftError):
     """A payload failed schema or structural validation.

@@ -3,9 +3,11 @@
 Every request yields exactly one response or one failure entry; results
 come back in input order (keyed by request_id, never by arrival). Schema
 validation runs on every payload, including cache hits. Chat requests and
-embedding chunks share one attempt loop and one dispatch: only providers
-whose calls wait on I/O (``waits_on_io``) get a thread pool, bounded by
-``max_in_flight``; every other provider runs in one ordered loop.
+embedding chunks share one attempt loop and one dispatch, which sends only
+what the cache lacks, once per distinct request. Only providers whose calls
+wait on I/O (``waits_on_io``) get a thread pool, bounded by ``max_in_flight``,
+whose threads only call the provider; every other provider runs in one ordered
+loop. Each reply is checked and stored on the calling thread, in input order.
 
 A request fails when the provider raises, when its reply fails the
 schema, or when the caller's ``check`` rejects the payload. Failed
@@ -14,8 +16,8 @@ attempts in all, with one backoff sleep before a wave that follows a
 failed provider call. With a ``nudge``, attempt k carries a note naming
 the attempt and the nudge, and is looked up in the cache first. Without
 one, a retry repeats the same bytes, whose answer was never stored, so
-each request is looked up in the cache once. A manager built without a
-cache keeps its answers in an anonymous temporary one.
+each distinct request is looked up in the cache once. A manager built
+without a cache keeps its answers in an anonymous temporary one.
 
 Embeddings go through a :class:`SegmentStore` in the cache directory,
 under the cache's provider scope (a temporary file when the cache has
@@ -66,15 +68,6 @@ class BatchReport:
     cache_hits: int = 0
 
 
-@dataclass
-class _Outcome:
-    response: StructuredResponse | None = None
-    error_class: str = ""
-    input_tokens: int = 0
-    output_tokens: int = 0
-    cached: bool = False
-
-
 class BatchManager:
     """Runs structured-request batches against one provider."""
 
@@ -112,6 +105,15 @@ class BatchManager:
         replies: list[StructuredResponse | None] = [None] * len(sent)
         errors = [""] * len(sent)
 
+        def settle(group: list[int], raw: str) -> SchemaInvalid | None:
+            """Give ``raw`` to each index of ``group``, or return why it fails the schema."""
+            try:
+                payload = validate_payload(raw, sent[group[0]].output_schema)
+            except SchemaInvalid as exc:
+                return exc
+            for index in group:
+                replies[index] = StructuredResponse(ids[index], payload, raw)
+
         def wave(attempt: int, pending: Sequence[int]) -> tuple[list[int], bool]:
             if attempt > 1 and nudge:
                 note = f"\n(attempt {attempt}: the previous reply violated the rules; {nudge})"
@@ -119,18 +121,35 @@ class BatchManager:
                     original = requests[index]
                     sent[index] = replace(original, user_prompt=original.user_prompt + note)
                     fingerprints[index] = sent[index].fingerprint()
-            # a plain retry repeats bytes whose answer was never stored
-            lookup = attempt == 1 or bool(nudge)
+            groups: dict[str, list[int]] = {}
+            for index in pending:
+                groups.setdefault(fingerprints[index], []).append(index)
+            misses = []
+            for fingerprint, group in groups.items():
+                # a plain retry repeats bytes whose answer was never stored
+                if (attempt == 1 or nudge) and (raw := self.cache.get(fingerprint)) is not None:
+                    if settle(group, raw) is None:
+                        report.cache_hits += len(group)
+                        continue
+                    log.warning("cache entry for %s is invalid; refetching", ids[group[0]])
+                misses.append(group)
             throttled = False
-            for index, outcome in self._dispatch(
-                pending, lambda index: self._fetch(sent[index], fingerprints[index], attempt, lookup)
+            for group, result in self._dispatch(
+                misses, lambda group: self.provider.complete(sent[group[0]])
             ):
-                report.cache_hits += outcome.cached
-                report.input_tokens += outcome.input_tokens
-                report.output_tokens += outcome.output_tokens
-                replies[index] = outcome.response
-                errors[index] = outcome.error_class
-                throttled = throttled or outcome.response is None
+                if isinstance(result, ProviderError):
+                    error = result
+                else:
+                    report.input_tokens += result.input_tokens
+                    report.output_tokens += result.output_tokens
+                    if (error := settle(group, result.raw)) is None:
+                        self.cache.put(fingerprints[group[0]], result.raw)
+                        report.cache_hits += len(group) - 1  # the duplicates
+                        continue
+                log.info("request %s attempt %d failed: %s", ids[group[0]], attempt, error)
+                throttled = True
+                for index in group:
+                    errors[index] = error.error_class
             if check is not None:
                 for index in pending:
                     if replies[index] is None:
@@ -144,42 +163,10 @@ class BatchManager:
             return [index for index in pending if replies[index] is None], throttled
 
         self._attempts(len(sent), wave)
-        responses: list[StructuredResponse] = []
-        for request_id, reply, error_class in zip(ids, replies, errors):
-            if reply is None:
-                report.failed.append((request_id, error_class))
-            else:
-                responses.append(reply)
+        responses = [reply for reply in replies if reply is not None]
+        report.failed = [(ids[i], errors[i]) for i, reply in enumerate(replies) if reply is None]
         report.succeeded = len(responses)
         return responses, report
-
-    def _fetch(
-        self, request: StructuredRequest, fingerprint: str, attempt: int, lookup: bool
-    ) -> _Outcome:
-        """A cache lookup if ``lookup``, else one provider call, whose valid reply is stored."""
-        if lookup and (raw := self.cache.get(fingerprint)) is not None:
-            try:
-                payload = validate_payload(raw, request.output_schema)
-            except SchemaInvalid:
-                log.warning("cache entry for %s is invalid; refetching", request.request_id)
-            else:
-                return _Outcome(StructuredResponse(request.request_id, payload, raw), cached=True)
-        outcome = _Outcome()
-        try:
-            result = self.provider.complete(request)
-            outcome.input_tokens = result.input_tokens
-            outcome.output_tokens = result.output_tokens
-            payload = validate_payload(result.raw, request.output_schema)
-        except SchemaInvalid as exc:
-            outcome.error_class = exc.error_class
-            log.info("request %s attempt %d rejected: %s", request.request_id, attempt, exc)
-        except ProviderError as exc:
-            outcome.error_class = "ProviderError"
-            log.info("request %s attempt %d failed: %s", request.request_id, attempt, exc)
-        else:
-            self.cache.put(fingerprint, result.raw)
-            outcome.response = StructuredResponse(request.request_id, payload, result.raw)
-        return outcome
 
     def embed_texts(self, texts: Sequence[str], chunk_size: int = 256) -> EmbeddingRows:
         """Embed texts, sending only those not in the embedding store.
@@ -205,16 +192,12 @@ class BatchManager:
         chunks = [misses[start : start + chunk_size] for start in range(0, len(misses), chunk_size)]
         error: ProviderError | None = None
 
-        def embed(index: int) -> object:
-            try:
-                return self.provider.embed(chunks[index])
-            except ProviderError as exc:
-                return exc
-
         def wave(attempt: int, pending: Sequence[int]) -> tuple[list[int], bool]:
             nonlocal error, width
             failed = []
-            for index, reply in self._dispatch(pending, embed):
+            for index, reply in self._dispatch(
+                pending, lambda index: self.provider.embed(chunks[index])
+            ):
                 if isinstance(reply, ProviderError):
                     log.info("embedding chunk %d attempt %d failed: %s", index, attempt, reply)
                     error = reply
@@ -251,22 +234,31 @@ class BatchManager:
             pending, throttled = wave(attempt, pending)
         return pending
 
-    def _dispatch(self, indexes: Sequence[int], call: Callable[[int], T]) -> Iterator[tuple[int, T]]:
-        """Yield ``(index, call(index))`` in index order.
+    def _dispatch(
+        self, items: Sequence[T], call: Callable[[T], object]
+    ) -> Iterator[tuple[T, object]]:
+        """Yield ``(item, call(item))`` in item order, a raised :class:`ProviderError` as the value.
 
         Threads help only while calls wait on the network; for in-process
-        providers they would contend for the GIL, and the ordered loop lets
-        a duplicate later in a batch hit the first one's answer.
+        providers they would contend for the GIL.
         """
-        if self.policy.max_in_flight > 1 and getattr(self.provider, "waits_on_io", False):
+
+        def guarded(item: T) -> object:
+            try:
+                return call(item)
+            except ProviderError as exc:
+                return exc
+
+        workers = min(self.policy.max_in_flight, len(items))
+        if workers > 1 and getattr(self.provider, "waits_on_io", False):
             # imported here: only providers that wait on the network start a pool
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=min(self.policy.max_in_flight, len(indexes))) as pool:
-                yield from zip(indexes, pool.map(call, indexes))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                yield from zip(items, pool.map(guarded, items))
         else:
-            for index in indexes:
-                yield index, call(index)
+            for item in items:
+                yield item, guarded(item)
 
 
 def _checked_rows(reply: object, count: int, width: int | None) -> np.ndarray:

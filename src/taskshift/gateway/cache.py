@@ -57,8 +57,9 @@ class SegmentStore:
     unit of a record's length; the defaults are the embedding store's.
     Without a ``directory`` the records go to an anonymous temporary file
     and the index is kept in memory only, so callers read records back the
-    same way whether or not a cache is configured. One lock guards the
-    writes and reads, because pool threads store answers.
+    same way whether or not a cache is configured. One lock keeps each
+    append and read whole (a seek and the write or read after it) and
+    loads the index once, should callers share a store between threads.
     """
 
     suffix = ".vectors"

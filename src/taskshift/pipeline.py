@@ -230,13 +230,17 @@ def make_manager(config: PipelineConfig, hash_file: Callable[[Path], str]) -> Ba
         fixtures = {}
         if config.fixtures_path:
             try:
-                fixtures = json.loads(Path(config.fixtures_path).read_text("utf-8"))
+                data = Path(config.fixtures_path).read_bytes()
+                fixtures = json.loads(data.decode("utf-8"))
             except OSError as exc:
                 raise UsageError(f"cannot read fixtures {config.fixtures_path}: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise DataError(
                     f"fixtures {config.fixtures_path} are not valid JSON: {exc.msg}"
                 ) from exc
+            # the cache scope names the bytes the mock serves, not a second read of the file
+            served = hashlib.sha256(data).hexdigest()
+            hash_file = lambda path: served
         provider = MockProvider(fixtures=fixtures, **settings)
     else:
         provider = HttpProvider(api_key_env=config.api_key_env, **settings)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import http.client
@@ -428,6 +429,60 @@ class SleepyProvider:
         return MockProvider(dimension=8).embed(texts)
 
 
+@dataclass
+class VaryingProvider:
+    """Gives each call a new answer, as a remote endpoint may even at temperature 0."""
+
+    waits_on_io = True
+    calls: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def complete(self, request):
+        with self.lock:
+            self.calls += 1
+            answer = self.calls
+        time.sleep(0.005)
+        task = {"task_number": 1, "task_details": f"answer {answer}", "exposure_score": 0.5}
+        return ProviderResult(json.dumps({"tasks": [task]}), 1, 1)
+
+    def embed(self, texts):
+        raise NotImplementedError
+
+
+@dataclass
+class ReversingProvider:
+    """Sleeps longer for earlier requests, so a pool finishes them last."""
+
+    order: list
+    waits_on_io = True
+    finished: list = field(default_factory=list)
+
+    def complete(self, request):
+        position = self.order.index(request.request_id)
+        time.sleep(0.02 * (len(self.order) - position))
+        self.finished.append(request.request_id)
+        return MockProvider().complete(request)
+
+    def embed(self, texts):
+        raise NotImplementedError
+
+
+class ThreadRecordingCache(ResponseCache):
+    """Records the thread of every lookup and store."""
+
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.threads = {"get": set(), "put": set()}
+
+    def get(self, fingerprint):
+        self.threads["get"].add(threading.get_ident())
+        return super().get(fingerprint)
+
+    def put(self, fingerprint, raw):
+        self.threads["put"].add(threading.get_ident())
+        super().put(fingerprint, raw)
+
+
 class TestConcurrency:
     def test_io_bound_provider_uses_pool_and_keeps_order(self, tmp_path):
         requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(32)]
@@ -441,6 +496,66 @@ class TestConcurrency:
         assert len(provider.threads) > 1
         assert report.cache_hits == 8 and report.submitted == report.succeeded == 32
         assert reconciles(report)
+
+    def test_identical_requests_on_the_pool_make_one_call(self, tmp_path):
+        requests = [extraction_request(f"r{i}") for i in range(4)]
+        provider = VaryingProvider()
+        policy = RetryPolicy(max_in_flight=4)
+        cold, _ = BatchManager(provider, ResponseCache(tmp_path), policy).submit_batch(requests)
+        assert provider.calls == 1
+        assert len({response.raw for response in cold}) == 1
+        rerun = BatchManager(provider, ResponseCache(tmp_path), policy)
+        warm, report = rerun.submit_batch(requests)
+        assert provider.calls == 1 and report.cache_hits == 4
+        assert [response.raw for response in warm] == [response.raw for response in cold]
+
+    def test_pool_threads_never_touch_the_cache(self, tmp_path):
+        requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(32)]
+        BatchManager(MockProvider(), cache=ResponseCache(tmp_path)).submit_batch(requests[:8])
+        provider, cache = SleepyProvider(), ThreadRecordingCache(tmp_path)
+        manager = BatchManager(provider, cache=cache, policy=RetryPolicy(max_in_flight=8))
+        _, report = manager.submit_batch(requests)
+        assert report.cache_hits == 8 and len(provider.threads) > 1
+        assert cache.threads == {"get": {threading.get_ident()}, "put": {threading.get_ident()}}
+
+    def test_answers_are_stored_in_request_order_whatever_the_finishing_order(self, tmp_path):
+        requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(8)]
+        order = [request.request_id for request in requests]
+        stored = []
+        for run in ("one", "two"):
+            provider = ReversingProvider(order)
+            manager = BatchManager(
+                provider, ResponseCache(tmp_path / run), RetryPolicy(max_in_flight=8)
+            )
+            responses, _ = manager.submit_batch(requests)
+            assert provider.finished != order
+            (segment,) = (tmp_path / run).glob("*.answers")
+            index = segment.with_name(segment.name + ".index")
+            stored.append((segment.read_bytes(), index.read_bytes()))
+        assert stored[0] == stored[1]
+        segment, index = stored[0]
+        assert segment == "".join(response.raw for response in responses).encode("utf-8")
+        offsets = [int(line.split()[1]) for line in index.splitlines()]
+        reader = ResponseCache(tmp_path / "one")
+        assert offsets == [reader.find(request.fingerprint())[1] for request in requests]
+        assert offsets == sorted(offsets)
+
+    def test_warm_batch_on_the_pool_path_makes_no_call_and_starts_no_pool(
+        self, tmp_path, monkeypatch
+    ):
+        requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(8)]
+        BatchManager(MockProvider(), cache=ResponseCache(tmp_path)).submit_batch(requests)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a batch of cache hits started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        provider = SleepyProvider()
+        manager = BatchManager(
+            provider, cache=ResponseCache(tmp_path), policy=RetryPolicy(max_in_flight=8)
+        )
+        responses, report = manager.submit_batch(requests)
+        assert report.cache_hits == len(responses) == 8 and not provider.threads
 
     def test_concurrent_puts_land_whole_in_one_segment(self, tmp_path):
         requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(200)]
@@ -522,7 +637,7 @@ class TestRetry:
         provider = FlakyProvider(failures=99)
         manager = BatchManager(provider, policy=RetryPolicy(max_attempts=3, backoff_base=0.5))
         _, report = manager.submit_batch([extraction_request(f"r{i}") for i in range(4)])
-        assert len(report.failed) == 4 and provider.calls == 12
+        assert len(report.failed) == 4 and provider.calls == 3
         assert sleeps == [0.5, 1.0]
 
     def test_check_failing_every_attempt_becomes_failure_entry(self, tmp_path):

@@ -177,6 +177,25 @@ class TestStageDeclarations:
             else {"api_key_env", "timeout"}
         )
 
+    def test_cache_scope_names_the_fixtures_the_mock_serves(self, tmp_path):
+        fixtures = tmp_path / "fixtures.json"
+        served = json.dumps({"fingerprint": {"tasks": []}}).encode("utf-8")
+        fixtures.write_bytes(served)
+
+        def rewriting(path):
+            # the file changes between the read that parses it and this one
+            path.write_text(json.dumps({"other": {"tasks": []}}))
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        config = PipelineConfig(cache_dir=str(tmp_path / "cache"), fixtures_path=str(fixtures))
+        manager = pipeline_module.make_manager(config, rewriting)
+        params = pipeline_module._provider_params(
+            config, lambda path: hashlib.sha256(served).hexdigest()
+        )
+        identity = pipeline_module._canonical(params).encode("utf-8")
+        assert manager.provider.fixtures == json.loads(served)
+        assert manager.cache.scope == hashlib.sha256(identity).hexdigest()
+
 
 class TestEndToEnd:
     def test_all_artifacts_produced(self, fixture_config):
