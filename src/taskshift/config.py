@@ -78,6 +78,12 @@ class PipelineConfig:
             raise UsageError("remote provider needs remote_base_url and remote_model")
         if not 0.0 < self.new_tasks_fraction <= 1.0:
             raise UsageError("new_tasks_fraction must lie in (0, 1]")
+        if self.seed < 0:
+            raise UsageError(f"seed {self.seed} is negative")
+        if self.truncate_chars is not None and self.truncate_chars < 0:
+            raise UsageError(f"truncate_chars {self.truncate_chars} is negative")
+        if self.label_sample_cap < 1:
+            raise UsageError(f"label_sample_cap {self.label_sample_cap} is below 1")
 
     @classmethod
     def load(cls, path: str | Path | None = None, overrides: dict | None = None) -> "PipelineConfig":

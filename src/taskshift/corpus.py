@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import date
@@ -353,6 +354,8 @@ def _read_cell(token: str, path: Path, line: int) -> float | None:
         value = float(token.replace(",", ""))
     except ValueError:
         raise DataError(f"{path}:{line}: cannot parse numeric cell {token!r}")
+    if not math.isfinite(value):
+        raise DataError(f"{path}:{line}: non-finite value {token!r}")
     if value < 0:
         raise DataError(f"{path}:{line}: negative value {value}")
     return value

@@ -8,6 +8,7 @@ error classes from :mod:`taskshift.errors` with a JSON-path style location.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..errors import EnumViolation, MissingField, RangeViolation, SchemaInvalid, TypeMismatch
@@ -111,6 +112,9 @@ def _validate_value(value: object, spec: FieldSpec, path: str) -> None:
             if value not in spec.choices:
                 raise EnumViolation(path, f"{value!r} not in {sorted(spec.choices)}")
             return
+        # NaN passes both range checks; an int beyond float range is finite
+        if isinstance(value, float) and not math.isfinite(value):
+            raise RangeViolation(path, f"{value} is not a finite number")
         if spec.minimum is not None and value < spec.minimum:
             raise RangeViolation(path, f"{value} below minimum {spec.minimum}")
         if spec.maximum is not None and value > spec.maximum:

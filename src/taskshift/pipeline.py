@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -71,7 +72,7 @@ class Stage:
     stands for the contents of its file (an unset path is left out); the
     output hashes of every stage in ``deps``, the stages whose outputs it
     opens; and, for a stage that asks the provider (``provider``), the
-    provider identity of ``_provider_params``. ``run(pipeline)`` must write
+    provider identity of ``build_provider``. ``run(pipeline)`` must write
     each of ``outputs`` under the output directory.
     """
 
@@ -224,59 +225,34 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def make_manager(config: PipelineConfig, hash_file: Callable[[Path], str]) -> BatchManager:
-    settings = _provider_settings(config)
-    if config.provider == "mock":
-        fixtures = {}
-        if config.fixtures_path:
-            try:
-                data = Path(config.fixtures_path).read_bytes()
-                fixtures = json.loads(data.decode("utf-8"))
-            except OSError as exc:
-                raise UsageError(f"cannot read fixtures {config.fixtures_path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise DataError(
-                    f"fixtures {config.fixtures_path} are not valid JSON: {exc.msg}"
-                ) from exc
-            # the cache scope names the bytes the mock serves, not a second read of the file
-            served = hashlib.sha256(data).hexdigest()
-            hash_file = lambda path: served
-        provider = MockProvider(fixtures=fixtures, **settings)
-    else:
+def build_provider(config: PipelineConfig) -> tuple[MockProvider | HttpProvider, dict]:
+    """The configured provider and the identity that provider-stage fingerprints and the
+    cache scope hash: its name, its answer-changing constructor arguments and, for a mock
+    with a fixtures file, the SHA-256 of the bytes it parsed from one read of the file."""
+    if config.provider == "remote":
+        settings = {
+            "base_url": config.remote_base_url,
+            "model": config.remote_model,
+            "embed_model": config.remote_embed_model,
+            "temperature": config.remote_temperature,
+            "max_tokens": config.remote_max_tokens,
+        }
         provider = HttpProvider(api_key_env=config.api_key_env, **settings)
-    policy = RetryPolicy(
-        max_attempts=config.max_attempts,
-        max_in_flight=config.max_in_flight,
-        backoff_base=config.backoff_base,
-    )
-    # cached answers are replayed only for the provider identity that gave them
-    identity = _canonical(_provider_params(config, hash_file))
-    scope = hashlib.sha256(identity.encode("utf-8")).hexdigest()
-    cache = ResponseCache(config.cache_dir, scope=scope)
-    return BatchManager(provider, cache=cache, policy=policy)
-
-
-def _provider_settings(config: PipelineConfig) -> dict:
-    """The provider's answer-changing constructor arguments, which ``_provider_params`` hashes."""
-    if config.provider == "mock":
-        return {"strict": config.strict_fixtures, "dimension": config.embed_dimension}
-    return {
-        "base_url": config.remote_base_url,
-        "model": config.remote_model,
-        "embed_model": config.remote_embed_model,
-        "temperature": config.remote_temperature,
-        "max_tokens": config.remote_max_tokens,
-    }
-
-
-def _provider_params(config: PipelineConfig, hash_file: Callable[[Path], str]) -> dict:
-    params: dict = {"provider": config.provider, **_provider_settings(config)}
-    if config.provider == "mock" and config.fixtures_path:
-        fixtures = Path(config.fixtures_path)
-        if not fixtures.exists():
-            raise UsageError(f"fixtures file not found: {fixtures}")
-        params["fixtures"] = hash_file(fixtures)
-    return params
+        return provider, {"provider": config.provider, **settings}
+    settings = {"strict": config.strict_fixtures, "dimension": config.embed_dimension}
+    identity = {"provider": config.provider, **settings}
+    fixtures = {}
+    if config.fixtures_path:
+        try:
+            data = Path(config.fixtures_path).read_bytes()
+            fixtures = json.loads(data.decode("utf-8"))
+        except OSError as exc:
+            raise UsageError(f"cannot read fixtures {config.fixtures_path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            message = f"fixtures {config.fixtures_path} are not valid JSON: {exc.msg}"
+            raise DataError(message) from exc
+        identity["fixtures"] = hashlib.sha256(data).hexdigest()
+    return MockProvider(fixtures=fixtures, **settings), identity
 
 
 class Pipeline:
@@ -285,7 +261,6 @@ class Pipeline:
         self.config = config
         self.out_dir = Path(config.out_dir)
         self.manifest_dir = self.out_dir / "manifests"
-        self._manager: BatchManager | None = None
         self._digests: dict[Path, tuple[tuple[int, int], str]] = {}
 
     # -- manifest machinery -------------------------------------------------
@@ -370,7 +345,7 @@ class Pipeline:
             if not name.endswith("_path")
         }
         if stage.provider:
-            params.update(_provider_params(self.config, self._hash))
+            params.update(self._provider[1])
         blob = _canonical(
             {
                 "stage": stage.name,
@@ -381,11 +356,20 @@ class Pipeline:
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    @property
+    @functools.cached_property
+    def _provider(self) -> tuple[MockProvider | HttpProvider, dict]:
+        """The provider and its identity, built once per ``Pipeline``."""
+        return build_provider(self.config)
+
+    @functools.cached_property
     def manager(self) -> BatchManager:
-        if self._manager is None:
-            self._manager = make_manager(self.config, self._hash)
-        return self._manager
+        config = self.config
+        provider, identity = self._provider
+        policy = RetryPolicy(config.max_attempts, config.max_in_flight, config.backoff_base)
+        # cached answers are replayed only for the provider identity that gave them
+        scope = hashlib.sha256(_canonical(identity).encode("utf-8")).hexdigest()
+        cache = ResponseCache(config.cache_dir, scope=scope)
+        return BatchManager(provider, cache=cache, policy=policy)
 
     def run_stage(self, stage: str, force: bool = False) -> StageArtifact:
         """Run one stage, or no-op when its fingerprint already matches."""

@@ -34,23 +34,17 @@ THEME_NAMES = (
     "complex_problem_resolution",
 )
 
-TASK_EXTRACTION_SCHEMA = Schema(
+
+def _task_list_schema(name: str, *task_fields: FieldSpec) -> Schema:
+    """A payload of one ``tasks`` array whose items are ``task`` objects of ``task_fields``."""
+    task = FieldSpec("task", "object", fields=(FieldSpec("task_number", "integer"), *task_fields))
+    return Schema(name, (FieldSpec("tasks", "array", item=task),))
+
+
+TASK_EXTRACTION_SCHEMA = _task_list_schema(
     "task_extraction",
-    (
-        FieldSpec(
-            "tasks",
-            "array",
-            item=FieldSpec(
-                "task",
-                "object",
-                fields=(
-                    FieldSpec("task_number", "integer"),
-                    FieldSpec("task_details", "string"),
-                    FieldSpec("exposure_score", "number", minimum=0.0, maximum=1.0),
-                ),
-            ),
-        ),
-    ),
+    FieldSpec("task_details", "string"),
+    FieldSpec("exposure_score", "number", minimum=0.0, maximum=1.0),
 )
 
 CLUSTER_LABEL_SCHEMA = Schema("cluster_label", (FieldSpec("label", "string"),))
@@ -65,42 +59,16 @@ THEME_FLAGS_SCHEMA = Schema(
     tuple(FieldSpec(name, "integer", choices=(0, 1)) for name in THEME_NAMES),
 )
 
-TASK_REWRITE_SCHEMA = Schema(
+TASK_REWRITE_SCHEMA = _task_list_schema(
     "task_rewrite",
-    (
-        FieldSpec(
-            "tasks",
-            "array",
-            item=FieldSpec(
-                "task",
-                "object",
-                fields=(
-                    FieldSpec("task_number", "integer"),
-                    FieldSpec("label", "string", choices=("No change", "Augmented")),
-                    FieldSpec("new_task_details", "string"),
-                ),
-            ),
-        ),
-    ),
+    FieldSpec("label", "string", choices=("No change", "Augmented")),
+    FieldSpec("new_task_details", "string"),
 )
 
-TASK_MIX_SCHEMA = Schema(
+TASK_MIX_SCHEMA = _task_list_schema(
     "task_mix",
-    (
-        FieldSpec(
-            "tasks",
-            "array",
-            item=FieldSpec(
-                "task",
-                "object",
-                fields=(
-                    FieldSpec("task_number", "integer"),
-                    FieldSpec("task_details", "string"),
-                    FieldSpec("task_category", "string", choices=TASK_CATEGORIES),
-                ),
-            ),
-        ),
-    ),
+    FieldSpec("task_details", "string"),
+    FieldSpec("task_category", "string", choices=TASK_CATEGORIES),
 )
 
 

@@ -247,6 +247,22 @@ class TestReferenceTables:
                 data_dir / "profession_totals.csv",
             )
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("name", ["salary.csv", "grade_totals.csv"])
+    def test_non_finite_cell_rejected_with_its_line(self, tmp_path, data_dir, name, token):
+        text = {
+            "salary.csv": "department,grade,median_salary\nHO,EO,28000\nHO,HEO/SEO,{}\n",
+            "grade_totals.csv": "grade,fte\nEO,100\nHEO/SEO,{}\n",
+        }[name]
+        paths = {
+            table: data_dir / table
+            for table in ("fte.csv", "salary.csv", "grade_totals.csv", "profession_totals.csv")
+        }
+        paths[name] = tmp_path / name
+        paths[name].write_text(text.format(token))
+        with pytest.raises(DataError, match=rf"{name}:3: non-finite value '{token}'"):
+            load_reference_tables(*paths.values())
+
     def test_negative_cell_rejected(self, tmp_path, data_dir):
         bad = tmp_path / "fte.csv"
         bad.write_text("department,grade,fte\nHO,EO,-5\n")

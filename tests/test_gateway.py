@@ -87,6 +87,15 @@ class TestValidatePayload:
         with pytest.raises(RangeViolation):
             validate_payload(json.dumps(tasks_payload(1.3)), TASK_EXTRACTION_SCHEMA)
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, score):
+        with pytest.raises(RangeViolation, match="not a finite number"):
+            validate_payload(json.dumps(tasks_payload(score)), TASK_EXTRACTION_SCHEMA)
+
+    def test_integer_beyond_float_range_is_range_checked(self):
+        with pytest.raises(RangeViolation, match="above maximum"):
+            validate_payload(json.dumps(tasks_payload(10**400)), TASK_EXTRACTION_SCHEMA)
+
     def test_missing_field_named(self):
         raw = json.dumps({"tasks": [{"task_number": 1, "exposure_score": 0.5}]})
         with pytest.raises(MissingField, match=r"tasks\[0\].task_details"):
@@ -163,6 +172,22 @@ class TestFingerprint:
         assert request_fingerprint(system, user, schema) == reference_fingerprint(
             system, user, schema
         )
+
+    def test_prompt_schema_texts_are_pinned(self):
+        # every request fingerprint, and so every cache key, splices these texts in
+        expected = {
+            "TASK_EXTRACTION_SCHEMA": "e8a94894b4323d15b1c8981d0ce08f86ba3883047ec6ef3dc6a8ae27cda9a11f",
+            "CLUSTER_LABEL_SCHEMA": "7a0624379b1461fbbd4924f21abb596140745ec3c451900be20639f5ce1525d9",
+            "FOCUS_CHOICE_SCHEMA": "9ac916f0a79750e9c16edb34d811855249d37a0be81a8c79834f5b638abffb15",
+            "THEME_FLAGS_SCHEMA": "ac8d3a8f8d0bb1a65701554fe4ff2906c8b7eab0f700442ebcb582dc3a94692f",
+            "TASK_REWRITE_SCHEMA": "d9262f37399aee1bd79d7a3be053c2d208431ff426bc3074f02a7cf55fe1fc28",
+            "TASK_MIX_SCHEMA": "8dc53f7a6874bc2591cbe1681c050e57f28b74ba9bca874167d8566027d30560",
+        }
+        digests = {
+            name: hashlib.sha256(getattr(prompts, name).canonical().encode("utf-8")).hexdigest()
+            for name in expected
+        }
+        assert digests == expected
 
     def test_stored_canonical_text_leaves_equality_and_hash_alone(self):
         for schema in PROMPT_SCHEMAS:

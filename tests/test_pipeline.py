@@ -133,7 +133,7 @@ class TestStageDeclarations:
         identity: set = set()
         for provider in ("mock", "remote"):
             config = FieldRecorder(PipelineConfig(provider=provider), identity)
-            pipeline_module._provider_params(config, lambda path: "")
+            pipeline_module.build_provider(config)
         no_output = {
             "out_dir", "cache_dir", "api_key_env", "max_attempts", "max_in_flight", "backoff_base"
         }
@@ -162,11 +162,10 @@ class TestStageDeclarations:
             remote_temperature=0.5,
             remote_max_tokens=7,
         )
-        built = pipeline_module.make_manager(config, lambda path: "digest").provider
-        params = pipeline_module._provider_params(config, lambda path: "digest")
+        built, params = pipeline_module.build_provider(config)
         assert params.pop("provider") == provider
         if provider == "mock":
-            assert params.pop("fixtures") == "digest"
+            assert params.pop("fixtures") == hashlib.sha256(fixtures.read_bytes()).hexdigest()
             assert built.fixtures == json.loads(fixtures.read_text())
         assert {name: getattr(built, name) for name in params} == params
         # the constructor's other fields cannot change an answer
@@ -177,24 +176,44 @@ class TestStageDeclarations:
             else {"api_key_env", "timeout"}
         )
 
-    def test_cache_scope_names_the_fixtures_the_mock_serves(self, tmp_path):
+    def test_fixtures_edited_mid_run_are_seen_by_the_next_invocation(self, tmp_path, monkeypatch):
+        # one Pipeline builds its provider once: a fixtures edit after extract
+        # neither reaches this run nor makes its later stages refuse extract
+        def config_for(name: str, fixtures: Path) -> PipelineConfig:
+            return PipelineConfig.load(
+                write_config(
+                    tmp_path,
+                    out_dir=str(tmp_path / name / "out"),
+                    cache_dir=str(tmp_path / name / "cache"),
+                    fixtures_path=str(fixtures),
+                )
+            )
+
+        first = {"0" * 64: {"tasks": []}}  # pins no request
+        (tmp_path / "a.json").write_text(json.dumps(first))
+        calls = record_calls(monkeypatch, MockProvider, "complete")
+        solo_a = run_all(config_for("solo_a", tmp_path / "a.json"))
+        label = next(r for _, r in calls if r.output_schema.name == "cluster_label")
+        second = {**first, label.fingerprint(): {"label": "Pinned cluster label"}}
+        (tmp_path / "b.json").write_text(json.dumps(second))
+        solo_b = run_all(config_for("solo_b", tmp_path / "b.json"))
+        expected_a, expected_b = artifacts(solo_a.out_dir), artifacts(solo_b.out_dir)
+        assert expected_a != expected_b
+
         fixtures = tmp_path / "fixtures.json"
-        served = json.dumps({"fingerprint": {"tasks": []}}).encode("utf-8")
-        fixtures.write_bytes(served)
+        fixtures.write_text(json.dumps(first))
+        config = config_for("shared", fixtures)
+        pipeline = Pipeline(config)
+        pipeline.run_stage("ingest")
+        pipeline.run_stage("extract")
+        fixtures.write_text(json.dumps(second))
+        pipeline.run_all()
+        assert artifacts(pipeline.out_dir) == expected_a
 
-        def rewriting(path):
-            # the file changes between the read that parses it and this one
-            path.write_text(json.dumps({"other": {"tasks": []}}))
-            return hashlib.sha256(path.read_bytes()).hexdigest()
-
-        config = PipelineConfig(cache_dir=str(tmp_path / "cache"), fixtures_path=str(fixtures))
-        manager = pipeline_module.make_manager(config, rewriting)
-        params = pipeline_module._provider_params(
-            config, lambda path: hashlib.sha256(served).hexdigest()
-        )
-        identity = pipeline_module._canonical(params).encode("utf-8")
-        assert manager.provider.fixtures == json.loads(served)
-        assert manager.cache.scope == hashlib.sha256(identity).hexdigest()
+        later = Pipeline(config)
+        built = {artifact.stage for artifact in later.run_all() if not artifact.reused}
+        assert built == {"extract", "cluster", "redesign", "report"}
+        assert artifacts(later.out_dir) == expected_b
 
 
 class TestEndToEnd:
@@ -301,6 +320,22 @@ class TestEndToEnd:
         tasks = read_jsonl(out / "tasks.jsonl")
         assert [row["task_details"] for row in tasks if row["vacancy_id"] == "V001"] == pinned
 
+    def test_nan_score_in_an_answer_is_retried_never_stored(self, tmp_path):
+        assert main(["ingest", "--config", str(write_config(tmp_path))]) == 0
+        out = tmp_path / "out"
+        record = next(r for r in read_jsonl(out / "vacancies.jsonl") if r["vacancy_id"] == "V001")
+        request = task_extraction_request("nan", Vacancy.from_record(record).job_description)
+        payload = {"tasks": [{"task_number": 1, "task_details": "Duty", "exposure_score": math.nan}]}
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({request.fingerprint(): payload}))
+        config = write_config(tmp_path, fixtures_path=str(fixtures))
+        for _ in range(2):  # the second run replays the cache
+            assert main(["all", "--config", str(config)]) == 0
+        summary = json.loads((out / "extract_summary.json").read_text())
+        assert ["extract:V001:description", "RangeViolation"] in summary["batches"][0]["failed"]
+        answers = list((tmp_path / "cache").glob("*.answers"))
+        assert answers and not any(b"NaN" in path.read_bytes() for path in answers)
+
     def test_truncated_manifest_rebuilds_stage(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["all", "--config", str(config)]) == 0
@@ -360,21 +395,22 @@ class TestEndToEnd:
         assert all(artifact.reused for artifact in rerun.run_all())
         assert set(hashed) == first and max(hashed.values()) == 1, hashed.most_common(3)
 
-    def test_fixtures_file_hashed_at_most_once_per_pipeline(self, tmp_path, monkeypatch):
+    def test_fixtures_file_read_at_most_once_per_pipeline(self, tmp_path, monkeypatch):
         fixtures = tmp_path / "fixtures.json"
         fixtures.write_text(json.dumps({"0" * 64: {"tasks": []}}))
         config = PipelineConfig.load(write_config(tmp_path, fixtures_path=str(fixtures)))
-        hashed: Counter = Counter()
-        original = pipeline_module._sha256_file
+        reads = []
+        real_open = Path.open
 
-        def counting(path):
-            hashed[Path(path)] += 1
-            return original(path)
+        def recording_open(self, mode="r", *args, **kwargs):
+            if self == fixtures and not set(mode) & set("wax+"):
+                reads.append(mode)
+            return real_open(self, mode, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline_module, "_sha256_file", counting)
+        monkeypatch.setattr(Path, "open", recording_open)
         pipeline = run_all(config)
         assert pipeline.manager.provider.fixtures
-        assert hashed[fixtures] == 1 and max(hashed.values()) == 1, hashed.most_common(3)
+        assert len(reads) == 1, reads
 
     def test_stale_upstream_refused(self, fixture_config):
         pipeline = run_all(fixture_config)
@@ -1166,6 +1202,21 @@ class TestCli:
     def test_usage_error_exit_one_bad_delta(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["ingest", "--config", str(config), "--delta", "1.5"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, settings",
+        [
+            (["--seed", "-1"], {}),
+            ([], {"truncate_chars": -40}),
+            ([], {"label_sample_cap": 0}),
+        ],
+        ids=["seed", "truncate_chars", "label_sample_cap"],
+    )
+    def test_usage_error_exit_one_before_any_stage_writes(self, tmp_path, capsys, flags, settings):
+        config = write_config(tmp_path, **settings)
+        assert main(["all", "--config", str(config), *flags]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_data_error_exit_two_missing_corpus(self, tmp_path):
         config = write_config(tmp_path, corpus_path=str(tmp_path / "nowhere.jsonl"))
