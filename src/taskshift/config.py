@@ -63,6 +63,11 @@ class PipelineConfig:
     label_sample_cap: int = 200
     new_tasks_fraction: float = 0.10
 
+    def __post_init__(self) -> None:
+        # 0 and None both mean "no truncation"; one spelling gives one fingerprint
+        if self.truncate_chars == 0:
+            self.truncate_chars = None
+
     def validate(self) -> None:
         if not 0.0 < self.delta <= 1.0:
             raise UsageError(f"delta {self.delta} outside (0, 1]")
@@ -84,6 +89,10 @@ class PipelineConfig:
             raise UsageError(f"truncate_chars {self.truncate_chars} is negative")
         if self.label_sample_cap < 1:
             raise UsageError(f"label_sample_cap {self.label_sample_cap} is below 1")
+        if self.max_attempts < 1:
+            raise UsageError(f"max_attempts {self.max_attempts} is below 1")
+        if self.max_in_flight < 1:
+            raise UsageError(f"max_in_flight {self.max_in_flight} is below 1")
 
     @classmethod
     def load(cls, path: str | Path | None = None, overrides: dict | None = None) -> "PipelineConfig":

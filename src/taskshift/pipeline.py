@@ -29,7 +29,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import orjson
 
@@ -113,8 +113,8 @@ def _canonical(data: object) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-# the encoder ``json.dumps(record, sort_keys=True)`` would build for every row
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+# the settings ``json.dumps(value, sort_keys=True)`` encodes with
+_ROW_SETTINGS = json.JSONEncoder(sort_keys=True)
 
 
 @contextlib.contextmanager
@@ -134,11 +134,38 @@ def _replacing(path: Path, newline: str | None = None) -> Iterator[IO[str]]:
         raise
 
 
+def _row_encoder() -> Callable[[object, int], Iterable[str]]:
+    """The encoder that ``json.dumps(value, sort_keys=True)`` builds for each call,
+    built once per file instead: ``"".join(encode(value, 0))`` is that call's text.
+
+    It is the C encoder where the ``_json`` accelerator is present, else the
+    pure-Python one that ``json.dumps`` falls back to. Each file gets its own,
+    because the C encoder's ``markers`` dict of open containers keeps their
+    ids after an encoding error.
+    """
+    if json.encoder.c_make_encoder is None:
+        return _ROW_SETTINGS.iterencode
+    settings = _ROW_SETTINGS
+    return json.encoder.c_make_encoder(
+        {},
+        settings.default,
+        json.encoder.encode_basestring_ascii,
+        settings.indent,
+        settings.key_separator,
+        settings.item_separator,
+        settings.sort_keys,
+        settings.skipkeys,
+        settings.allow_nan,
+    )
+
+
 def write_jsonl(path: Path, records: list[dict]) -> None:
+    """One ``json.dumps(record, sort_keys=True)`` line per record; ``records`` is only iterated."""
+    encode = _row_encoder()
     with _replacing(path, newline="\n") as handle:
+        write = handle.write
         for record in records:
-            handle.write(_ROW_ENCODER.encode(record))
-            handle.write("\n")
+            write("".join(encode(record, 0)) + "\n")
 
 
 def decode_own(text: str | bytes) -> object:
@@ -212,10 +239,54 @@ def iter_joined(roles: Path, tasks: Path) -> Iterator[tuple[dict, list[dict]]]:
 
 
 def write_json(path: Path, data: object) -> None:
-    """Write ``data`` as indented JSON, a piece at a time rather than as one string."""
+    """Write ``json.dumps(data, sort_keys=True, indent=1)`` and a newline, a piece at a
+    time rather than as one string."""
     with _replacing(path) as handle:
-        json.dump(data, handle, sort_keys=True, indent=1)
+        _write_indented(handle.write, data, "\n", set())
         handle.write("\n")
+
+
+def _write_indented(
+    write: Callable[[str], object], value: object, newline: str, open_ids: set[int]
+) -> None:
+    """Write ``value`` as ``json.dumps(value, sort_keys=True, indent=1)`` spells it at
+    the depth whose line break and indent is ``newline``.
+
+    Non-empty lists, tuples and dicts with only ``str`` keys are walked here,
+    and a list of finite floats is one join of ``float.__repr__``, the text
+    json gives each of them. Any other value goes to ``json.dumps``: a dict
+    with other keys indented to this depth, a scalar or an empty container
+    as it is. ``open_ids`` holds the containers being written, so a circular
+    one raises as ``json.dumps`` does.
+    """
+    if not (isinstance(value, (list, tuple, dict)) and value):
+        write(json.dumps(value))
+        return
+    if id(value) in open_ids:
+        raise ValueError("Circular reference detected")
+    inner = newline + " "
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        if not all(isinstance(key, str) for key, _ in items):
+            write(json.dumps(value, sort_keys=True, indent=1).replace("\n", newline))
+            return
+        opening, closing = "{", "}"
+        pieces = ((json.encoder.encode_basestring_ascii(key) + ": ", item) for key, item in items)
+    else:
+        items = list(value)
+        if set(map(type, items)) == {float} and all(map(math.isfinite, items)):
+            write("[" + inner + ("," + inner).join(map(float.__repr__, items)) + newline + "]")
+            return
+        opening, closing = "[", "]"
+        pieces = zip(itertools.repeat(""), items)
+    open_ids.add(id(value))
+    separator = opening + inner
+    for prefix, item in pieces:
+        write(separator + prefix)
+        _write_indented(write, item, inner, open_ids)
+        separator = "," + inner
+    write(newline + closing)
+    open_ids.discard(id(value))
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -248,6 +319,9 @@ def build_provider(config: PipelineConfig) -> tuple[MockProvider | HttpProvider,
             fixtures = json.loads(data.decode("utf-8"))
         except OSError as exc:
             raise UsageError(f"cannot read fixtures {config.fixtures_path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            reason = f"{exc.reason} at offset {exc.start}"
+            raise DataError(f"fixtures {config.fixtures_path} are not UTF-8: {reason}") from exc
         except json.JSONDecodeError as exc:
             message = f"fixtures {config.fixtures_path} are not valid JSON: {exc.msg}"
             raise DataError(message) from exc

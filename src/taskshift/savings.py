@@ -53,17 +53,41 @@ class RoleSavings:
     freed_hours: float
 
 
+# the class of each code that ``class_codes`` gives a share
+CLASS_BY_CODE = (RoleClass.NO_IMPACT, RoleClass.COST_REDUCTION, RoleClass.PRODUCTIVITY_GAIN)
+
+
+def _share_in_range(high_share):
+    """Whether a share (or each share of an array) lies in [0, 1], give or take rounding."""
+    return (0.0 <= high_share) & (high_share <= 1.0 + 1e-12)
+
+
+def class_codes(high_share, theta: float):
+    """The rule, for one share or for a numpy array of shares at once, as codes into
+    ``CLASS_BY_CODE``: NoImpact when no high-exposure time, CostReduction at or above
+    theta, ProductivityGain below it. ``classify_role`` checks the ranges."""
+    return (high_share != 0.0) * (1 + (high_share < theta))
+
+
 def classify_role(high_share: float, theta: float) -> RoleClass:
     """NoImpact when no high-exposure time; CostReduction at or above theta."""
-    if not 0.0 <= high_share <= 1.0 + 1e-12:
+    if not _share_in_range(high_share):
         raise UsageError(f"high-exposure share {high_share} outside [0, 1]")
     if not 0.0 <= theta <= 1.0:
         raise UsageError(f"threshold {theta} outside [0, 1]")
-    if high_share == 0.0:
-        return RoleClass.NO_IMPACT
-    if high_share >= theta:
-        return RoleClass.COST_REDUCTION
-    return RoleClass.PRODUCTIVITY_GAIN
+    return CLASS_BY_CODE[class_codes(high_share, theta)]
+
+
+def classify_roles(high_shares: np.ndarray, theta: float) -> np.ndarray:
+    """``classify_role`` of every share at once, as codes into ``CLASS_BY_CODE``.
+
+    It raises what ``classify_role`` raises for the first share outside
+    [0, 1], or else for the first share; an empty array raises nothing.
+    """
+    outside = ~_share_in_range(high_shares)
+    for share in (high_shares[outside] if outside.any() else high_shares)[:1].tolist():
+        classify_role(share, theta)
+    return class_codes(high_shares, theta)
 
 
 def savings_from_shares(
@@ -155,8 +179,8 @@ def sweep(
     shares = [exposure_shares(role.exposures, delta) for role in roles]
     missing_salary = sum(1 for role in roles if role.salary is None)
     highs = [high for high, _ in shares]
-    # a role's class depends on its high share alone, so classify_role
-    # classes each distinct share once per threshold
+    # a role's class depends on its high share alone, so classify_roles
+    # classes the distinct shares, all at once for each threshold
     distinct_highs, share_of_role = np.unique(highs, return_inverse=True)
 
     # a role without a salary adds a zero term to every money total
@@ -180,11 +204,8 @@ def sweep(
     costs, gains, uppers, freed, ratios = [], [], [], [], []
     n_cost, n_gain, n_none = [], [], []
     for theta in thetas:
-        by_share = [classify_role(high, theta) for high in distinct_highs.tolist()]
-        in_class = {
-            role_class: np.array([c is role_class for c in by_share], dtype=bool)[share_of_role]
-            for role_class in RoleClass
-        }
+        codes = classify_roles(distinct_highs, theta)[share_of_role]
+        in_class = {role_class: codes == code for code, role_class in enumerate(CLASS_BY_CODE)}
         is_cost = in_class[RoleClass.COST_REDUCTION]
         is_gain = in_class[RoleClass.PRODUCTIVITY_GAIN]
         cost_total = total(is_cost, cost_terms)

@@ -541,6 +541,17 @@ class TestConfigKnobs:
             longer += len(original) > 120
         assert longer > 0
 
+    def test_truncate_chars_zero_and_null_share_one_extract_fingerprint(self, tmp_path):
+        # both mean "no truncation", so switching between them must not rebuild extract
+        plain = Pipeline(PipelineConfig.load(write_config(tmp_path, truncate_chars=None)))
+        plain.run_stage("ingest")
+        plain.run_stage("extract")
+        zero = Pipeline(PipelineConfig.load(write_config(tmp_path, truncate_chars=0)))
+        assert zero.config.truncate_chars is None
+        assert zero.run_stage("ingest").reused
+        assert zero.run_stage("extract").reused
+        assert fingerprint(zero, "extract") == fingerprint(plain, "extract")
+
     def test_small_department_is_dropped_and_listed(self, tmp_path):
         # the fixture corpus has 2 CO vacancies and 4 each in HO and HMRC
         pipeline = Pipeline(PipelineConfig.load(write_config(tmp_path, min_department_vacancies=3)))
@@ -681,6 +692,83 @@ class TestReplacingWriters:
         for path in (Path(fixture_config.out_dir) / "manifests").iterdir():
             text = path.read_text("utf-8")
             assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n", path.name
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# lists that take the indented writer's list-of-floats path, and lists that just miss it
+FLOAT_LISTS = (
+    st.lists(FINITE, min_size=1, max_size=2)
+    | st.lists(FINITE, max_size=5).flatmap(
+        lambda floats: st.integers(0, len(floats)).map(lambda at: [*floats[:at], 1, *floats[at:]])
+    )
+    | st.lists(st.floats(), min_size=1, max_size=3)
+    | st.lists(st.floats() | st.booleans(), min_size=1, max_size=4)
+)
+DOCUMENT = st.recursive(
+    SCALAR | st.integers() | st.sampled_from([2**64, -(2**70), 10**40]) | FLOAT_LISTS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(TEXT, inner, max_size=4)
+        | st.dictionaries(st.integers(), inner, min_size=1, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+class TestWriterBytes:
+    """The writers write the bytes of ``json.dumps``: rows with ``sort_keys``, documents
+    with ``sort_keys`` and ``indent=1``."""
+
+    @staticmethod
+    def assert_dumped(tmp_path, rows, document):
+        write_jsonl(tmp_path / "rows.jsonl", rows)
+        lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        assert (tmp_path / "rows.jsonl").read_bytes() == lines.encode("utf-8")
+        write_json(tmp_path / "document.json", document)
+        text = json.dumps(document, sort_keys=True, indent=1) + "\n"
+        assert (tmp_path / "document.json").read_bytes() == text.encode("utf-8")
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        rows=st.lists(st.dictionaries(TEXT, DOCUMENT, max_size=4), max_size=4), document=DOCUMENT
+    )
+    @example(
+        rows=[{"floats": [0.1, -0.0, 5e-324], "one": [2.5], "int": [1.5, 2, 3.5], "e": [{}, []]}],
+        document={
+            "mean": [0.1, -0.0, 1e300],
+            "pair": [[1.0, 2.0], [3.0]],
+            "odd": [math.nan, math.inf, -math.inf, True, 1.0, 2**64, None],
+            "non_finite": [[0.5, math.nan], [math.inf], [-math.inf, -0.0]],
+            "text": ["é😀", "\ud800", '"\\\n'],
+            "empty": [{}, [], ""],
+            "keys": {2: [1.0], 1: {"b": 0, "a": 1}},
+        },
+    )
+    def test_bytes_are_those_of_json_dumps(self, tmp_path, rows, document):
+        self.assert_dumped(tmp_path, rows, document)
+
+    def test_bytes_without_the_c_accelerator(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        row = {"b": [1.5, math.nan, 2**70], "a": {"z": "é", "y": None}}
+        self.assert_dumped(tmp_path, [row, {}], {"rows": [row], "floats": [0.5, -0.0]})
+
+    @pytest.mark.parametrize("write", [write_jsonl, write_json], ids=["jsonl", "json"])
+    def test_unencodable_value_raises_the_standard_type_error(self, tmp_path, write):
+        rows = [{"x": {"y": [1.0, object()]}}]
+        with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+            write(tmp_path / "table", rows)
+        # a failed write leaves nothing behind that the next write of the same rows trips on
+        rows[0]["x"]["y"][1] = 2.0
+        write(tmp_path / "table", rows)
+        assert (tmp_path / "table").exists()
+
+    def test_circular_document_raises_as_json_dumps_does(self, tmp_path):
+        document = {"a": [1.0]}
+        document["a"].append(document)
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            write_json(tmp_path / "document.json", document)
 
 
 class TestReportRoundTrip:
@@ -1209,8 +1297,10 @@ class TestCli:
             (["--seed", "-1"], {}),
             ([], {"truncate_chars": -40}),
             ([], {"label_sample_cap": 0}),
+            ([], {"max_attempts": 0}),
+            ([], {"max_in_flight": 0}),
         ],
-        ids=["seed", "truncate_chars", "label_sample_cap"],
+        ids=["seed", "truncate_chars", "label_sample_cap", "max_attempts", "max_in_flight"],
     )
     def test_usage_error_exit_one_before_any_stage_writes(self, tmp_path, capsys, flags, settings):
         config = write_config(tmp_path, **settings)
@@ -1322,3 +1412,11 @@ class TestCli:
         config = write_config(tmp_path, fixtures_path=str(tmp_path / "absent.json"))
         assert main(["ingest", "--config", str(config)]) == 0
         assert main(["extract", "--config", str(config)]) == 1
+
+    def test_fixtures_file_not_utf8_is_data_error_on_one_line(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_bytes(b"\xff\xfe{}")
+        config = write_config(tmp_path, fixtures_path=str(fixtures))
+        assert main(["all", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(fixtures) in err and "UTF-8" in err

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,10 +9,12 @@ from taskshift import savings as savings_module
 from taskshift.errors import UsageError
 from taskshift.exposure import decay_weights
 from taskshift.savings import (
+    CLASS_BY_CODE,
     DEFAULT_THETA_GRID,
     RoleClass,
     RoleInput,
     classify_role,
+    classify_roles,
     decay_sensitivity,
     exposure_shares,
     savings_from_shares,
@@ -74,6 +77,23 @@ class TestClassifyRole:
             classify_role(1.5, 0.5)
         with pytest.raises(UsageError):
             classify_role(0.5, -0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.floats(0.0, 1.0), shares=st.lists(st.floats(0.0, 1.0 + 1e-12), max_size=12))
+    def test_array_form_classes_as_classify_role_does(self, theta, shares):
+        # with the edges: no high-exposure time, a share equal to theta, the rounding allowance
+        shares = np.array(shares + [0.0, theta, 1.0 + 1e-12])
+        classes = [CLASS_BY_CODE[code] for code in classify_roles(shares, theta).tolist()]
+        assert classes == [classify_role(share, theta) for share in shares.tolist()]
+
+    def test_array_form_raises_as_its_first_failing_call_would(self):
+        with pytest.raises(UsageError, match="share 1.5 outside"):
+            classify_roles(np.array([0.2, 1.5, -0.5]), 0.5)
+        with pytest.raises(UsageError, match="share nan outside"):
+            classify_roles(np.array([0.2, math.nan]), 1.5)
+        with pytest.raises(UsageError, match="threshold 1.5 outside"):
+            classify_roles(np.array([0.2, 0.4]), 1.5)
+        assert classify_roles(np.array([]), 1.5).size == 0
 
 
 class TestRoleSavings:
@@ -314,21 +334,16 @@ class TestSweepBitIdentity:
     @pytest.mark.parametrize(
         "rule, no_impact",
         [
-            (lambda high, theta: RoleClass.NO_IMPACT, 4),
+            # every share, a float or an array of them, gets code 0: NoImpact
+            (lambda high, theta: 0 * (high == high), 4),
             # the boundary moved: a share equal to theta is a productivity gain
-            (
-                lambda high, theta: (
-                    RoleClass.NO_IMPACT
-                    if high == 0.0
-                    else RoleClass.COST_REDUCTION if high > theta else RoleClass.PRODUCTIVITY_GAIN
-                ),
-                1,
-            ),
+            (lambda high, theta: (high != 0.0) * (1 + (high <= theta)), 1),
         ],
         ids=["no_impact", "boundary_moved"],
     )
     def test_classes_follow_classify_role(self, monkeypatch, rule, no_impact):
-        monkeypatch.setattr(savings_module, "classify_role", rule)
+        # class_codes is the rule of classify_role and of the sweep's classify_roles
+        monkeypatch.setattr(savings_module, "class_codes", rule)
         roles = [
             RoleInput("a", (0.9,), 1000.0),
             RoleInput("b", (0.9, 0.2), 2000.0, weight=3.0),
