@@ -781,6 +781,27 @@ class TestReportRoundTrip:
         with path.open() as handle:
             return list(csv.DictReader(handle))
 
+    def test_report_bytes_are_pinned(self, out_dir):
+        # the report's fingerprint covers its inputs, not its outputs, so only
+        # these digests see a change in how a cell is folded or formatted
+        expected = {
+            "band_shares.csv": "991e7823e48903e534874016f474515922f6cbd825537e433019e9804c4de1ef",
+            "cluster_summary.csv": "4cfb9ae63e30e4a8d59cd031c42417e823f12f136f519fb2a128cfc930318c78",
+            "decay_sensitivity.csv": "640420de1bb306172c5d4ed528f0fcaa489e16b449dac13c4fbfad4bed4271e9",
+            "exposure_histogram.csv": "0eb20147be16c3c8e281975565a6cafa4340ba77ef5f56bfd09cb8304deb82fb",
+            "focus_by_decile.csv": "bfc7e2b514dd6bd86dfc0edef7c85eb723db8b8ec93ca6a50dbbdc73e6c6040f",
+            "redesign_comparison.csv": "4560cb57f1c8725d2874eef0dc3d334c740d2122631a4ecf8a8bf7b8172ecefc",
+            "sweep.csv": "c20ff8ab9c6063c38a91527d328be48c506eed5f8dc9718594983615edd2ec22",
+            "tasks_per_role.csv": "e01b80e65033e78ffe5f7f44c9aaa15dd05dd2f3d4096581a559855d176a7420",
+            "taxonomy_summary.csv": "af9ea19f1bce6212c291388ff0a2f5f1a0f3fdd1689a381f2cac3a0f19200be6",
+            "theme_shares.csv": "10945a8a55b6c4c776a999c3e2c114a408722c37379f7bedd06c4058c2728bfb",
+        }
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (out_dir / "report").iterdir()
+        }
+        assert written == expected
+
     def test_sweep_csv_reparses_to_artifact(self, out_dir):
         artifact = {row["theta"]: row for row in read_jsonl(out_dir / "sweep.jsonl")}
         for row in self.read_csv(out_dir / "report" / "sweep.csv"):
