@@ -75,8 +75,8 @@ class PipelineConfig:
             raise UsageError(f"theta {self.theta} outside [0, 1]")
         if not self.theta_grid or any(not 0.0 <= theta <= 1.0 for theta in self.theta_grid):
             raise UsageError("theta grid must hold at least one value, each in [0, 1]")
-        if any(not 0.0 < delta <= 1.0 for delta in self.sensitivity_deltas):
-            raise UsageError("sensitivity decay rates must lie in (0, 1]")
+        if not self.sensitivity_deltas or any(not 0.0 < d <= 1.0 for d in self.sensitivity_deltas):
+            raise UsageError("sensitivity decay rates must hold at least one value, each in (0, 1]")
         if self.provider not in PROVIDERS:
             raise UsageError(f"unknown provider {self.provider!r}")
         if self.provider == "remote" and not (self.remote_base_url and self.remote_model):

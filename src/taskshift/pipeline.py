@@ -7,10 +7,10 @@ unchanged inputs and parameters is a no-op, and any upstream content or
 parameter change invalidates everything below it.
 
 ``STAGE_TABLE`` at the end of this module is the single place where a
-stage is declared: the stages whose outputs it opens, the files it
-writes and the ``PipelineConfig`` fields it reads, by their own names,
-next to the method that runs it. The manifest machinery reads nothing
-else.
+stage is declared: the stages whose outputs it opens, the files it writes
+(for the report, the tables that ``report.py`` declares and formats) and
+the ``PipelineConfig`` fields it reads by name, next to the method that
+runs it. The manifest machinery reads nothing else.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import IO, Callable, Iterable, Iterator
 
 import orjson
 
-from . import clustering, redesign, savings
+from . import clustering, redesign, report, savings
 from .config import PipelineConfig
 from .corpus import (
     OTHER_PROFESSION,
@@ -46,7 +46,7 @@ from .corpus import (
     parse_vacancies,
 )
 from .errors import DataError, UsageError
-from .exposure import Band, RoleProfile, build_profile, extract_corpus, task_record
+from .exposure import RoleProfile, build_profile, extract_corpus, task_record
 from .gateway import BatchManager, HttpProvider, MockProvider, ResponseCache, RetryPolicy
 from .raking import (
     SampleRow,
@@ -118,15 +118,16 @@ _ROW_SETTINGS = json.JSONEncoder(sort_keys=True)
 
 
 @contextlib.contextmanager
-def _replacing(path: Path, newline: str | None = None) -> Iterator[IO[str]]:
+def _replacing(path: Path) -> Iterator[IO[str]]:
     """Write ``path`` through ``.<name>.<pid>.tmp`` beside it, renamed into place, so
     a reader or a concurrent run sees the old file or the whole new one. On an
-    error the temporary file is removed and the target keeps its old bytes.
+    error the temporary file is removed and the target keeps its old bytes. Each
+    ``\n`` is written as it is, on every platform.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with temp.open("w", encoding="utf-8", newline=newline) as handle:
+        with temp.open("w", encoding="utf-8", newline="\n") as handle:
             yield handle
         os.replace(temp, path)
     except BaseException:
@@ -162,7 +163,7 @@ def _row_encoder() -> Callable[[object, int], Iterable[str]]:
 def write_jsonl(path: Path, records: list[dict]) -> None:
     """One ``json.dumps(record, sort_keys=True)`` line per record; ``records`` is only iterated."""
     encode = _row_encoder()
-    with _replacing(path, newline="\n") as handle:
+    with _replacing(path) as handle:
         write = handle.write
         for record in records:
             write("".join(encode(record, 0)) + "\n")
@@ -290,7 +291,7 @@ def _write_indented(
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with _replacing(path, newline="") as handle:
+    with _replacing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -872,202 +873,21 @@ class Pipeline:
         )
 
     def _run_report(self) -> None:
-        report_dir = self.out_dir / "report"
-        config = self.config
-
-        # each table is reduced to what the report uses while it is read:
-        # counters, each cluster's role means and stds, and the eligible profiles
-        score_counts: Counter[float] = Counter()
-        band_counts: Counter[Band] = Counter()
-        count_hist: Counter[int] = Counter()
-        stats_of: dict[str, list[tuple[float, float]]] = {}
-
-        def tallied(profiles: Iterator[RoleProfile]) -> Iterator[RoleProfile]:
-            # role_clusters.jsonl holds one row per role of roles.jsonl, in order
-            clusters = iter_jsonl(self.out_dir / "role_clusters.jsonl")
-            for profile, row in itertools.zip_longest(profiles, clusters):
-                if profile is None or row is None or row["vacancy_id"] != profile.vacancy_id:
-                    raise DataError("role_clusters.jsonl does not list the roles of roles.jsonl")
-                for task in profile.tasks:
-                    score_counts[round(task.exposure, 2)] += 1
-                    band_counts[task.band] += 1
-                count_hist[len(profile.tasks)] += 1
-                aggregates = profile.aggregates
-                stats_of.setdefault(row["cluster"], []).append((aggregates.mean, aggregates.std))
-                yield profile
-
-        eligible = redesign.eligible_roles(
-            tallied(self._read_profiles("roles.jsonl", "task_weights.jsonl")), config.theta
+        out = self.out_dir
+        gathered = report.Gathered(
+            profiles=self._read_profiles("roles.jsonl", "task_weights.jsonl"),
+            clusters=iter_jsonl(out / "role_clusters.jsonl"),
+            taxonomy=iter_jsonl(out / "taxonomy.jsonl"),
+            sweep=iter_jsonl(out / "sweep.jsonl"),
+            sensitivity=iter_jsonl(out / "sensitivity.jsonl"),
+            savings_summary=json.loads((out / "savings_summary.json").read_text("utf-8")),
+            plans=iter_jsonl(out / "plans.jsonl"),
+            redesign_summary=json.loads((out / "redesign_summary.json").read_text("utf-8")),
+            raked=iter_jsonl(out / "raked_weights.jsonl"),
+            theta=self.config.theta,
         )
-        total_tasks = sum(score_counts.values())
-        write_csv(
-            report_dir / "exposure_histogram.csv",
-            ["score", "count"],
-            [[f"{score:.2f}", count] for score, count in sorted(score_counts.items())],
-        )
-        write_csv(
-            report_dir / "band_shares.csv",
-            ["band", "count", "share_percent"],
-            [
-                [band.value, band_counts[band], f"{100.0 * band_counts[band] / total_tasks:.2f}"]
-                for band in Band
-            ],
-        )
-        write_csv(
-            report_dir / "tasks_per_role.csv",
-            ["task_count", "n_roles"],
-            [[count, n] for count, n in sorted(count_hist.items())],
-        )
-
-        cluster_rows = []
-        for name in (cluster.value for cluster in clustering.ExposureCluster):
-            if name not in stats_of:
-                cluster_rows.append([name, 0, "", "", "", ""])
-                continue
-            means, stds = zip(*stats_of[name])
-            cluster_rows.append(
-                [
-                    name,
-                    len(means),
-                    f"{math.fsum(means) / len(means):.3f}",
-                    f"{math.fsum(stds) / len(stds):.3f}",
-                    f"{max(means):.3f}",
-                    f"{min(means):.3f}",
-                ]
-            )
-        write_csv(
-            report_dir / "cluster_summary.csv",
-            ["cluster", "n_roles", "mean_exposure", "mean_std_exposure", "highest_exposure", "lowest_exposure"],
-            cluster_rows,
-        )
-
-        # category labels are kept only for the tasks of eligible roles,
-        # the only roles with plans
-        eligible_ids = {profile.vacancy_id for profile in eligible}
-        category_of: dict[tuple[str, int], str] = {}
-        tax_counts: Counter[tuple[str, str]] = Counter()
-        for row in iter_jsonl(self.out_dir / "taxonomy.jsonl"):
-            tax_counts[(row["category_label"], row["subcategory_label"])] += 1
-            if row["vacancy_id"] in eligible_ids:
-                category_of[(row["vacancy_id"], row["task_number"])] = row["category_label"]
-        write_csv(
-            report_dir / "taxonomy_summary.csv",
-            ["category_label", "subcategory_label", "n_tasks"],
-            [[cat, sub, n] for (cat, sub), n in sorted(tax_counts.items())],
-        )
-
-        def _money(value: float) -> str:
-            return str(round(value))
-
-        write_csv(
-            report_dir / "sweep.csv",
-            [
-                "theta",
-                "cost_reduction",
-                "productivity_gain",
-                "productivity_upper",
-                "ratio",
-                "n_cost",
-                "n_productivity",
-                "n_no_impact",
-            ],
-            [
-                [
-                    f"{row['theta']:.2f}",
-                    _money(row["cost_reduction"]),
-                    _money(row["productivity_gain"]),
-                    _money(row["productivity_upper"]),
-                    "inf" if math.isinf(row["ratio"]) else f"{row['ratio']:.4f}",
-                    row["n_cost"],
-                    row["n_productivity"],
-                    row["n_no_impact"],
-                ]
-                for row in iter_jsonl(self.out_dir / "sweep.jsonl")
-            ],
-        )
-
-        # savings reports at the grid point nearest config.theta
-        theta = json.loads((self.out_dir / "savings_summary.json").read_text("utf-8"))["theta"]
-        by_delta = {
-            row["delta"]: row
-            for row in iter_jsonl(self.out_dir / "sensitivity.jsonl")
-            if row["theta"] == theta
-        }
-        deltas = sorted(by_delta)
-        write_csv(
-            report_dir / "decay_sensitivity.csv",
-            ["saving_type"] + [f"delta_{delta}" for delta in deltas],
-            [
-                [saving] + [_money(by_delta[delta][saving]) for delta in deltas]
-                for saving in ("cost_reduction", "productivity_gain", "productivity_upper")
-            ],
-        )
-
-        plans_by_variant: dict[str, dict[str, redesign.RedesignPlan]] = {}
-        for record in iter_jsonl(self.out_dir / "plans.jsonl"):
-            plan = redesign.RedesignPlan.from_record(record)
-            plans_by_variant.setdefault(plan.variant, {})[plan.role_key] = plan
-        shift = redesign.time_shift_report(eligible, plans_by_variant, category_of)
-        columns = ["pre_automation", "post_automation"] + [
-            variant for variant in redesign.VARIANTS if variant in plans_by_variant
-        ]
-        write_csv(
-            report_dir / "redesign_comparison.csv",
-            ["category"] + [f"{column}_percent" for column in columns],
-            [
-                [row["category"]] + [f"{100.0 * row.get(column, 0.0):.2f}" for column in columns]
-                for row in shift
-            ],
-        )
-
-        summary = json.loads((self.out_dir / "redesign_summary.json").read_text("utf-8"))
-        write_csv(
-            report_dir / "theme_shares.csv",
-            ["theme", "share_percent"],
-            [
-                [theme, f"{100.0 * share:.2f}"]
-                for theme, share in sorted(summary["theme_shares"].items())
-            ],
-        )
-
-        # focus-task make-up of the top and bottom weighted salary deciles
-        raked = {
-            row["role_key"]: row["weight"]
-            for row in iter_jsonl(self.out_dir / "raked_weights.jsonl")
-        }
-        focus_plans = plans_by_variant.get(redesign.FOCUS, {})
-        salaried = {
-            profile.vacancy_id: profile.salary
-            for profile in eligible
-            if profile.salary is not None
-            and profile.vacancy_id in focus_plans
-            and profile.vacancy_id in raked
-        }
-        decile_rows: list[list] = []
-        if salaried:
-            deciles = redesign.salary_deciles(salaried, raked)
-            for group, wanted in (("bottom", 1), ("top", 10)):
-                members = sorted(key for key, decile in deciles.items() if decile == wanted)
-                total = math.fsum(raked[key] for key in members)
-                if total <= 0:
-                    continue
-                category_mass: dict[str, float] = {}
-                theme_mass: dict[str, float] = {}
-                for key in members:
-                    plan = focus_plans[key]
-                    label = category_of.get((key, plan.focus_task), clustering.UNCATEGORIZED)
-                    category_mass[label] = category_mass.get(label, 0.0) + raked[key]
-                    for theme in plan.themes:
-                        theme_mass[theme] = theme_mass.get(theme, 0.0) + raked[key]
-                for label, mass in sorted(category_mass.items()):
-                    decile_rows.append([group, "category", label, f"{100.0 * mass / total:.2f}"])
-                for theme, mass in sorted(theme_mass.items()):
-                    decile_rows.append([group, "theme", theme, f"{100.0 * mass / total:.2f}"])
-        write_csv(
-            report_dir / "focus_by_decile.csv",
-            ["group", "kind", "label", "share_percent"],
-            decile_rows,
-        )
+        for name, cells in report.TABLES.items():
+            write_csv(out / name, *cells(gathered))
 
 
 STAGE_TABLE: tuple[Stage, ...] = (
@@ -1149,18 +969,7 @@ STAGE_TABLE: tuple[Stage, ...] = (
     Stage(
         "report",
         deps=("weight", "cluster", "rake", "savings", "redesign"),
-        outputs=(
-            "report/exposure_histogram.csv",
-            "report/band_shares.csv",
-            "report/tasks_per_role.csv",
-            "report/cluster_summary.csv",
-            "report/taxonomy_summary.csv",
-            "report/sweep.csv",
-            "report/decay_sensitivity.csv",
-            "report/redesign_comparison.csv",
-            "report/theme_shares.csv",
-            "report/focus_by_decile.csv",
-        ),
+        outputs=tuple(report.TABLES),
         params=("theta", "delta"),
         run=Pipeline._run_report,
     ),

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import write_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,11 +39,12 @@ def test_spans_install_wraps_every_traced_name():
     assert completed.returncode == 0, completed.stderr
 
 
-def test_traced_fixture_run_counts_every_written_row(tmp_path):
-    # the JSONL spans count rows with len(), so a reader or writer that
-    # took an iterator would break the traced run or its counts
-    config = write_config(tmp_path)
-    spans_path = tmp_path / "spans.json"
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory) -> tuple[list, Path]:
+    """The spans of a traced ``taskshift all`` on the fixture corpus, and its output directory."""
+    work = tmp_path_factory.mktemp("traced")
+    config = write_config(work)
+    spans_path = work / "spans.json"
     completed = subprocess.run(
         [sys.executable, "bench/spans.py", "--config", str(config), "--spans", str(spans_path)],
         cwd=ROOT,
@@ -51,12 +54,36 @@ def test_traced_fixture_run_counts_every_written_row(tmp_path):
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
+    return json.loads(spans_path.read_text()), work / "out"
+
+
+def test_traced_fixture_run_counts_every_written_row(traced_run):
+    # the JSONL spans count rows with len(), so a reader or writer that
+    # took an iterator would break the traced run or its counts
+    recorded, out = traced_run
     spans = load_spans()
-    recorded = json.loads(spans_path.read_text())
     names = {span[spans.NAME] for span in recorded}
     assert {f"stage.{stage}" for stage in spans.STAGES} <= names
-    written = sum(
-        len(path.read_text().splitlines()) for path in (tmp_path / "out").rglob("*.jsonl")
-    )
+    written = sum(len(path.read_text().splitlines()) for path in out.rglob("*.jsonl"))
     assert written > 0
     assert spans.layer_metrics(recorded)["pipeline.jsonl_write.rows"] == written
+
+
+def test_every_wrapped_name_fires_on_the_fixture_run(traced_run):
+    # a caller that reaches a traced function past the name the hook wraps
+    # (a ``from redesign import ...`` in the caller's module, say) leaves its
+    # per-layer metric at zero without a word
+    spans = load_spans()
+    wrapped = set()
+
+    class NameRecorder(spans.Tracer):
+        def wrap(self, owner, attr, name, count=None, batch=False):
+            if isinstance(name, str):
+                wrapped.add(name)
+
+    spans.install(NameRecorder())
+    # nothing in the pipeline calls read_jsonl; its readers stream through iter_jsonl
+    wrapped.discard("pipeline.jsonl_read")
+    recorded, _ = traced_run
+    assert wrapped - {span[spans.NAME] for span in recorded} == set()
+    assert "redesign.time_shift_report" in wrapped

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -687,6 +688,23 @@ class TestReplacingWriters:
         assert path.read_bytes() == fresh.read_bytes()
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_line_ends_are_not_translated(self, tmp_path, monkeypatch, kind):
+        # newline="\n" writes each "\n" as it is; None would write os.linesep,
+        # so a manifest's bytes and hash would depend on the platform
+        write, good, _ = WRITERS[kind]
+        newlines = []
+        real_open = Path.open
+
+        def recording_open(self, *args, **kwargs):
+            bound = inspect.signature(real_open).bind(self, *args, **kwargs)
+            newlines.append(bound.arguments.get("newline"))
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        write(tmp_path / f"table.{kind}", good)
+        assert newlines == ["\n"]
+
     def test_manifests_are_written_as_indented_json_with_a_trailing_newline(self, fixture_config):
         run_all(fixture_config)
         for path in (Path(fixture_config.out_dir) / "manifests").iterdir():
@@ -1320,8 +1338,16 @@ class TestCli:
             ([], {"label_sample_cap": 0}),
             ([], {"max_attempts": 0}),
             ([], {"max_in_flight": 0}),
+            ([], {"sensitivity_deltas": []}),
         ],
-        ids=["seed", "truncate_chars", "label_sample_cap", "max_attempts", "max_in_flight"],
+        ids=[
+            "seed",
+            "truncate_chars",
+            "label_sample_cap",
+            "max_attempts",
+            "max_in_flight",
+            "sensitivity_deltas",
+        ],
     )
     def test_usage_error_exit_one_before_any_stage_writes(self, tmp_path, capsys, flags, settings):
         config = write_config(tmp_path, **settings)

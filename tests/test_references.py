@@ -6,13 +6,15 @@ so docstrings and comments do not count. Dunder methods are called by the
 language and are left out. The match is by name alone, so a same-named
 reference elsewhere hides a definition: the list errs short, never long.
 
-The same reading checks that the exposure band cutoffs, the sink labels
-and the grade buckets each have one owner.
+The same reading checks that the exposure band cutoffs, the sink labels,
+the grade buckets and the report's file names each have one owner.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
+from taskshift import report
 from taskshift.corpus import GradeBucket
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -101,3 +103,18 @@ def test_sink_labels_and_grade_buckets_are_written_only_by_their_owner():
                 if node.value in owner_of:
                     writers[node.value].add(path.relative_to(SRC).as_posix())
     assert writers == {label: {owner} for label, owner in owner_of.items()}
+
+
+def test_report_file_names_are_written_once_in_report():
+    # the report stage's declared outputs and the files it writes both come
+    # from report.TABLES, so a table cannot be renamed in one and not the other
+    names = {Path(path).name for path in report.TABLES}
+    assert len(names) == len(report.TABLES) == 10
+    writers: Counter = Counter()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for name in names:
+                    if name in node.value:
+                        writers[(name, path.relative_to(SRC).as_posix())] += 1
+    assert writers == {(name, "taskshift/report.py"): 1 for name in names}
