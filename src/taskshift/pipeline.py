@@ -61,6 +61,8 @@ from .raking import (
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
+# the fields a run reads back from a manifest, with their types; one that lacks any is unreadable
+_MANIFEST_FIELDS = {"stage": str, "params_fingerprint": str, "outputs": dict, "content_hash": str}
 
 
 @dataclass(frozen=True)
@@ -337,6 +339,13 @@ class Pipeline:
         self.out_dir = Path(config.out_dir)
         self.manifest_dir = self.out_dir / "manifests"
         self._digests: dict[Path, tuple[tuple[int, int], str]] = {}
+        for kind, directory in (("out", config.out_dir), ("cache", config.cache_dir)):
+            if directory is None:  # a cache of None keeps answers in a temporary store
+                continue
+            try:
+                Path(directory).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"cannot create {kind} directory {directory}: {exc}") from exc
 
     # -- manifest machinery -------------------------------------------------
 
@@ -348,10 +357,16 @@ class Pipeline:
         if not path.exists():
             return None
         try:
-            return json.loads(path.read_text("utf-8"))
+            manifest = json.loads(path.read_text("utf-8"))
         except ValueError:
+            manifest = None
+        well_formed = isinstance(manifest, dict) and all(
+            isinstance(manifest.get(key), kind) for key, kind in _MANIFEST_FIELDS.items()
+        )
+        if not well_formed:
             log.warning("manifest %s is unreadable; treating stage %s as not run", path, stage)
             return None
+        return manifest
 
     def _hash(self, path: Path) -> str:
         """SHA-256 of a file, read once per ``Pipeline`` while it is unchanged.

@@ -6,14 +6,20 @@ with one reference run: every output byte, and every manifest apart from
 with ``PYTHONHASHSEED=0`` and an empty cache. Every run is a child process,
 so each starts from a fresh interpreter.
 
+``never_frozen`` calls ``main`` without the program entry's ``gc.freeze``,
+so GC state cannot reach an output byte. ``killed_and_resumed`` kills a run
+mid-way with SIGKILL and runs it again.
+
 Left out because it does not hold: the BLAS thread count. ``eigh`` returns
 other bits under another OpenBLAS thread count, and they reach
 ``projection.json`` and with it the report's fingerprint (ROADMAP item 9).
 """
 
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,17 +29,22 @@ from taskshift.pipeline import STAGES
 from conftest import artifacts, child_env, manifests, write_config
 
 
-def taskshift(stage: str, config: Path, hash_seed: str = "0") -> None:
-    """``taskshift <stage>`` on ``config`` in a child; it must exit 0 without a traceback."""
+def argv(stage: str, config: Path) -> list[str]:
+    return [sys.executable, "-m", "taskshift.cli", stage, "--config", str(config)]
+
+
+def child(args: list[str], hash_seed: str = "0") -> None:
+    """``args`` in a child; it must exit 0 without a traceback."""
     result = subprocess.run(
-        [sys.executable, "-m", "taskshift.cli", stage, "--config", str(config)],
-        env=child_env(PYTHONHASHSEED=hash_seed),
-        capture_output=True,
-        text=True,
-        timeout=300,
+        args, env=child_env(PYTHONHASHSEED=hash_seed), capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
+
+
+def taskshift(stage: str, config: Path, hash_seed: str = "0") -> None:
+    """``taskshift <stage>`` on ``config`` in a child, through the program entry."""
+    child(argv(stage, config), hash_seed)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +81,36 @@ def other_paths(base: Path, reference: Path) -> Path:
     return out
 
 
-@pytest.mark.parametrize("run", [warm_cache, stage_by_stage, other_hash_seed, other_paths])
+def never_frozen(base: Path, reference: Path) -> Path:
+    args = ["all", "--config", str(write_config(base))]
+    call = f"import sys; from taskshift.cli import main; sys.exit(main({args!r}))"
+    child([sys.executable, "-c", call])
+    return base / "out"
+
+
+def killed_and_resumed(base: Path, reference: Path) -> Path:
+    config = write_config(base)
+    out = base / "out"
+    # the cluster stage is still to run when weight's manifest appears
+    marker = out / "manifests" / "weight.json"
+    with subprocess.Popen(
+        argv("all", config), env=child_env(PYTHONHASHSEED="0"), stdout=subprocess.DEVNULL
+    ) as run:
+        deadline = time.monotonic() + 300
+        while not marker.exists() and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.002)
+        run.send_signal(signal.SIGKILL)
+    assert run.returncode == -signal.SIGKILL
+    for temporary in out.rglob(".*.tmp"):  # what a kill leaves behind; safe to delete
+        temporary.unlink()
+    taskshift("all", config)
+    return out
+
+
+@pytest.mark.parametrize(
+    "run",
+    [warm_cache, stage_by_stage, other_hash_seed, other_paths, never_frozen, killed_and_resumed],
+)
 def test_outputs_equal_the_reference_run(tmp_path, reference, run):
     out = run(tmp_path, reference)
     assert artifacts(out) == artifacts(reference / "out")

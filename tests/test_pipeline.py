@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import inspect
 import itertools
@@ -349,6 +350,26 @@ class TestEndToEnd:
         assert any(line.startswith("weight: built") for line in lines)
         assert any(line.startswith("report: reused") for line in lines)
         json.loads(manifest.read_text())
+
+    @pytest.mark.parametrize("text", ["[]", '{"stage": "weight"}'], ids=["array", "no_fingerprint"])
+    def test_malformed_manifest_is_unreadable(self, tmp_path, capsys, text):
+        # valid JSON of the wrong shape is treated as a manifest that does not parse
+        config = write_config(tmp_path)
+        assert main(["all", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        built = artifacts(out)
+        manifest = out / "manifests" / "weight.json"
+        manifest.write_text(text)
+        capsys.readouterr()
+        assert main(["cluster", "--config", str(config)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == ["data error: stage 'cluster' needs 'weight', which has not been run"]
+        assert main(["all", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("weight: built") for line in lines)
+        assert any(line.startswith("report: reused") for line in lines)
+        assert artifacts(out) == built
+        assert json.loads(manifest.read_text())["stage"] == "weight"
 
     def test_manifests_without_a_trailing_newline_are_reused(self, fixture_config):
         # manifests used to end without one; an out directory built then is up to date
@@ -1355,6 +1376,20 @@ class TestCli:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["out_dir", "cache_dir"])
+    def test_directory_that_cannot_be_created_is_usage_error(self, tmp_path, capsys, field):
+        blocker = tmp_path / "a file"
+        blocker.write_text("")
+        config = write_config(tmp_path, **{field: str(blocker / "below")})
+        assert main(["all", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(blocker / "below") in err
+        # no stage wrote
+        assert sorted(path.name for path in tmp_path.rglob("*") if path.is_file()) == [
+            "a file",
+            "config.json",
+        ]
+
     def test_data_error_exit_two_missing_corpus(self, tmp_path):
         config = write_config(tmp_path, corpus_path=str(tmp_path / "nowhere.jsonl"))
         assert main(["ingest", "--config", str(config)]) == 2
@@ -1391,6 +1426,29 @@ class TestCli:
 
         monkeypatch.setattr(MockProvider, "embed", nan_embed)
         assert main(["cluster", "--config", str(config)]) == 3
+
+    def test_program_entry_freezes_before_main(self):
+        probe = (
+            "import gc, sys; from taskshift import cli; "
+            "cli.main = lambda: print(gc.get_freeze_count()) or 0; sys.exit(cli.run())"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) > 0
+
+    def test_main_leaves_gc_state_alone(self, tmp_path):
+        # freezing here would pin every live object of the caller for good
+        before = gc.get_freeze_count()
+        assert main(["all", "--config", str(write_config(tmp_path))]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_program_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text("utf-8"))["project"]["scripts"]
+        assert scripts == {"taskshift": "taskshift.cli:run"}
 
     def test_import_leaves_out_http_client(self):
         # the HTTP stack (urllib.request pulls in http.client, ssl and email)
