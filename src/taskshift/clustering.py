@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class ExposureCluster(str, Enum):
     AUTOMATION = "Automation"
 
 
-@dataclass(frozen=True)
-class KMeansResult:
+class KMeansResult(NamedTuple):
     assignments: np.ndarray
     centroids: np.ndarray
     inertia: float
@@ -216,8 +215,7 @@ def _distinct_rows(matrix: np.ndarray) -> int:
     return 1 + int((ordered[1:] != ordered[:-1]).any(axis=1).sum())
 
 
-@dataclass(frozen=True)
-class RoleClusters:
+class RoleClusters(NamedTuple):
     labels: tuple[ExposureCluster, ...]
     centroids: dict[ExposureCluster, tuple[float, float]]
 

@@ -15,6 +15,20 @@ from .errors import UsageError
 
 DEFAULT_THETA_GRID = tuple(round(step * 0.05, 2) for step in range(21))
 PROVIDERS = ("mock", "remote")
+# the least value of each numeric setting that has no upper bound
+_LOWER_BOUNDS = {
+    "max_attempts": 1,
+    "max_in_flight": 1,
+    "label_sample_cap": 1,
+    "embed_dimension": 1,
+    "pca_dim": 1,
+    "taxonomy_categories": 1,
+    "taxonomy_subclusters": 1,
+    "seed": 0,
+    "truncate_chars": 0,
+    "backoff_base": 0,
+    "min_department_vacancies": 0,
+}
 
 
 @dataclass
@@ -83,16 +97,12 @@ class PipelineConfig:
             raise UsageError("remote provider needs remote_base_url and remote_model")
         if not 0.0 < self.new_tasks_fraction <= 1.0:
             raise UsageError("new_tasks_fraction must lie in (0, 1]")
-        if self.seed < 0:
-            raise UsageError(f"seed {self.seed} is negative")
-        if self.truncate_chars is not None and self.truncate_chars < 0:
-            raise UsageError(f"truncate_chars {self.truncate_chars} is negative")
-        if self.label_sample_cap < 1:
-            raise UsageError(f"label_sample_cap {self.label_sample_cap} is below 1")
-        if self.max_attempts < 1:
-            raise UsageError(f"max_attempts {self.max_attempts} is below 1")
-        if self.max_in_flight < 1:
-            raise UsageError(f"max_in_flight {self.max_in_flight} is below 1")
+        for name, least in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if value is None and name == "truncate_chars":  # no truncation
+                continue
+            if value < least:
+                raise UsageError(f"{name} {value} is below {least}")
 
     @classmethod
     def load(cls, path: str | Path | None = None, overrides: dict | None = None) -> "PipelineConfig":
@@ -104,6 +114,8 @@ class PipelineConfig:
                 raise UsageError(f"cannot read config {path}: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise UsageError(f"config {path} is not valid JSON: {exc.msg}") from exc
+            if not isinstance(values, dict):
+                raise UsageError(f"config {path} does not hold a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(values) - known
         if unknown:

@@ -20,7 +20,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DataError
 
@@ -124,8 +124,7 @@ class ReferenceTables:
     population_total: float
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(NamedTuple):
     """Controlled category lists; ``None`` leaves a dimension unchecked.
 
     Grades are always checked against the fixed bucket scheme and are not

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import DataError, UsageError
 from .gateway import BatchManager, BatchReport, StructuredResponse
@@ -52,8 +52,7 @@ def classify_exposure(score: float) -> tuple[Band, int]:
     return Band.VERY_LOW, 0
 
 
-@dataclass(frozen=True, slots=True)
-class TaskRecord:
+class TaskRecord(NamedTuple):
     """One extracted task at its 1-based position in the role."""
 
     task_number: int
@@ -107,8 +106,7 @@ def decay_weights(task_count: int, delta: float) -> DecayWeights:
     return DecayWeights(tuple(value / total for value in raw))
 
 
-@dataclass(frozen=True, slots=True)
-class RoleExposure:
+class RoleExposure(NamedTuple):
     """Weighted role-level aggregates over one task list."""
 
     mean: float

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -119,7 +119,7 @@ class BatchManager:
                 note = f"\n(attempt {attempt}: the previous reply violated the rules; {nudge})"
                 for index in pending:
                     original = requests[index]
-                    sent[index] = replace(original, user_prompt=original.user_prompt + note)
+                    sent[index] = original._replace(user_prompt=original.user_prompt + note)
                     fingerprints[index] = sent[index].fingerprint()
             groups: dict[str, list[int]] = {}
             for index in pending:

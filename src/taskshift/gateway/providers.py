@@ -15,7 +15,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar, Protocol, Sequence
+from typing import ClassVar, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -26,8 +26,7 @@ _TASK_LINE_RE = re.compile(r"^\s*(-?\d+)\.\s+(.*\S)\s*$", re.MULTILINE)
 _BULLET_RE = re.compile(r"^\s*(?:[-*•]|\d+\.)\s+(.*\S)\s*$")
 
 
-@dataclass(frozen=True)
-class StructuredRequest:
+class StructuredRequest(NamedTuple):
     """One chat-style call expecting a schema-conformant reply."""
 
     request_id: str
@@ -39,15 +38,13 @@ class StructuredRequest:
         return request_fingerprint(self.system_prompt, self.user_prompt, self.output_schema)
 
 
-@dataclass(frozen=True)
-class StructuredResponse:
+class StructuredResponse(NamedTuple):
     request_id: str
     payload: dict
     raw: str
 
 
-@dataclass(frozen=True)
-class ProviderResult:
+class ProviderResult(NamedTuple):
     raw: str
     input_tokens: int = 0
     output_tokens: int = 0

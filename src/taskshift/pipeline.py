@@ -27,9 +27,8 @@ import os
 import statistics
 import time
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 import orjson
 
@@ -65,8 +64,7 @@ SCHEMA_VERSION = 1
 _MANIFEST_FIELDS = {"stage": str, "params_fingerprint": str, "outputs": dict, "content_hash": str}
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One pipeline stage.
 
     ``params`` names the ``PipelineConfig`` fields the stage reads. Its
@@ -86,8 +84,7 @@ class Stage:
     provider: bool = False
 
 
-@dataclass(frozen=True)
-class StageArtifact:
+class StageArtifact(NamedTuple):
     stage: str
     content_hash: str
     outputs: dict[str, str]
@@ -328,6 +325,8 @@ def build_provider(config: PipelineConfig) -> tuple[MockProvider | HttpProvider,
         except json.JSONDecodeError as exc:
             message = f"fixtures {config.fixtures_path} are not valid JSON: {exc.msg}"
             raise DataError(message) from exc
+        if not isinstance(fixtures, dict):
+            raise DataError(f"fixtures {config.fixtures_path} do not hold a JSON object")
         identity["fixtures"] = hashlib.sha256(data).hexdigest()
     return MockProvider(fixtures=fixtures, **settings), identity
 

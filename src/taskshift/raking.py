@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,7 @@ log = logging.getLogger(__name__)
 DIMENSIONS = ("department", "grade", "profession")
 
 
-@dataclass(frozen=True, slots=True)
-class SampleRow:
+class SampleRow(NamedTuple):
     role_key: str
     department: str
     grade: str

@@ -16,7 +16,7 @@ import bisect
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +42,7 @@ NEW_TASKS = "new_tasks"
 VARIANTS = (FOCUS, AUGMENT_REORDER, NEW_TASKS)
 
 
-@dataclass(frozen=True)
-class NewTask:
+class NewTask(NamedTuple):
     task_number: int
     task_details: str
     task_category: str

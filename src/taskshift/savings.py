@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +42,7 @@ class RoleInput:
     weight: float = 1.0
 
 
-@dataclass(frozen=True)
-class RoleSavings:
+class RoleSavings(NamedTuple):
     role_key: str
     high_share: float
     role_class: RoleClass
@@ -128,8 +127,7 @@ def exposure_shares(exposures: Sequence[float], delta: float) -> tuple[float, fl
     return time_shares(exposures, decay_weights(len(exposures), delta).normalized)
 
 
-@dataclass(frozen=True)
-class SweepCurve:
+class SweepCurve(NamedTuple):
     """Weighted totals and class counts across the threshold grid."""
 
     thetas: tuple[float, ...]

@@ -1360,6 +1360,12 @@ class TestCli:
             ([], {"max_attempts": 0}),
             ([], {"max_in_flight": 0}),
             ([], {"sensitivity_deltas": []}),
+            ([], {"embed_dimension": 0}),
+            ([], {"pca_dim": 0}),
+            ([], {"taxonomy_categories": 0}),
+            ([], {"taxonomy_subclusters": 0}),
+            ([], {"backoff_base": -0.5}),
+            ([], {"min_department_vacancies": -1}),
         ],
         ids=[
             "seed",
@@ -1368,6 +1374,12 @@ class TestCli:
             "max_attempts",
             "max_in_flight",
             "sensitivity_deltas",
+            "embed_dimension",
+            "pca_dim",
+            "taxonomy_categories",
+            "taxonomy_subclusters",
+            "backoff_base",
+            "min_department_vacancies",
         ],
     )
     def test_usage_error_exit_one_before_any_stage_writes(self, tmp_path, capsys, flags, settings):
@@ -1375,6 +1387,14 @@ class TestCli:
         assert main(["all", "--config", str(config), *flags]) == 1
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[]")
+        assert main(["all", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(config) in err
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("field", ["out_dir", "cache_dir"])
     def test_directory_that_cannot_be_created_is_usage_error(self, tmp_path, capsys, field):
@@ -1517,6 +1537,17 @@ class TestCli:
         config = write_config(tmp_path, fixtures_path=str(tmp_path / "absent.json"))
         assert main(["ingest", "--config", str(config)]) == 0
         assert main(["extract", "--config", str(config)]) == 1
+
+    def test_fixtures_file_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text("[]")
+        config = write_config(tmp_path, fixtures_path=str(fixtures))
+        assert main(["all", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(fixtures) in err
+        # an empty object still means no fixtures
+        fixtures.write_text("{}")
+        assert main(["all", "--config", str(config)]) == 0
 
     def test_fixtures_file_not_utf8_is_data_error_on_one_line(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures.json"
