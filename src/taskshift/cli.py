@@ -71,14 +71,22 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> int:
     """The program entry, for ``taskshift`` and ``python -m taskshift.cli``: ``main()``
-    on ``sys.argv``, with every object made at import frozen out of the cyclic GC.
+    on ``sys.argv``, with every object made at import frozen out of the cyclic GC
+    and the collector off for the rest of the run.
 
     Importing numpy and this package leaves many objects that live until exit.
-    ``gc.freeze`` moves them to a permanent generation, so neither the full
-    collections during the run nor the one at shutdown walks them again. Only
-    the entry does this: ``main`` leaves GC state alone for in-process callers.
+    ``gc.freeze`` moves them to a permanent generation, so the collection at
+    shutdown does not walk them again. A run makes almost no cyclic garbage,
+    while the collections its allocations set off grow with the corpus: a
+    warm run of 500 generated roles made 80 of them and 2,000 roles made 364,
+    taking 1.6% and 2.6% of the run, and each time they freed 48 objects. So
+    the collector is switched off; reference counting still frees everything
+    else, and ``tests/test_garbage.py`` keeps each path's cyclic garbage from
+    growing with the corpus. Only the entry does this: ``main`` leaves GC
+    state alone for in-process callers.
     """
     gc.freeze()
+    gc.disable()
     return main()
 
 

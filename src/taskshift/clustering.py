@@ -293,6 +293,10 @@ def _strip_verb_suffix(stem: str) -> str:
     return stem
 
 
+# task vocabulary repeats across adverts (234 distinct of 4,787 tokens at
+# 500 roles), so each distinct word is reduced once; the bound keeps the memo
+# to a few megabytes however large the vocabulary grows
+@lru_cache(maxsize=1 << 14)
 def lemmatize(word: str) -> str:
     """Suffix-rule lemmatizer: plural stripping, then -ing/-ed removal.
 

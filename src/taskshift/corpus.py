@@ -10,6 +10,7 @@ can replace or extend.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -142,6 +143,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"vocabulary {path} is not valid JSON: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise DataError(f"vocabulary {path} does not hold a JSON object")
     departments = data.get("departments")
     professions = data.get("professions")
     return Vocabulary(
@@ -183,10 +186,18 @@ def load_grade_map(path: str | Path | None = None) -> dict[str, GradeBucket]:
     tables may use any casing or punctuation.
     """
     if path is None:
-        raw = resources.files("taskshift.data").joinpath("grade_map.json").read_text("utf-8")
+        table = json.loads(
+            resources.files("taskshift.data").joinpath("grade_map.json").read_text("utf-8")
+        )
     else:
-        raw = Path(path).read_text("utf-8")
-    table = json.loads(raw)
+        try:
+            table = json.loads(Path(path).read_text("utf-8"))
+        except OSError as exc:
+            raise DataError(f"cannot read grade map {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise DataError(f"grade map {path} is not valid JSON: {exc.msg}") from exc
+        if not isinstance(table, dict):
+            raise DataError(f"grade map {path} does not hold a JSON object")
     mapping: dict[str, GradeBucket] = {}
     for key, bucket in table.items():
         try:
@@ -243,6 +254,9 @@ def parse_vacancies(
     vacancies: list[Vacancy] = []
     issues: list[ParseIssue] = []
     seen: set[str] = set()
+    # grade texts repeat across adverts (21 distinct of 500 at 500 roles), so
+    # each distinct one is mapped once
+    bucket_of: dict[str, GradeBucket] = {}
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -253,7 +267,8 @@ def parse_vacancies(
             continue
         reason = _record_problem(record, seen)
         if reason:
-            issues.append(ParseIssue(line_number, record.get("vacancy_id"), reason))
+            vacancy_id = record.get("vacancy_id") if isinstance(record, dict) else None
+            issues.append(ParseIssue(line_number, vacancy_id, reason))
             continue
         vacancy_id = str(record["vacancy_id"])
         department = str(record["department"])
@@ -272,13 +287,17 @@ def parse_vacancies(
             )
             profession = OTHER_PROFESSION
         seen.add(vacancy_id)
+        grade_raw = str(record.get("grade_raw", ""))
+        grade = bucket_of.get(grade_raw)
+        if grade is None:
+            grade = bucket_of[grade_raw] = map_grade(grade_raw, grade_map)
         vacancies.append(
             Vacancy(
                 vacancy_id=vacancy_id,
                 title=str(record.get("title", "")),
                 department=department,
-                grade_raw=str(record.get("grade_raw", "")),
-                grade=map_grade(str(record.get("grade_raw", "")), grade_map),
+                grade_raw=grade_raw,
+                grade=grade,
                 profession=profession,
                 posting_date=_parse_date(record.get("posting_date")),
                 closing_date=_parse_date(record.get("closing_date")),
@@ -360,43 +379,62 @@ def _read_cell(token: str, path: Path, line: int) -> float | None:
     return value
 
 
+def _csv_rows(path: Path) -> csv.DictReader:
+    """The rows of a reference CSV, decoded as UTF-8 before any is read, so that a
+    byte sequence that is not UTF-8 is a ``DataError`` naming its line."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
+    return csv.DictReader(io.StringIO(text, newline=""))
+
+
+def _require_cells(row: dict, columns: Iterable[str], path: Path, line: int) -> None:
+    """A row shorter than the header holds ``None`` for each cell it lacks."""
+    for column in columns:
+        if row[column] is None:
+            raise DataError(f"{path}:{line}: no {column!r} cell")
+
+
 def _load_cell_table(
     path: Path, value_column: str, vocab: Vocabulary | None = None
 ) -> dict[tuple[str, str], float | None]:
     table: dict[tuple[str, str], float | None] = {}
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"department", "grade", value_column} <= set(
-            reader.fieldnames
+    reader = _csv_rows(path)
+    columns = ("department", "grade", value_column)
+    if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+        raise DataError(f"{path}: expected header with department,grade,{value_column}")
+    buckets = {bucket.value for bucket in GradeBucket}
+    for line, row in enumerate(reader, start=2):
+        _require_cells(row, columns, path, line)
+        key = (row["department"].strip(), row["grade"].strip())
+        if key[1] not in buckets:
+            raise DataError(f"{path}:{line}: unknown grade bucket {key[1]!r}")
+        if (
+            vocab is not None
+            and vocab.departments is not None
+            and key[0] not in vocab.departments
         ):
-            raise DataError(f"{path}: expected header with department,grade,{value_column}")
-        buckets = {bucket.value for bucket in GradeBucket}
-        for line, row in enumerate(reader, start=2):
-            key = (row["department"].strip(), row["grade"].strip())
-            if key[1] not in buckets:
-                raise DataError(f"{path}:{line}: unknown grade bucket {key[1]!r}")
-            if (
-                vocab is not None
-                and vocab.departments is not None
-                and key[0] not in vocab.departments
-            ):
-                raise DataError(f"{path}:{line}: department {key[0]!r} not in vocabulary")
-            table[key] = _read_cell(row[value_column], path, line)
+            raise DataError(f"{path}:{line}: department {key[0]!r} not in vocabulary")
+        table[key] = _read_cell(row[value_column], path, line)
     return table
 
 
 def _load_totals(path: Path, key_column: str) -> dict[str, float]:
     totals: dict[str, float] = {}
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {key_column, "fte"} <= set(reader.fieldnames):
-            raise DataError(f"{path}: expected header with {key_column},fte")
-        for line, row in enumerate(reader, start=2):
-            value = _read_cell(row["fte"], path, line)
-            if value is None:
-                log.warning("%s:%d: suppressed total treated as absent", path, line)
-                continue
-            totals[row[key_column].strip()] = value
+    reader = _csv_rows(path)
+    columns = (key_column, "fte")
+    if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+        raise DataError(f"{path}: expected header with {key_column},fte")
+    for line, row in enumerate(reader, start=2):
+        _require_cells(row, columns, path, line)
+        value = _read_cell(row["fte"], path, line)
+        if value is None:
+            log.warning("%s:%d: suppressed total treated as absent", path, line)
+            continue
+        totals[row[key_column].strip()] = value
     return totals
 
 

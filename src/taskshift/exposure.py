@@ -39,6 +39,10 @@ class Band(str, Enum):
     HIGH = "High"
 
 
+# a band by its stored value, without the enum's call machinery
+_BAND_OF = {band.value: band for band in Band}
+
+
 def classify_exposure(score: float) -> tuple[Band, int]:
     """Band a score and return the high-exposure indicator (0/1)."""
     if not 0.0 <= score <= 1.0:
@@ -179,6 +183,87 @@ class RoleProfile:
     @property
     def job_context(self) -> str:
         return f"{self.title} ({self.grade}, {self.department}, {self.profession})"
+
+    def to_rows(self) -> tuple[dict, list[dict]]:
+        """Weight's ``roles.jsonl`` row and ``task_weights.jsonl`` rows; inverse of
+        :meth:`from_rows`."""
+        aggregates = self.aggregates
+        role = {
+            "vacancy_id": self.vacancy_id,
+            "title": self.title,
+            "department": self.department,
+            "grade": self.grade,
+            "profession": self.profession,
+            "salary": self.salary,
+            "delta": self.delta,
+            "exposure_mean": aggregates.mean,
+            "exposure_std": aggregates.std,
+            "high_share": aggregates.high_share,
+            "medium_share": aggregates.medium_share,
+            "task_count": len(self.tasks),
+        }
+        values = aggregates.value_per_task or [None] * len(self.tasks)
+        tasks = [
+            {
+                "vacancy_id": self.vacancy_id,
+                "task_number": task.task_number,
+                "task_details": task.task_details,
+                "exposure_score": task.exposure,
+                "band": task.band.value,
+                "high": task.high,
+                "weight": weight,
+                "hours": hours,
+                "value": value,
+            }
+            for task, weight, hours, value in zip(
+                self.tasks, self.weights.normalized, aggregates.hours_per_task, values
+            )
+        ]
+        return role, tasks
+
+    @classmethod
+    def from_rows(cls, role: Mapping, rows: Sequence[Mapping]) -> "RoleProfile":
+        """The profile that :meth:`to_rows` wrote as ``role`` and ``rows``, from the
+        stored numbers: no band, weight or aggregate is computed again.
+
+        JSON keeps each float's exact value, so this equals the ``build_profile``
+        result that was written. Profiles with equal task counts share one
+        weights instance, as ``build_profile``'s do.
+        """
+        salary = role["salary"]
+        # compared in place: a tuple of the stored weights, built only to be
+        # dropped, would sit in the interpreter's tuple free list
+        weights = decay_weights(len(rows), role["delta"])
+        if any(row["weight"] != share for row, share in zip(rows, weights.normalized)):
+            weights = DecayWeights(tuple(row["weight"] for row in rows))
+        return cls(
+            vacancy_id=role["vacancy_id"],
+            title=role["title"],
+            department=role["department"],
+            grade=role["grade"],
+            profession=role["profession"],
+            salary=salary,
+            delta=role["delta"],
+            tasks=[
+                TaskRecord(
+                    row["task_number"],
+                    row["task_details"],
+                    row["exposure_score"],
+                    _BAND_OF[row["band"]],
+                    row["high"],
+                )
+                for row in rows
+            ],
+            weights=weights,
+            aggregates=RoleExposure(
+                mean=role["exposure_mean"],
+                std=role["exposure_std"],
+                high_share=role["high_share"],
+                medium_share=role["medium_share"],
+                hours_per_task=tuple(row["hours"] for row in rows),
+                value_per_task=None if salary is None else tuple(row["value"] for row in rows),
+            ),
+        )
 
 
 def build_profile(role: Mapping, tasks: Sequence[TaskRecord], delta: float) -> RoleProfile:

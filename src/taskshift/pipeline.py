@@ -507,12 +507,13 @@ class Pipeline:
     # -- shared readers ------------------------------------------------------
 
     def _read_profiles(self, roles: str, tasks: str) -> Iterator[RoleProfile]:
-        """Join a role table with its task table by ``vacancy_id``, at ``config.delta``.
+        """Join a role table with its task table by ``vacancy_id`` and build each
+        profile at ``config.delta``.
 
-        Weight joins vacancies with tasks; redesign and report join weight's
-        own tables, so no stage after weight decodes a job description.
-        The join is a merge (``iter_joined``): profiles are built one at a
-        time in ``vacancy_id`` order, and one role's rows are held at a time.
+        Weight builds its profiles this way from ``vacancies.jsonl`` and
+        ``tasks.jsonl``. The join is a merge (``iter_joined``): profiles are
+        built one at a time in ``vacancy_id`` order, and one role's rows are
+        held at a time.
         """
         for role, rows in iter_joined(self.out_dir / roles, self.out_dir / tasks):
             records = [
@@ -520,6 +521,18 @@ class Pipeline:
                 for row in rows
             ]
             yield build_profile(role, records, self.config.delta)
+
+    def _stored_profiles(self) -> Iterator[RoleProfile]:
+        """The profiles that weight wrote, read back from its own two tables.
+
+        Redesign and report read them this way: each profile comes from the
+        numbers weight stored (``RoleProfile.from_rows``), so no stage after
+        weight decodes a job description or recomputes a band, weight or
+        aggregate. The join is the same merge as :meth:`_read_profiles`.
+        """
+        joined = iter_joined(self.out_dir / "roles.jsonl", self.out_dir / "task_weights.jsonl")
+        for role, rows in joined:
+            yield RoleProfile.from_rows(role, rows)
 
     # -- stage bodies ---------------------------------------------------------
 
@@ -616,40 +629,9 @@ class Pipeline:
     def _run_weight(self) -> None:
         role_rows, task_rows = [], []
         for profile in self._read_profiles("vacancies.jsonl", "tasks.jsonl"):
-            aggregates = profile.aggregates
-            role_rows.append(
-                {
-                    "vacancy_id": profile.vacancy_id,
-                    "title": profile.title,
-                    "department": profile.department,
-                    "grade": profile.grade,
-                    "profession": profile.profession,
-                    "salary": profile.salary,
-                    "delta": profile.delta,
-                    "exposure_mean": aggregates.mean,
-                    "exposure_std": aggregates.std,
-                    "high_share": aggregates.high_share,
-                    "medium_share": aggregates.medium_share,
-                    "task_count": len(profile.tasks),
-                }
-            )
-            values = aggregates.value_per_task or [None] * len(profile.tasks)
-            for task, weight, hours, value in zip(
-                profile.tasks, profile.weights.normalized, aggregates.hours_per_task, values
-            ):
-                task_rows.append(
-                    {
-                        "vacancy_id": profile.vacancy_id,
-                        "task_number": task.task_number,
-                        "task_details": task.task_details,
-                        "exposure_score": task.exposure,
-                        "band": task.band.value,
-                        "high": task.high,
-                        "weight": weight,
-                        "hours": hours,
-                        "value": value,
-                    }
-                )
+            role, tasks = profile.to_rows()
+            role_rows.append(role)
+            task_rows.extend(tasks)
         write_jsonl(self.out_dir / "roles.jsonl", role_rows)
         write_jsonl(self.out_dir / "task_weights.jsonl", task_rows)
 
@@ -842,9 +824,7 @@ class Pipeline:
 
     def _run_redesign(self) -> None:
         config = self.config
-        eligible = redesign.eligible_roles(
-            self._read_profiles("roles.jsonl", "task_weights.jsonl"), config.theta
-        )
+        eligible = redesign.eligible_roles(self._stored_profiles(), config.theta)
         sampled = redesign.stratified_sample(
             eligible, fraction=config.new_tasks_fraction, seed=config.seed
         )
@@ -889,7 +869,7 @@ class Pipeline:
     def _run_report(self) -> None:
         out = self.out_dir
         gathered = report.Gathered(
-            profiles=self._read_profiles("roles.jsonl", "task_weights.jsonl"),
+            profiles=self._stored_profiles(),
             clusters=iter_jsonl(out / "role_clusters.jsonl"),
             taxonomy=iter_jsonl(out / "taxonomy.jsonl"),
             sweep=iter_jsonl(out / "sweep.jsonl"),

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,8 @@ from taskshift.errors import DataError, UsageError
 from taskshift.exposure import (
     Band,
     DecayWeights,
+    RoleProfile,
+    build_profile,
     classify_exposure,
     decay_weights,
     extract_corpus,
@@ -16,6 +20,7 @@ from taskshift.exposure import (
     weighted_mean_std,
 )
 from taskshift.gateway import BatchManager, MockProvider, RetryPolicy
+from taskshift.pipeline import read_jsonl, write_jsonl
 from taskshift.prompts import task_extraction_request
 
 from conftest import make_tasks
@@ -290,3 +295,50 @@ class TestScoreTaskList:
 
     def test_single_task(self):
         assert weighted_mean_std([0.5], decay_weights(1, 0.75).normalized) == (0.5, 0.0)
+
+
+ROLES = st.fixed_dictionaries(
+    {
+        "vacancy_id": st.text(min_size=1, max_size=8),
+        "title": st.text(max_size=12),
+        "department": st.text(max_size=6),
+        "grade": st.sampled_from([bucket.value for bucket in GradeBucket]),
+        "profession": st.text(max_size=8),
+        "salary": st.none() | st.floats(min_value=0, max_value=1e7),
+    }
+)
+TASK_LISTS = st.lists(
+    st.tuples(st.text(min_size=1, max_size=20), st.floats(min_value=0, max_value=1)),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestStoredProfile:
+    @given(
+        role=ROLES,
+        tasks=TASK_LISTS,
+        delta=st.floats(min_value=0, max_value=1, exclude_min=True),
+    )
+    def test_written_rows_read_back_to_the_built_profile(self, role, tasks, delta):
+        records = [task_record(n, details, score) for n, (details, score) in enumerate(tasks, 1)]
+        built = build_profile(role, records, delta)
+        with tempfile.TemporaryDirectory() as directory:
+            roles, task_rows = Path(directory, "roles.jsonl"), Path(directory, "tasks.jsonl")
+            role_row, rows = built.to_rows()
+            write_jsonl(roles, [role_row])
+            write_jsonl(task_rows, rows)
+            (stored_role,) = read_jsonl(roles)
+            stored = RoleProfile.from_rows(stored_role, read_jsonl(task_rows))
+        assert stored == built
+        # profiles with equal task counts share one weights instance
+        assert stored.weights is built.weights
+
+    def test_stored_weights_are_read_as_written(self):
+        role = {"vacancy_id": "V1", "title": "", "department": "HO", "grade": "EO"}
+        role.update(profession="Other", salary=None)
+        built = build_profile(role, make_tasks([0.8, 0.2]), 0.5)
+        role_row, rows = built.to_rows()
+        rows[1]["weight"] = 0.25
+        stored = RoleProfile.from_rows(role_row, rows)
+        assert stored.weights.normalized == (built.weights.normalized[0], 0.25)

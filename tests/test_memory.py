@@ -131,6 +131,6 @@ def test_profile_join_holds_one_role_at_a_time(generated_run):
     # a merge of the two key-ordered tables: one role's rows and one profile
     # at a time, not an index over either table
     limit = 0.1 * largest_decoded(generated_run, ("task_weights.jsonl",))
-    profiles = lambda: generated_run._read_profiles("roles.jsonl", "task_weights.jsonl")
+    profiles = generated_run._stored_profiles
     peak = traced_peak(lambda: collections.deque(profiles(), maxlen=0))
     assert peak <= limit, f"profile join: traced peak {peak:,} B over {limit:,.0f} B"

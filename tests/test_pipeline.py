@@ -9,7 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 import socket
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from taskshift import cli, clustering, pipeline as pipeline_module
+from taskshift import cli, clustering, config as config_module, pipeline as pipeline_module
 from taskshift.cli import main
 from taskshift.config import PROVIDERS, PipelineConfig
 from taskshift.corpus import Vacancy
@@ -959,9 +959,22 @@ class TestProfileReader:
         pipeline = run_all(fixture_config)
         rebuilt = list(pipeline._read_profiles("roles.jsonl", "task_weights.jsonl"))
         built = list(pipeline._read_profiles("vacancies.jsonl", "tasks.jsonl"))
+        # what redesign and report read: weight's stored numbers, nothing recomputed
+        stored = list(pipeline._stored_profiles())
         assert len(built) == 10
         assert sum(profile.salary is None for profile in built) == 2
         assert rebuilt == built
+        assert stored == built
+        assert all(s.weights is b.weights for s, b in zip(stored, built))
+
+    def test_stages_after_weight_build_no_profile(self, fixture_config, monkeypatch):
+        pipeline = Pipeline(fixture_config)
+        calls = record_calls(monkeypatch, pipeline_module, "build_profile")
+        for stage in STAGES:
+            pipeline.run_stage(stage)
+            if stage == "weight":
+                assert len(calls) == 10
+        assert len(calls) == 10
 
 
 # task rows: distinct task numbers under each of a few vacancy ids
@@ -1366,6 +1379,13 @@ class TestCli:
             ([], {"taxonomy_subclusters": 0}),
             ([], {"backoff_base": -0.5}),
             ([], {"min_department_vacancies": -1}),
+            ([], {"delta": "0.5"}),
+            ([], {"theta_grid": "ab"}),
+            ([], {"sensitivity_deltas": [0.5, "1"]}),
+            ([], {"seed": 1.5}),
+            ([], {"pca_dim": True}),
+            ([], {"strict_fixtures": 1}),
+            ([], {"corpus_path": None}),
         ],
         ids=[
             "seed",
@@ -1380,6 +1400,13 @@ class TestCli:
             "taxonomy_subclusters",
             "backoff_base",
             "min_department_vacancies",
+            "delta_string",
+            "theta_grid_string",
+            "sensitivity_deltas_string_item",
+            "seed_float",
+            "pca_dim_bool",
+            "strict_fixtures_int",
+            "corpus_path_null",
         ],
     )
     def test_usage_error_exit_one_before_any_stage_writes(self, tmp_path, capsys, flags, settings):
@@ -1387,6 +1414,14 @@ class TestCli:
         assert main(["all", "--config", str(config), *flags]) == 1
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_every_setting_has_a_json_type_its_default_has(self):
+        assert set(config_module._JSON_TYPES) == {field.name for field in fields(PipelineConfig)}
+        config_module._check_json_types(asdict(PipelineConfig()))
+
+    def test_integer_counts_as_a_number_in_config(self, tmp_path):
+        config = PipelineConfig.load(write_config(tmp_path, delta=1, theta_grid=[0, 1]))
+        assert config.delta == 1 and config.theta_grid == [0, 1]
 
     def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -1548,6 +1583,44 @@ class TestCli:
         # an empty object still means no fixtures
         fixtures.write_text("{}")
         assert main(["all", "--config", str(config)]) == 0
+
+    def test_corpus_line_that_is_not_an_object_is_an_ingest_issue(self, tmp_path, data_dir):
+        lines = (data_dir / "corpus.jsonl").read_text("utf-8").splitlines()
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join([*lines, "[1, 2]"]) + "\n", "utf-8")
+        config = write_config(tmp_path, corpus_path=str(corpus))
+        assert main(["ingest", "--config", str(config)]) == 0
+        issues = json.loads((tmp_path / "out" / "ingest_issues.json").read_text("utf-8"))
+        assert {
+            "line": len(lines) + 1,
+            "vacancy_id": None,
+            "reason": "record is not an object",
+        } in issues["issues"]
+
+    @pytest.mark.parametrize("name", ["salary.csv", "grade_totals.csv"])
+    @pytest.mark.parametrize(
+        "last_row", [b"HO\n", b"HO,\xff\n"], ids=["one_cell", "not_utf8"]
+    )
+    def test_bad_reference_row_is_data_error_naming_its_line(
+        self, tmp_path, data_dir, capsys, name, last_row
+    ):
+        table = tmp_path / name
+        original = (data_dir / name).read_bytes()
+        table.write_bytes(original + last_row)
+        line = original.count(b"\n") + 1
+        config = write_config(tmp_path, **{f"{name[:-4]}_path": str(table)})
+        assert main(["all", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{table}:{line}:" in err
+
+    @pytest.mark.parametrize("field", ["grade_map_path", "vocab_path"])
+    def test_table_file_that_is_not_an_object_is_data_error(self, tmp_path, capsys, field):
+        table = tmp_path / "table.json"
+        table.write_text("[]")
+        config = write_config(tmp_path, **{field: str(table)})
+        assert main(["all", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(table) in err
 
     def test_fixtures_file_not_utf8_is_data_error_on_one_line(self, tmp_path, capsys):
         fixtures = tmp_path / "fixtures.json"
