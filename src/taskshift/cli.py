@@ -82,7 +82,8 @@ def run() -> int:
     taking 1.6% and 2.6% of the run, and each time they freed 48 objects. So
     the collector is switched off; reference counting still frees everything
     else, and ``tests/test_garbage.py`` keeps each path's cyclic garbage from
-    growing with the corpus. Only the entry does this: ``main`` leaves GC
+    growing with the corpus, the remote provider's over loopback HTTP
+    included. Only the entry does this: ``main`` leaves GC
     state alone for in-process callers.
     """
     gc.freeze()

@@ -35,64 +35,32 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# what each JSON type of a setting accepts: a bool is not an integer, and an
-# integer counts as a number
-_ACCEPTS = {
-    "a string": lambda value: isinstance(value, str),
-    "a boolean": lambda value: isinstance(value, bool),
-    "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
-    "a number": _is_number,
-    "a list of numbers": lambda value: isinstance(value, list) and all(map(_is_number, value)),
-}
-# the JSON type of each setting in a config file, and whether it may be null
+# what a config-file value of each annotated setting type must be: a bool is
+# not an integer, and an integer counts as a number
 _JSON_TYPES = {
-    "corpus_path": ("a string", False),
-    "fte_path": ("a string", False),
-    "salary_path": ("a string", False),
-    "grade_totals_path": ("a string", False),
-    "profession_totals_path": ("a string", False),
-    "grade_map_path": ("a string", True),
-    "stopwords_path": ("a string", True),
-    "vocab_path": ("a string", True),
-    "population_total": ("a number", True),
-    "min_department_vacancies": ("an integer", False),
-    "out_dir": ("a string", False),
-    "cache_dir": ("a string", True),
-    "provider": ("a string", False),
-    "fixtures_path": ("a string", True),
-    "strict_fixtures": ("a boolean", False),
-    "embed_dimension": ("an integer", False),
-    "remote_base_url": ("a string", False),
-    "remote_model": ("a string", False),
-    "remote_embed_model": ("a string", False),
-    "remote_temperature": ("a number", False),
-    "remote_max_tokens": ("an integer", False),
-    "api_key_env": ("a string", False),
-    "max_attempts": ("an integer", False),
-    "max_in_flight": ("an integer", False),
-    "backoff_base": ("a number", False),
-    "truncate_chars": ("an integer", True),
-    "delta": ("a number", False),
-    "theta": ("a number", False),
-    "theta_grid": ("a list of numbers", False),
-    "sensitivity_deltas": ("a list of numbers", False),
-    "seed": ("an integer", False),
-    "taxonomy_categories": ("an integer", False),
-    "taxonomy_subclusters": ("an integer", False),
-    "pca_dim": ("an integer", False),
-    "label_sample_cap": ("an integer", False),
-    "new_tasks_fraction": ("a number", False),
+    "str": ("a string", lambda value: isinstance(value, str)),
+    "bool": ("a boolean", lambda value: isinstance(value, bool)),
+    "int": ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
+    "float": ("a number", _is_number),
+    "list[float]": (
+        "a list of numbers",
+        lambda value: isinstance(value, list) and all(map(_is_number, value)),
+    ),
 }
 
 
 def _check_json_types(values: dict) -> None:
-    """Refuse a config-file setting of the wrong JSON type before any is compared or used."""
+    """Refuse a config-file setting whose JSON type does not fit the setting's
+    annotation (``T`` or ``T | None``), before any is compared or used."""
+    annotations = {f.name: f.type for f in fields(PipelineConfig)}
     for name, value in values.items():
-        kind, nullable = _JSON_TYPES[name]
+        kind = annotations[name].removesuffix(" | None")
+        nullable = kind != annotations[name]
         if value is None and nullable:
             continue
-        if not _ACCEPTS[kind](value):
-            expected = f"{kind} or null" if nullable else kind
+        expected, accepts = _JSON_TYPES[kind]
+        if not accepts(value):
+            expected = f"{expected} or null" if nullable else expected
             raise UsageError(f"{name} {json.dumps(value)} is not {expected}")
 
 
@@ -112,7 +80,7 @@ class PipelineConfig:
 
     # outputs
     out_dir: str = "out"
-    cache_dir: str = "cache"
+    cache_dir: str | None = "cache"  # None keeps answers in a temporary store
 
     # provider
     provider: str = "mock"

@@ -231,11 +231,6 @@ class RoleProfile:
         weights instance, as ``build_profile``'s do.
         """
         salary = role["salary"]
-        # compared in place: a tuple of the stored weights, built only to be
-        # dropped, would sit in the interpreter's tuple free list
-        weights = decay_weights(len(rows), role["delta"])
-        if any(row["weight"] != share for row, share in zip(rows, weights.normalized)):
-            weights = DecayWeights(tuple(row["weight"] for row in rows))
         return cls(
             vacancy_id=role["vacancy_id"],
             title=role["title"],
@@ -254,7 +249,7 @@ class RoleProfile:
                 )
                 for row in rows
             ],
-            weights=weights,
+            weights=decay_weights(len(rows), role["delta"]),
             aggregates=RoleExposure(
                 mean=role["exposure_mean"],
                 std=role["exposure_std"],

@@ -255,7 +255,16 @@ class BatchManager:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                yield from zip(items, pool.map(guarded, items))
+                # a failure is raised in the worker and read from its future: one
+                # returned as a value would stay bound in the worker's frame, which
+                # its traceback reaches, a reference cycle per failed call
+                futures = [pool.submit(call, item) for item in items]
+                try:
+                    for item, future in zip(items, futures):
+                        failure = future.exception()
+                        yield item, failure if isinstance(failure, ProviderError) else future.result()
+                finally:
+                    pool.shutdown(cancel_futures=True)
         else:
             for item in items:
                 yield item, guarded(item)

@@ -506,16 +506,15 @@ class Pipeline:
 
     # -- shared readers ------------------------------------------------------
 
-    def _read_profiles(self, roles: str, tasks: str) -> Iterator[RoleProfile]:
-        """Join a role table with its task table by ``vacancy_id`` and build each
-        profile at ``config.delta``.
+    def _built_profiles(self) -> Iterator[RoleProfile]:
+        """Weight's profiles: ``vacancies.jsonl`` joined with ``tasks.jsonl`` by
+        ``vacancy_id``, each profile built at ``config.delta``.
 
-        Weight builds its profiles this way from ``vacancies.jsonl`` and
-        ``tasks.jsonl``. The join is a merge (``iter_joined``): profiles are
-        built one at a time in ``vacancy_id`` order, and one role's rows are
-        held at a time.
+        The join is a merge (``iter_joined``): profiles are built one at a time
+        in ``vacancy_id`` order, and one role's rows are held at a time.
         """
-        for role, rows in iter_joined(self.out_dir / roles, self.out_dir / tasks):
+        joined = iter_joined(self.out_dir / "vacancies.jsonl", self.out_dir / "tasks.jsonl")
+        for role, rows in joined:
             records = [
                 task_record(row["task_number"], row["task_details"], row["exposure_score"])
                 for row in rows
@@ -528,7 +527,7 @@ class Pipeline:
         Redesign and report read them this way: each profile comes from the
         numbers weight stored (``RoleProfile.from_rows``), so no stage after
         weight decodes a job description or recomputes a band, weight or
-        aggregate. The join is the same merge as :meth:`_read_profiles`.
+        aggregate. The join is the same merge as :meth:`_built_profiles`.
         """
         joined = iter_joined(self.out_dir / "roles.jsonl", self.out_dir / "task_weights.jsonl")
         for role, rows in joined:
@@ -628,7 +627,7 @@ class Pipeline:
 
     def _run_weight(self) -> None:
         role_rows, task_rows = [], []
-        for profile in self._read_profiles("vacancies.jsonl", "tasks.jsonl"):
+        for profile in self._built_profiles():
             role, tasks = profile.to_rows()
             role_rows.append(role)
             task_rows.extend(tasks)

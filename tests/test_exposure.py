@@ -333,12 +333,3 @@ class TestStoredProfile:
         assert stored == built
         # profiles with equal task counts share one weights instance
         assert stored.weights is built.weights
-
-    def test_stored_weights_are_read_as_written(self):
-        role = {"vacancy_id": "V1", "title": "", "department": "HO", "grade": "EO"}
-        role.update(profession="Other", salary=None)
-        built = build_profile(role, make_tasks([0.8, 0.2]), 0.5)
-        role_row, rows = built.to_rows()
-        rows[1]["weight"] = 0.25
-        stored = RoleProfile.from_rows(role_row, rows)
-        assert stored.weights.normalized == (built.weights.normalized[0], 0.25)

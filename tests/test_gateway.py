@@ -534,6 +534,28 @@ class TestConcurrency:
         assert provider.calls == 1 and report.cache_hits == 4
         assert [response.raw for response in warm] == [response.raw for response in cold]
 
+    def test_pool_retries_refused_calls_and_raises_other_errors(self):
+        refused = set()
+
+        class RefusingOnce(SleepyProvider):
+            def complete(self, request):
+                if request.request_id not in refused:
+                    refused.add(request.request_id)
+                    raise ProviderError("refused once")
+                return super().complete(request)
+
+        class Broken(SleepyProvider):
+            def complete(self, request):
+                raise RuntimeError("not a provider failure")
+
+        requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(8)]
+        policy = RetryPolicy(max_in_flight=4, backoff_base=0)
+        responses, report = BatchManager(RefusingOnce(), policy=policy).submit_batch(requests)
+        assert len(refused) == report.succeeded == 8
+        assert [r.request_id for r in responses] == [r.request_id for r in requests]
+        with pytest.raises(RuntimeError, match="not a provider failure"):
+            BatchManager(Broken(), policy=policy).submit_batch(requests)
+
     def test_pool_threads_never_touch_the_cache(self, tmp_path):
         requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(32)]
         BatchManager(MockProvider(), cache=ResponseCache(tmp_path)).submit_batch(requests[:8])
