@@ -52,7 +52,10 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {key: value for key, value in vars(args).items() if key in fields}
         config = PipelineConfig.load(args.config, overrides)
         pipeline = Pipeline(config)
-        stages = STAGES if args.stage == "all" else (args.stage,)
+        stages = (args.stage,)
+        if args.stage == "all":
+            pipeline.read_whole_inputs()
+            stages = STAGES
         for stage in stages:
             artifact = pipeline.run_stage(stage, force=args.force)
             state = "reused" if artifact.reused else "built"

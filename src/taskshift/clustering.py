@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DataError, ProviderError, UsageError
 from .gateway import ArrayStore, BatchManager, EmbeddingRows, subseed
+from .inputs import read_lines
 from .prompts import cluster_label_request
 
 log = logging.getLogger(__name__)
@@ -260,9 +261,7 @@ def _default_stopwords() -> frozenset[str]:
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     if path is None:
         return _default_stopwords()
-    return frozenset(
-        word.strip() for word in Path(path).read_text("utf-8").splitlines() if word.strip()
-    )
+    return frozenset(word.strip() for word in read_lines(path, "stopwords file") if word.strip())
 
 
 def _vowel_groups(word: str) -> int:

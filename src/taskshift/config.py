@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import UsageError
+from .inputs import read_object
 
 DEFAULT_THETA_GRID = tuple(round(step * 0.05, 2) for step in range(21))
 PROVIDERS = ("mock", "remote")
@@ -141,14 +142,7 @@ class PipelineConfig:
     def load(cls, path: str | Path | None = None, overrides: dict | None = None) -> "PipelineConfig":
         values: dict = {}
         if path is not None:
-            try:
-                values = json.loads(Path(path).read_text("utf-8"))
-            except OSError as exc:
-                raise UsageError(f"cannot read config {path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config {path} is not valid JSON: {exc.msg}") from exc
-            if not isinstance(values, dict):
-                raise UsageError(f"config {path} does not hold a JSON object")
+            values, _ = read_object(path, "config", error=UsageError)
         known = {f.name for f in fields(cls)}
         unknown = set(values) - known
         if unknown:

@@ -10,7 +10,6 @@ can replace or extend.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
@@ -21,9 +20,10 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DataError
+from .inputs import read_lines, read_object
 
 log = logging.getLogger(__name__)
 
@@ -137,14 +137,7 @@ class Vocabulary(NamedTuple):
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    try:
-        data = json.loads(Path(path).read_text("utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"vocabulary {path} is not valid JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise DataError(f"vocabulary {path} does not hold a JSON object")
+    data, _ = read_object(path, "vocabulary")
     departments = data.get("departments")
     professions = data.get("professions")
     return Vocabulary(
@@ -190,14 +183,7 @@ def load_grade_map(path: str | Path | None = None) -> dict[str, GradeBucket]:
             resources.files("taskshift.data").joinpath("grade_map.json").read_text("utf-8")
         )
     else:
-        try:
-            table = json.loads(Path(path).read_text("utf-8"))
-        except OSError as exc:
-            raise DataError(f"cannot read grade map {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"grade map {path} is not valid JSON: {exc.msg}") from exc
-        if not isinstance(table, dict):
-            raise DataError(f"grade map {path} does not hold a JSON object")
+        table, _ = read_object(path, "grade map")
     mapping: dict[str, GradeBucket] = {}
     for key, bucket in table.items():
         try:
@@ -250,7 +236,7 @@ def parse_vacancies(
     vocabulary, records in unknown departments are skipped and unknown
     professions are folded into ``OTHER_PROFESSION``.
     """
-    lines = _iter_lines(source)
+    lines = read_lines(source, "corpus") if isinstance(source, (str, Path)) else source
     vacancies: list[Vacancy] = []
     issues: list[ParseIssue] = []
     seen: set[str] = set()
@@ -332,18 +318,6 @@ def _record_problem(record: object, seen: set[str]) -> str | None:
     return None
 
 
-def _iter_lines(source: Iterable[str] | str | Path) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                yield from handle
-        except OSError as exc:
-            raise DataError(f"cannot read corpus {path}: {exc}") from exc
-    else:
-        yield from source
-
-
 def join_salary(vacancy: Vacancy, ref: ReferenceTables) -> float | None:
     """Median salary for the vacancy's (department, grade), or None.
 
@@ -379,18 +353,6 @@ def _read_cell(token: str, path: Path, line: int) -> float | None:
     return value
 
 
-def _csv_rows(path: Path) -> csv.DictReader:
-    """The rows of a reference CSV, decoded as UTF-8 before any is read, so that a
-    byte sequence that is not UTF-8 is a ``DataError`` naming its line."""
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{line}: not UTF-8 ({exc.reason})") from exc
-    return csv.DictReader(io.StringIO(text, newline=""))
-
-
 def _require_cells(row: dict, columns: Iterable[str], path: Path, line: int) -> None:
     """A row shorter than the header holds ``None`` for each cell it lacks."""
     for column in columns:
@@ -402,7 +364,7 @@ def _load_cell_table(
     path: Path, value_column: str, vocab: Vocabulary | None = None
 ) -> dict[tuple[str, str], float | None]:
     table: dict[tuple[str, str], float | None] = {}
-    reader = _csv_rows(path)
+    reader = csv.DictReader(read_lines(path, "reference table", newline=""))
     columns = ("department", "grade", value_column)
     if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
         raise DataError(f"{path}: expected header with department,grade,{value_column}")
@@ -424,7 +386,7 @@ def _load_cell_table(
 
 def _load_totals(path: Path, key_column: str) -> dict[str, float]:
     totals: dict[str, float] = {}
-    reader = _csv_rows(path)
+    reader = csv.DictReader(read_lines(path, "reference table", newline=""))
     columns = (key_column, "fte")
     if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
         raise DataError(f"{path}: expected header with {key_column},fte")

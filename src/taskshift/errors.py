@@ -26,6 +26,11 @@ class ProviderError(TaskshiftError):
     error_class = "ProviderError"
 
 
+class ProviderRefused(ProviderError):
+    """The provider refused the call (an HTTP error status) or the call did not
+    complete, so no reply was seen; failure entries record it as a ``ProviderError``."""
+
+
 class SchemaInvalid(TaskshiftError):
     """A payload failed schema or structural validation.
 

@@ -14,10 +14,12 @@ schema, or when the caller's ``check`` rejects the payload. Failed
 requests and chunks are sent again in waves, at most ``max_attempts``
 attempts in all, with one backoff sleep before a wave that follows a
 failed provider call. With a ``nudge``, attempt k carries a note naming
-the attempt and the nudge, and is looked up in the cache first. Without
-one, a retry repeats the same bytes, whose answer was never stored, so
-each distinct request is looked up in the cache once. A manager built
-without a cache keeps its answers in an anonymous temporary one.
+the attempt and the nudge, and is looked up in the cache first, unless the
+provider refused the last attempt (``ProviderRefused``). A refused request,
+like any retry without a nudge, repeats the bytes last sent, whose answer
+was never stored, so an answer won after a refusal is stored under the
+request that a warm rerun sends first. A manager built without a cache
+keeps its answers in an anonymous temporary one.
 
 Embeddings go through a :class:`SegmentStore` in the cache directory,
 under the cache's provider scope (a temporary file when the cache has
@@ -37,7 +39,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from ..errors import ProviderError, SchemaInvalid, UsageError
+from ..errors import ProviderError, ProviderRefused, SchemaInvalid, UsageError
 from .cache import ArrayStore, EmbeddingRows, ResponseCache, SegmentStore
 from .providers import Provider, StructuredRequest, StructuredResponse
 from .schema import validate_payload
@@ -104,6 +106,8 @@ class BatchManager:
         fingerprints = [request.fingerprint() for request in sent]
         replies: list[StructuredResponse | None] = [None] * len(sent)
         errors = [""] * len(sent)
+        # whether the provider refused the last attempt, so that no reply was seen
+        refused = [False] * len(sent)
 
         def settle(group: list[int], raw: str) -> SchemaInvalid | None:
             """Give ``raw`` to each index of ``group``, or return why it fails the schema."""
@@ -118,6 +122,8 @@ class BatchManager:
             if attempt > 1 and nudge:
                 note = f"\n(attempt {attempt}: the previous reply violated the rules; {nudge})"
                 for index in pending:
+                    if refused[index]:  # sent again as it was
+                        continue
                     original = requests[index]
                     sent[index] = original._replace(user_prompt=original.user_prompt + note)
                     fingerprints[index] = sent[index].fingerprint()
@@ -126,8 +132,9 @@ class BatchManager:
                 groups.setdefault(fingerprints[index], []).append(index)
             misses = []
             for fingerprint, group in groups.items():
-                # a plain retry repeats bytes whose answer was never stored
-                if (attempt == 1 or nudge) and (raw := self.cache.get(fingerprint)) is not None:
+                # a retry without a new nudge repeats bytes with no passing answer stored
+                fresh = attempt == 1 or (nudge and not refused[group[0]])
+                if fresh and (raw := self.cache.get(fingerprint)) is not None:
                     if settle(group, raw) is None:
                         report.cache_hits += len(group)
                         continue
@@ -137,6 +144,8 @@ class BatchManager:
             for group, result in self._dispatch(
                 misses, lambda group: self.provider.complete(sent[group[0]])
             ):
+                for index in group:
+                    refused[index] = isinstance(result, ProviderRefused)
                 if isinstance(result, ProviderError):
                     error = result
                 else:

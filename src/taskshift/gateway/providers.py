@@ -19,7 +19,7 @@ from typing import ClassVar, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from ..errors import ProviderError
+from ..errors import ProviderError, ProviderRefused
 from .schema import Schema
 
 _TASK_LINE_RE = re.compile(r"^\s*(-?\d+)\.\s+(.*\S)\s*$", re.MULTILINE)
@@ -321,7 +321,7 @@ class HttpProvider:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
-            raise ProviderError(f"provider returned HTTP {exc.code}: {exc.reason}") from exc
+            raise ProviderRefused(f"provider returned HTTP {exc.code}: {exc.reason}") from exc
         # OSError covers URLError, timeouts and resets; IncompleteRead is an HTTPException
         except (OSError, http.client.HTTPException, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProviderError(f"provider transport failure: {exc}") from exc
+            raise ProviderRefused(f"provider transport failure: {exc}") from exc

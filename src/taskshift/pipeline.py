@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import fcntl
 import functools
 import hashlib
 import itertools
@@ -47,6 +48,7 @@ from .corpus import (
 from .errors import DataError, UsageError
 from .exposure import RoleProfile, build_profile, extract_corpus, task_record
 from .gateway import BatchManager, HttpProvider, MockProvider, ResponseCache, RetryPolicy
+from .inputs import read_object
 from .raking import (
     SampleRow,
     WeightedSample,
@@ -314,20 +316,9 @@ def build_provider(config: PipelineConfig) -> tuple[MockProvider | HttpProvider,
     identity = {"provider": config.provider, **settings}
     fixtures = {}
     if config.fixtures_path:
-        try:
-            data = Path(config.fixtures_path).read_bytes()
-            fixtures = json.loads(data.decode("utf-8"))
-        except OSError as exc:
-            raise UsageError(f"cannot read fixtures {config.fixtures_path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            reason = f"{exc.reason} at offset {exc.start}"
-            raise DataError(f"fixtures {config.fixtures_path} are not UTF-8: {reason}") from exc
-        except json.JSONDecodeError as exc:
-            message = f"fixtures {config.fixtures_path} are not valid JSON: {exc.msg}"
-            raise DataError(message) from exc
-        if not isinstance(fixtures, dict):
-            raise DataError(f"fixtures {config.fixtures_path} do not hold a JSON object")
-        identity["fixtures"] = hashlib.sha256(data).hexdigest()
+        # a missing fixtures file is a usage error, like a missing config file
+        fixtures, text = read_object(config.fixtures_path, "fixtures", unreadable=UsageError)
+        identity["fixtures"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return MockProvider(fixtures=fixtures, **settings), identity
 
 
@@ -401,10 +392,10 @@ class Pipeline:
             raw = getattr(self.config, name)
             if not name.endswith("_path") or not raw:
                 continue
-            path = Path(raw)
-            if not path.exists():
-                raise DataError(f"input file for stage {stage.name!r} missing: {path}")
-            inputs[f"file:{name}"] = self._hash(path)
+            try:
+                inputs[f"file:{name}"] = self._hash(Path(raw))
+            except OSError as exc:  # missing, a directory, unreadable
+                raise DataError(f"cannot read input file for stage {stage.name!r}: {exc}") from exc
         for dep in stage.deps:
             manifest = self._load_manifest(dep)
             if manifest is None:
@@ -460,11 +451,38 @@ class Pipeline:
         cache = ResponseCache(config.cache_dir, scope=scope)
         return BatchManager(provider, cache=cache, policy=policy)
 
+    @functools.cached_property
+    def _stopwords(self) -> frozenset[str]:
+        """The cluster stage's stopwords, read once per ``Pipeline``."""
+        return clustering.load_stopwords(self.config.stopwords_path)
+
+    def read_whole_inputs(self) -> None:
+        """Read the files that a later stage reads whole, the fixtures and the
+        stopwords, so that a bad one stops a run of every stage before any writes.
+        The first stage reads the corpus, the tables and the lists before it writes."""
+        self._provider
+        self._stopwords
+
     def run_stage(self, stage: str, force: bool = False) -> StageArtifact:
-        """Run one stage, or no-op when its fingerprint already matches."""
+        """Run one stage, or no-op when its fingerprint already matches.
+
+        Stages of runs on one output directory take turns: each holds an
+        exclusive ``flock`` on the directory from reading its inputs' manifests
+        to writing its own, so no other run replaces an input before it is
+        read or an output before it is hashed.
+        """
         spec = _STAGE_BY_NAME.get(stage)
         if spec is None:
             raise UsageError(f"unknown stage {stage!r}; expected one of {STAGES}")
+        descriptor = os.open(self.out_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(descriptor, fcntl.LOCK_EX)
+            return self._run_locked(spec, force)
+        finally:
+            os.close(descriptor)  # and with it the lock
+
+    def _run_locked(self, spec: Stage, force: bool) -> StageArtifact:
+        stage = spec.name
         inputs = self._collect_inputs(spec)
         fingerprint = self._fingerprint(spec, inputs)
 
@@ -502,6 +520,7 @@ class Pipeline:
         return StageArtifact.from_manifest(manifest, reused=False)
 
     def run_all(self, force: bool = False) -> list[StageArtifact]:
+        self.read_whole_inputs()
         return [self.run_stage(stage, force=force) for stage in STAGES]
 
     # -- shared readers ------------------------------------------------------
@@ -639,7 +658,7 @@ class Pipeline:
         store = self.manager.arrays
         before = store.replayed, store.computed
         self._write_role_clusters()
-        stopwords = clustering.load_stopwords(config.stopwords_path)
+        stopwords = self._stopwords
         # one (vacancy_id, task_number) key and one normalised text per task
         # row; task texts repeat across roles (reposted template duties), so
         # each distinct text is normalised once

@@ -20,6 +20,7 @@ from taskshift.errors import (
     EnumViolation,
     MissingField,
     ProviderError,
+    ProviderRefused,
     RangeViolation,
     SchemaInvalid,
     TypeMismatch,
@@ -724,6 +725,34 @@ class TestRetry:
         assert warm.provider.calls == 0 and warm_report.cache_hits == 2
         assert [r.raw for r in again] == [r.raw for r in cold]
         assert cold[0].request_id == "r" and len(cold[0].payload["tasks"]) == 2
+
+    def test_refused_call_is_sent_again_as_it_was(self, tmp_path):
+        @dataclass
+        class RefusingOnce(MockProvider):
+            """Refuses each request id's first call, records every prompt it is sent."""
+
+            prompts: list = field(default_factory=list)
+            refused: set = field(default_factory=set)
+
+            def complete(self, request):
+                self.prompts.append(request.user_prompt)
+                if request.request_id not in self.refused:
+                    self.refused.add(request.request_id)
+                    raise ProviderRefused("provider returned HTTP 429: Too Many Requests")
+                return super().complete(request)
+
+        requests = [extraction_request(f"r{i}", f"- task {i}\n- other {i}") for i in range(5)]
+        policy = RetryPolicy(max_attempts=3, backoff_base=0.0)
+        provider = RefusingOnce()
+        cold = BatchManager(provider, cache=ResponseCache(tmp_path), policy=policy)
+        answers, report = cold.submit_batch(requests, nudge="list two")
+        assert len(answers) == 5 and report.failed == []
+        warm = BatchManager(MockProvider(strict=True), cache=ResponseCache(tmp_path), policy=policy)
+        again, warm_report = warm.submit_batch(requests, nudge="list two")
+        assert warm.provider.calls == 0 and warm_report.cache_hits == 5
+        assert [r.raw for r in again] == [r.raw for r in answers]
+        # no reply was seen, so no nudge: the same bytes twice
+        assert provider.prompts == [r.user_prompt for r in requests] * 2
 
 
 def stored_matrix(rows):
