@@ -15,7 +15,6 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
-from datetime import date
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -60,8 +59,6 @@ class Vacancy:
     grade_raw: str
     grade: GradeBucket
     profession: str
-    posting_date: date | None
-    closing_date: date | None
     job_summary: str
     job_description: str
 
@@ -73,8 +70,6 @@ class Vacancy:
             "grade_raw": self.grade_raw,
             "grade": self.grade.value,
             "profession": self.profession,
-            "posting_date": self.posting_date.isoformat() if self.posting_date else None,
-            "closing_date": self.closing_date.isoformat() if self.closing_date else None,
             "job_summary": self.job_summary,
             "job_description": self.job_description,
         }
@@ -88,8 +83,6 @@ class Vacancy:
             grade_raw=record.get("grade_raw", ""),
             grade=GradeBucket(record["grade"]) if record.get("grade") else GradeBucket.UNMAPPED,
             profession=record.get("profession", OTHER_PROFESSION),
-            posting_date=_parse_date(record.get("posting_date")),
-            closing_date=_parse_date(record.get("closing_date")),
             job_summary=record.get("job_summary", ""),
             job_description=record.get("job_description", ""),
         )
@@ -144,12 +137,6 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         departments=frozenset(departments) if departments is not None else None,
         professions=frozenset(professions) if professions is not None else None,
     )
-
-
-def _parse_date(value: str | None) -> date | None:
-    if not value:
-        return None
-    return date.fromisoformat(value)
 
 
 def scrub_pii(text: str) -> str:
@@ -285,8 +272,6 @@ def parse_vacancies(
                 grade_raw=grade_raw,
                 grade=grade,
                 profession=profession,
-                posting_date=_parse_date(record.get("posting_date")),
-                closing_date=_parse_date(record.get("closing_date")),
                 job_summary=scrub_pii(str(record.get("job_summary", ""))),
                 job_description=scrub_pii(str(record.get("job_description", ""))),
             )
@@ -310,11 +295,6 @@ def _record_problem(record: object, seen: set[str]) -> str | None:
         record.get("job_summary", "")
     ).strip():
         return "both job_description and job_summary empty"
-    try:
-        _parse_date(record.get("posting_date"))
-        _parse_date(record.get("closing_date"))
-    except ValueError:
-        return "unparseable date"
     return None
 
 

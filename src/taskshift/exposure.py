@@ -299,6 +299,30 @@ class ExtractionResult:
     reports: list[BatchReport]
 
 
+def _extract_pass(
+    vacancies: Sequence[Vacancy], field: str, manager: BatchManager
+) -> tuple[dict[str, list[TaskRecord]], BatchReport]:
+    """One batch that asks for the tasks in each vacancy's ``job_<field>``, as
+    request ``extract:<vacancy_id>:<field>``: the tasks of each answered
+    request, by vacancy id, and the batch's report.
+
+    The requests quote every text, so they are built in the call that sends
+    them and freed, with their responses, when this returns.
+    """
+    vacancy_of = {f"extract:{v.vacancy_id}:{field}": v for v in vacancies}
+    responses, report = manager.submit_batch(
+        [
+            task_extraction_request(request_id, getattr(vacancy, f"job_{field}"))
+            for request_id, vacancy in vacancy_of.items()
+        ]
+    )
+    tasks = {
+        vacancy_of[response.request_id].vacancy_id: _tasks_from_response(response)
+        for response in responses
+    }
+    return tasks, report
+
+
 def extract_corpus(vacancies: Sequence[Vacancy], manager: BatchManager) -> ExtractionResult:
     """Batch task extraction with summary fallback for the whole corpus.
 
@@ -306,23 +330,16 @@ def extract_corpus(vacancies: Sequence[Vacancy], manager: BatchManager) -> Extra
     fewer than two tasks has its summary tried once. A role still under
     two tasks is listed in ``dropped`` with the reason.
     """
-    reports: list[BatchReport] = []
     tasks_by_vacancy: dict[str, list[TaskRecord]] = {}
     dropped: list[tuple[str, str]] = []
 
-    first_pass = [
-        task_extraction_request(f"extract:{v.vacancy_id}:description", v.job_description)
-        for v in vacancies
-        if v.job_description.strip()
-    ]
-    responses, report = manager.submit_batch(first_pass)
-    reports.append(report)
-    by_id = {response.request_id: response for response in responses}
-
+    described, report = _extract_pass(
+        [v for v in vacancies if v.job_description.strip()], "description", manager
+    )
+    reports = [report]
     needs_fallback: list[Vacancy] = []
     for vacancy in vacancies:
-        response = by_id.get(f"extract:{vacancy.vacancy_id}:description")
-        records = _tasks_from_response(response) if response else []
+        records = described.get(vacancy.vacancy_id, [])
         if len(records) >= MIN_TASKS_PER_ROLE:
             tasks_by_vacancy[vacancy.vacancy_id] = records
         elif vacancy.job_summary.strip():
@@ -331,16 +348,10 @@ def extract_corpus(vacancies: Sequence[Vacancy], manager: BatchManager) -> Extra
             dropped.append((vacancy.vacancy_id, f"{len(records)} task(s) and no summary to retry"))
 
     if needs_fallback:
-        second_pass = [
-            task_extraction_request(f"extract:{v.vacancy_id}:summary", v.job_summary)
-            for v in needs_fallback
-        ]
-        responses, report = manager.submit_batch(second_pass)
+        summarised, report = _extract_pass(needs_fallback, "summary", manager)
         reports.append(report)
-        by_id = {response.request_id: response for response in responses}
         for vacancy in needs_fallback:
-            response = by_id.get(f"extract:{vacancy.vacancy_id}:summary")
-            records = _tasks_from_response(response) if response else []
+            records = summarised.get(vacancy.vacancy_id, [])
             if len(records) >= MIN_TASKS_PER_ROLE:
                 tasks_by_vacancy[vacancy.vacancy_id] = records
             else:
@@ -351,4 +362,3 @@ def extract_corpus(vacancies: Sequence[Vacancy], manager: BatchManager) -> Extra
     for vacancy_id, reason in dropped:
         log.warning("dropped vacancy %s: %s", vacancy_id, reason)
     return ExtractionResult(tasks_by_vacancy, dropped, reports)
-

@@ -69,9 +69,9 @@ _MANIFEST_FIELDS = {"stage": str, "params_fingerprint": str, "outputs": dict, "c
 class Stage(NamedTuple):
     """One pipeline stage.
 
-    ``params`` names the ``PipelineConfig`` fields the stage reads. Its
-    fingerprint covers the value of each, except that a ``*_path`` field
-    stands for the contents of its file (an unset path is left out); the
+    ``params`` names exactly the ``PipelineConfig`` fields that ``run``
+    reads. Its fingerprint covers the value of each, except that a ``*_path``
+    field stands for the contents of its file (an unset path is left out); the
     output hashes of every stage in ``deps``, the stages whose outputs it
     opens; and, for a stage that asks the provider (``provider``), the
     provider identity of ``build_provider``. ``run(pipeline)`` must write
@@ -974,7 +974,7 @@ STAGE_TABLE: tuple[Stage, ...] = (
         "redesign",
         deps=("weight",),
         outputs=("plans.jsonl", "redesign_summary.json"),
-        params=("theta", "delta", "seed", "new_tasks_fraction"),
+        params=("theta", "seed", "new_tasks_fraction"),
         run=Pipeline._run_redesign,
         provider=True,
     ),
@@ -982,7 +982,7 @@ STAGE_TABLE: tuple[Stage, ...] = (
         "report",
         deps=("weight", "cluster", "rake", "savings", "redesign"),
         outputs=tuple(report.TABLES),
-        params=("theta", "delta"),
+        params=("theta",),
         run=Pipeline._run_report,
     ),
 )

@@ -68,6 +68,15 @@ class TestParseVacancies:
         assert [v.vacancy_id for v in parsed.vacancies] == ["B"]
         assert "JSON" in parsed.issues[0].reason
 
+    def test_advert_dates_are_ignored(self):
+        # no stage reads the dates, so one that does not parse drops no advert
+        undated = record("B")
+        del undated["posting_date"], undated["closing_date"]
+        parsed = parse_vacancies(lines(record("A", posting_date="31/02/2023"), undated))
+        assert [v.vacancy_id for v in parsed.vacancies] == ["A", "B"]
+        assert parsed.issues == []
+        assert not {"posting_date", "closing_date"} & set(parsed.vacancies[0].to_record())
+
     def test_unreadable_source_fatal(self, tmp_path):
         with pytest.raises(DataError):
             parse_vacancies(tmp_path / "missing.jsonl")

@@ -37,8 +37,6 @@ def vacancy(description, summary="", vacancy_id="V1"):
         grade_raw="EO",
         grade=GradeBucket.EO,
         profession="Other",
-        posting_date=None,
-        closing_date=None,
         job_summary=summary,
         job_description=description,
     )
