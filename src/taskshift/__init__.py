@@ -9,6 +9,11 @@ high-exposure tasks are automated away.
 
 __version__ = "0.1.0"
 
+from .gateway.cache import use_one_blas_thread
+
+# every caller computes on one BLAS thread, so a result's bits do not depend on the core count
+use_one_blas_thread()
+
 from .config import PipelineConfig
 from .pipeline import Pipeline
 

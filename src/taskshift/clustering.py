@@ -454,7 +454,7 @@ def fit_pca(
     else:
         key = f"pca-rows {hasher.hexdigest()} {n}x{d} out_dim={out_dim} projected"
         parts = store.replay(key, [(out_dim, d), (out_dim,), (out_dim,), (n, out_dim)], compute)
-    # the axes are copied out of the record, so dropping ``projected`` frees it
+    # the axes are copied out of a replayed record, so dropping ``projected`` frees it
     *axes, projected = parts
     return ProjectionModel(mean, *(axis.copy() for axis in axes), projected)
 

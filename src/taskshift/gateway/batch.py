@@ -214,7 +214,7 @@ class BatchManager:
                     continue
                 vectors = _checked_rows(reply, len(chunks[index]), width)
                 width = vectors.shape[1]
-                store.append(chunks[index], vectors, width)
+                store.append(chunks[index], [vectors], width)
             return failed, bool(failed)
 
         if failed := self._attempts(len(chunks), wave):

@@ -81,19 +81,22 @@ class SegmentStore:
     def find(self, text: str) -> Location | None:
         return self._loaded().get(self._key(text))
 
-    def append(self, texts: Sequence[str], data: bytes | np.ndarray, length: int) -> None:
-        """Store ``data`` as one record of ``length`` units per text, back to back.
+    def append(
+        self, texts: Sequence[str], parts: Sequence[bytes | np.ndarray], length: int
+    ) -> None:
+        """Store ``parts``, written back to back, as one record of ``length`` units per text.
 
         The records are written before their index lines.
         """
-        view = memoryview(data).cast("B")
+        views = [memoryview(part).cast("B") for part in parts]
         entries = self._loaded()
         with self._lock:
             if self._own is None:
                 self._own = self._create_segment()
             number, segment, index = self._own
             segment.seek(self._end)
-            _write_all(segment, view)
+            for view in views:
+                _write_all(segment, view)
             lines = []
             for position, text in enumerate(texts):
                 key = self._key(text)
@@ -102,7 +105,7 @@ class SegmentStore:
                 entries[key] = (number, offset, length)
             if index is not None:
                 _write_all(index, "".join(lines).encode("ascii"))
-            self._end += len(view)
+            self._end += sum(len(view) for view in views)
 
     def read(self, segment: int, offset: int, out: memoryview) -> None:
         """Fill ``out`` with the bytes stored in ``segment`` from ``offset`` on."""
@@ -190,11 +193,22 @@ class ResponseCache(SegmentStore):
 
     def put(self, fingerprint: str, raw: str) -> None:
         data = raw.encode("utf-8", "surrogatepass")
-        self.append([fingerprint], data, len(data))
+        self.append([fingerprint], [data], len(data))
 
 
 # the environment variables OpenBLAS takes its thread count from
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _openblas(name: str) -> ctypes._CFuncPtr | None:
+    """The function ``name`` of the OpenBLAS bundled with numpy's wheel; ``None`` where none exports it."""
+    libraries = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libraries.glob("libscipy_openblas64_*.so")):
+        try:
+            return getattr(ctypes.CDLL(str(path)), name)
+        except (OSError, AttributeError):
+            continue
+    return None
 
 
 def blas_thread_count() -> int | None:
@@ -204,15 +218,25 @@ def blas_thread_count() -> int | None:
     so a variable set later does not change this count. ``None`` where no
     bundled OpenBLAS exports the query.
     """
-    libraries = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libraries.glob("libscipy_openblas64_*.so")):
-        try:
-            query = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        query.restype = ctypes.c_int
-        return int(query())
-    return None
+    query = _openblas("scipy_openblas_get_num_threads64_")
+    if query is None:
+        return None
+    query.restype = ctypes.c_int
+    return int(query())
+
+
+def use_one_blas_thread() -> None:
+    """Make numpy's bundled OpenBLAS compute on one thread, whenever numpy was loaded.
+
+    ``eigh`` gives other bits on other thread counts, and on the taxonomy's
+    matrices a second thread buys little wall time for much more CPU time
+    and a GEMM buffer of its own. Does nothing where no bundled OpenBLAS
+    exports the setter.
+    """
+    setter = _openblas("scipy_openblas_set_num_threads64_")
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter(1)
 
 
 def numeric_identity() -> str:
@@ -261,22 +285,26 @@ class ArrayStore(SegmentStore):
     ) -> list[np.ndarray]:
         """The float64 arrays stored under ``key``, one per shape; else ``compute()``'s, stored.
 
-        A record whose length does not fit ``shapes`` counts as a miss.
-        Both paths return views into one record, so a replay gives the
-        bytes the computing run stored.
+        A record whose length does not fit ``shapes`` counts as a miss. A
+        replay returns views into the record it read; a miss writes the
+        computed arrays back to back as the record, without first joining
+        them into one, and returns them. Either way the arrays hold the
+        bytes that were stored.
         """
         sizes = [math.prod(shape) for shape in shapes]
         length = sum(sizes)
         location = self.find(key)
-        if location is not None and location[2] == length:
-            record = np.empty(length)
-            self.read(location[0], location[1], memoryview(record).cast("B"))
-            self.replayed += 1
-        else:
-            parts = compute()
-            record = np.concatenate([np.asarray(part, dtype=np.float64).ravel() for part in parts])
-            self.append([key], record, length)
+        if location is None or location[2] != length:
+            arrays = [
+                np.ascontiguousarray(part, dtype=np.float64).reshape(shape)
+                for part, shape in zip(compute(), shapes)
+            ]
+            self.append([key], arrays, length)
             self.computed += 1
+            return arrays
+        record = np.empty(length)
+        self.read(location[0], location[1], memoryview(record).cast("B"))
+        self.replayed += 1
         bounds = np.cumsum(sizes)[:-1]
         return [part.reshape(shape) for part, shape in zip(np.split(record, bounds), shapes)]
 

@@ -738,6 +738,20 @@ class TestKernelReplay:
         assert store.computed == 0
         assert not list(tmp_path.iterdir())
 
+    def test_miss_stores_the_fit_without_a_copy_of_it(self, tmp_path):
+        n, d, out_dim = 40_000, 64, 25
+        rows = stored_rows(np.random.default_rng(13).normal(size=(n, d)))
+        peaks = []
+        for store in (None, ArrayStore(tmp_path)):
+            tracemalloc.start()
+            try:
+                fit_pca(rows, out_dim=out_dim, store=store)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a copy of the projected rows would add n × out_dim × 8 bytes (8 MB)
+        assert peaks[1] - peaks[0] < n * out_dim * 8 / 2
+
     def test_replay_reads_the_rows_once_and_forms_no_scatter(self, tmp_path, monkeypatch):
         n, d = 300, 256
         rows = stored_rows(np.random.default_rng(3).normal(size=(n, d)))
@@ -965,6 +979,19 @@ class TestKernelReplay:
         src = os.path.dirname(os.path.dirname(clustering.__file__))
         script = "from taskshift.gateway import cache; print(cache.blas_thread_count())"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        expected = "None" if cache_module.blas_thread_count() is None else "1"
+        assert result.stdout.strip() == expected
+
+    def test_importing_taskshift_sets_one_thread_after_numpy_loaded(self):
+        src = os.path.dirname(os.path.dirname(clustering.__file__))
+        script = (
+            "import numpy; import taskshift; from taskshift.gateway import cache; "
+            "print(cache.blas_thread_count())"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
         result = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )

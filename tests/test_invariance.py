@@ -8,13 +8,14 @@ so each starts from a fresh interpreter.
 
 ``never_frozen`` calls ``main`` without the program entry's ``gc.freeze``,
 so GC state cannot reach an output byte. ``killed_and_resumed`` kills a run
-mid-way with SIGKILL and runs it again.
-
-Left out because it does not hold: the BLAS thread count. ``eigh`` returns
-other bits under another OpenBLAS thread count, and they reach
-``projection.json`` and with it the report's fingerprint (ROADMAP item 9).
+mid-way with SIGKILL and runs it again. ``other_blas_threads`` loads numpy
+with another OpenBLAS thread count than the reference's: ``eigh`` bits
+depend on the count, so this holds only because importing ``taskshift``
+sets one thread. On a one-core machine both counts may be one, and there
+the row cannot fail.
 """
 
+import os
 import shutil
 import signal
 import subprocess
@@ -33,18 +34,25 @@ def argv(stage: str, config: Path) -> list[str]:
     return [sys.executable, "-m", "taskshift.cli", stage, "--config", str(config)]
 
 
-def child(args: list[str], hash_seed: str = "0") -> None:
-    """``args`` in a child; it must exit 0 without a traceback."""
+def child(args: list[str], **env: str) -> None:
+    """``args`` in a child, under ``PYTHONHASHSEED=0`` unless ``env`` says otherwise.
+
+    It must exit 0 without a traceback.
+    """
     result = subprocess.run(
-        args, env=child_env(PYTHONHASHSEED=hash_seed), capture_output=True, text=True, timeout=300
+        args,
+        env=child_env(**{"PYTHONHASHSEED": "0", **env}),
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
 
 
-def taskshift(stage: str, config: Path, hash_seed: str = "0") -> None:
+def taskshift(stage: str, config: Path, **env: str) -> None:
     """``taskshift <stage>`` on ``config`` in a child, through the program entry."""
-    child(argv(stage, config), hash_seed)
+    child(argv(stage, config), **env)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +79,7 @@ def stage_by_stage(base: Path, reference: Path) -> Path:
 
 
 def other_hash_seed(base: Path, reference: Path) -> Path:
-    taskshift("all", write_config(base), hash_seed="12345")
+    taskshift("all", write_config(base), PYTHONHASHSEED="12345")
     return base / "out"
 
 
@@ -79,6 +87,12 @@ def other_paths(base: Path, reference: Path) -> Path:
     out = base / "other place" / "results"
     taskshift("all", write_config(base, out_dir=str(out), cache_dir=str(base / "answers")))
     return out
+
+
+def other_blas_threads(base: Path, reference: Path) -> Path:
+    threads = "2" if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else "1"
+    taskshift("all", write_config(base), OPENBLAS_NUM_THREADS=threads)
+    return base / "out"
 
 
 def never_frozen(base: Path, reference: Path) -> Path:
@@ -109,7 +123,15 @@ def killed_and_resumed(base: Path, reference: Path) -> Path:
 
 @pytest.mark.parametrize(
     "run",
-    [warm_cache, stage_by_stage, other_hash_seed, other_paths, never_frozen, killed_and_resumed],
+    [
+        warm_cache,
+        stage_by_stage,
+        other_hash_seed,
+        other_paths,
+        other_blas_threads,
+        never_frozen,
+        killed_and_resumed,
+    ],
 )
 def test_outputs_equal_the_reference_run(tmp_path, reference, run):
     out = run(tmp_path, reference)
