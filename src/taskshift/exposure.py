@@ -71,34 +71,13 @@ def task_record(task_number: int, task_details: str, exposure: float) -> TaskRec
     return TaskRecord(task_number, task_details, exposure, band, high)
 
 
-@dataclass(frozen=True)
-class DecayWeights:
-    """Position weights normalized to unit sum."""
-
-    normalized: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.normalized)
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "DecayWeights":
-        if not values:
-            raise UsageError("weight vector must be non-empty")
-        if any(value < 0 for value in values):
-            raise UsageError("weights must be non-negative")
-        total = math.fsum(values)
-        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
-            raise UsageError(f"weights must sum to 1 (got {total})")
-        return cls(tuple(value / total for value in values))
-
-
 # task counts stay small, so a few hundred entries cover every (count, delta)
 # a run asks for
 @lru_cache(maxsize=256)
-def decay_weights(task_count: int, delta: float) -> DecayWeights:
+def decay_weights(task_count: int, delta: float) -> tuple[float, ...]:
     """Geometric position weights d_t = delta^(t-1), normalized to sum 1.
 
-    Calls with the same arguments share one instance, so profiles with
+    Calls with the same arguments share one tuple, so profiles with
     equal task counts share their weights.
     """
     if task_count < 1:
@@ -107,7 +86,7 @@ def decay_weights(task_count: int, delta: float) -> DecayWeights:
         raise UsageError(f"decay rate must be in (0, 1] (got {delta})")
     raw = tuple(delta ** (position - 1) for position in range(1, task_count + 1))
     total = math.fsum(raw)
-    return DecayWeights(tuple(value / total for value in raw))
+    return tuple(value / total for value in raw)
 
 
 class RoleExposure(NamedTuple):
@@ -117,8 +96,6 @@ class RoleExposure(NamedTuple):
     std: float
     high_share: float
     medium_share: float
-    hours_per_task: tuple[float, ...]
-    value_per_task: tuple[float, ...] | None
 
 
 def weighted_mean_std(scores: Sequence[float], weights: Sequence[float]) -> tuple[float, float]:
@@ -137,32 +114,14 @@ def time_shares(scores: Sequence[float], shares: Sequence[float]) -> tuple[float
     return high, medium
 
 
-def role_exposure(
-    tasks: Sequence[TaskRecord],
-    weights: DecayWeights,
-    salary: float | None = None,
-) -> RoleExposure:
-    """Aggregate task records under position weights.
-
-    Hours allocate the 37-hour week by weight; monetary value allocates
-    the salary the same way and is absent when the salary is.
-    """
+def role_exposure(tasks: Sequence[TaskRecord], weights: Sequence[float]) -> RoleExposure:
+    """Aggregate task records under position weights."""
     if len(tasks) != len(weights):
         raise UsageError(f"{len(tasks)} tasks vs {len(weights)} weights")
-    shares = weights.normalized
     scores = [t.exposure for t in tasks]
-    mean, std = weighted_mean_std(scores, shares)
-    high_share, medium_share = time_shares(scores, shares)
-    hours = tuple(HOURS_PER_WEEK * w for w in shares)
-    value = None if salary is None else tuple(salary * w for w in shares)
-    return RoleExposure(
-        mean=mean,
-        std=std,
-        high_share=high_share,
-        medium_share=medium_share,
-        hours_per_task=hours,
-        value_per_task=value,
-    )
+    mean, std = weighted_mean_std(scores, weights)
+    high_share, medium_share = time_shares(scores, weights)
+    return RoleExposure(mean=mean, std=std, high_share=high_share, medium_share=medium_share)
 
 
 @dataclass(slots=True)
@@ -177,7 +136,7 @@ class RoleProfile:
     salary: float | None
     delta: float
     tasks: list[TaskRecord]
-    weights: DecayWeights
+    weights: tuple[float, ...]
     aggregates: RoleExposure
 
     @property
@@ -186,7 +145,8 @@ class RoleProfile:
 
     def to_rows(self) -> tuple[dict, list[dict]]:
         """Weight's ``roles.jsonl`` row and ``task_weights.jsonl`` rows; inverse of
-        :meth:`from_rows`."""
+        :meth:`from_rows`. A task's ``hours`` and ``value`` split the 37-hour week
+        and the salary (absent when it is) by the task's weight."""
         aggregates = self.aggregates
         role = {
             "vacancy_id": self.vacancy_id,
@@ -202,7 +162,6 @@ class RoleProfile:
             "medium_share": aggregates.medium_share,
             "task_count": len(self.tasks),
         }
-        values = aggregates.value_per_task or [None] * len(self.tasks)
         tasks = [
             {
                 "vacancy_id": self.vacancy_id,
@@ -212,32 +171,30 @@ class RoleProfile:
                 "band": task.band.value,
                 "high": task.high,
                 "weight": weight,
-                "hours": hours,
-                "value": value,
+                "hours": HOURS_PER_WEEK * weight,
+                "value": None if self.salary is None else self.salary * weight,
             }
-            for task, weight, hours, value in zip(
-                self.tasks, self.weights.normalized, aggregates.hours_per_task, values
-            )
+            for task, weight in zip(self.tasks, self.weights)
         ]
         return role, tasks
 
     @classmethod
     def from_rows(cls, role: Mapping, rows: Sequence[Mapping]) -> "RoleProfile":
         """The profile that :meth:`to_rows` wrote as ``role`` and ``rows``, from the
-        stored numbers: no band, weight or aggregate is computed again.
+        stored numbers: no band or aggregate is computed again.
 
         JSON keeps each float's exact value, so this equals the ``build_profile``
-        result that was written. Profiles with equal task counts share one
-        weights instance, as ``build_profile``'s do.
+        result that was written. The weights are the cached
+        ``decay_weights(task_count, delta)`` tuple that ``build_profile`` used;
+        the ``hours`` and ``value`` columns are not read.
         """
-        salary = role["salary"]
         return cls(
             vacancy_id=role["vacancy_id"],
             title=role["title"],
             department=role["department"],
             grade=role["grade"],
             profession=role["profession"],
-            salary=salary,
+            salary=role["salary"],
             delta=role["delta"],
             tasks=[
                 TaskRecord(
@@ -255,8 +212,6 @@ class RoleProfile:
                 std=role["exposure_std"],
                 high_share=role["high_share"],
                 medium_share=role["medium_share"],
-                hours_per_task=tuple(row["hours"] for row in rows),
-                value_per_task=None if salary is None else tuple(row["value"] for row in rows),
             ),
         )
 
@@ -274,7 +229,7 @@ def build_profile(role: Mapping, tasks: Sequence[TaskRecord], delta: float) -> R
         delta=delta,
         tasks=list(tasks),
         weights=weights,
-        aggregates=role_exposure(tasks, weights, role["salary"]),
+        aggregates=role_exposure(tasks, weights),
     )
 
 

@@ -543,9 +543,9 @@ class Pipeline:
     def _stored_profiles(self) -> Iterator[RoleProfile]:
         """The profiles that weight wrote, read back from its own two tables.
 
-        Redesign and report read them this way: each profile comes from the
-        numbers weight stored (``RoleProfile.from_rows``), so no stage after
-        weight decodes a job description or recomputes a band, weight or
+        Savings, redesign and report read them this way: each profile comes
+        from the numbers weight stored (``RoleProfile.from_rows``), so no stage
+        after weight decodes a job description or recomputes a band or
         aggregate. The join is the same merge as :meth:`_built_profiles`.
         """
         joined = iter_joined(self.out_dir / "roles.jsonl", self.out_dir / "task_weights.jsonl")
@@ -787,22 +787,21 @@ class Pipeline:
         )
 
     def _build_role_inputs(self) -> list[savings.RoleInput]:
-        """Each raked role's scores in task order, salary and weight, by the profiles' join."""
+        """Each raked role's scores in task order, salary and weight, from the stored profiles."""
         weights = {
             row["role_key"]: row["weight"]
             for row in iter_jsonl(self.out_dir / "raked_weights.jsonl")
         }
-        joined = iter_joined(self.out_dir / "roles.jsonl", self.out_dir / "task_weights.jsonl")
         return [
             savings.RoleInput(
-                role_key=role["vacancy_id"],
-                exposures=tuple(row["exposure_score"] for row in rows),
-                salary=role["salary"],
-                weight=weights[role["vacancy_id"]],
+                role_key=profile.vacancy_id,
+                exposures=tuple(task.exposure for task in profile.tasks),
+                salary=profile.salary,
+                weight=weights[profile.vacancy_id],
             )
-            for role, rows in joined
+            for profile in self._stored_profiles()
             # a role dropped before raking (e.g. unmapped grade) has no weight
-            if role["vacancy_id"] in weights
+            if profile.vacancy_id in weights
         ]
 
     def _run_savings(self) -> None:

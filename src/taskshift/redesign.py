@@ -120,10 +120,9 @@ def eligible_roles(profiles: Iterable[RoleProfile], theta: float) -> list[RolePr
 
 def proportional_weights(profile: RoleProfile) -> dict[int, float]:
     """Post-automation baseline: survivors renormalized proportionally."""
-    shares = profile.weights.normalized
     surviving = [
         (task.task_number, share)
-        for task, share in zip(profile.tasks, shares)
+        for task, share in zip(profile.tasks, profile.weights)
         if not task.high
     ]
     total = math.fsum(share for _, share in surviving)
@@ -137,7 +136,7 @@ def apply_focus(profile: RoleProfile, focus_task: int) -> dict[int, float]:
     surviving = set(surviving_numbers(profile))
     if focus_task not in surviving:
         raise UsageError(f"focus task {focus_task} is not a surviving task")
-    shares = dict(zip((t.task_number for t in profile.tasks), profile.weights.normalized))
+    shares = dict(zip((t.task_number for t in profile.tasks), profile.weights))
     post = {number: shares[number] for number in sorted(surviving)}
     post[focus_task] += profile.aggregates.high_share
     return post
@@ -269,7 +268,7 @@ def theme_shares(theme_sets: Sequence[tuple[str, ...]]) -> dict[str, float]:
 
 
 def _order_weights(profile: RoleProfile, ordered_numbers: Sequence[int]) -> dict[int, float]:
-    weights = decay_weights(len(ordered_numbers), profile.delta).normalized
+    weights = decay_weights(len(ordered_numbers), profile.delta)
     return {number: weight for number, weight in zip(ordered_numbers, weights)}
 
 
@@ -482,7 +481,7 @@ def time_shift_report(
 
     columns: dict[str, dict[str, float]] = {}
     pre = {
-        key: dict(zip((t.task_number for t in profile.tasks), profile.weights.normalized))
+        key: dict(zip((t.task_number for t in profile.tasks), profile.weights))
         for key, profile in keyed.items()
     }
     if pre:

@@ -124,7 +124,7 @@ def savings_from_shares(
 
 def exposure_shares(exposures: Sequence[float], delta: float) -> tuple[float, float]:
     """(high, medium) time shares of an ordered score list under decay."""
-    return time_shares(exposures, decay_weights(len(exposures), delta).normalized)
+    return time_shares(exposures, decay_weights(len(exposures), delta))
 
 
 class SweepCurve(NamedTuple):
@@ -173,7 +173,7 @@ def sweep(
     salary) nor the order of the terms can change a total.
     """
     thetas = tuple(theta_grid) if theta_grid is not None else DEFAULT_THETA_GRID
-    # decay_weights is cached, so roles with equal task counts share one instance
+    # decay_weights is cached, so roles with equal task counts share one tuple
     shares = [exposure_shares(role.exposures, delta) for role in roles]
     missing_salary = sum(1 for role in roles if role.salary is None)
     highs = [high for high, _ in shares]

@@ -17,7 +17,7 @@ from taskshift import redesign
 from taskshift.clustering import ExposureCluster, cluster_roles, kmeans
 from taskshift.config import PipelineConfig
 from taskshift.errors import DataError, EnumViolation, RangeViolation
-from taskshift.exposure import DecayWeights, decay_weights, role_exposure
+from taskshift.exposure import decay_weights, role_exposure
 from taskshift.gateway import BatchManager, MockProvider, RetryPolicy, validate_payload
 from taskshift.metrics import krippendorff_alpha, pearson, spearman
 from taskshift.pipeline import STAGES, Pipeline
@@ -52,7 +52,7 @@ from test_metrics import oracle_alpha_interval, oracle_pearson, oracle_spearman_
 OTHER_DEPTS = "OTHER_DEPTS"
 
 REFERENCE_SCORES = [0.8, 0.9, 0.6, 0.4, 0.3, 0.2]
-ROUNDED_WEIGHTS = [0.30, 0.23, 0.17, 0.13, 0.10, 0.07]
+ROUNDED_WEIGHTS = (0.30, 0.23, 0.17, 0.13, 0.10, 0.07)
 REFERENCE_CENTROIDS = [(0.381, 0.118), (0.483, 0.158), (0.586, 0.162), (0.697, 0.136)]
 
 
@@ -61,7 +61,7 @@ def report(number: int, text: str) -> None:
 
 
 def test_criterion_01_decay_weight_oracle():
-    weights = decay_weights(6, 0.75).normalized
+    weights = decay_weights(6, 0.75)
     for got, expected in zip(weights, ROUNDED_WEIGHTS):
         assert abs(got - expected) <= 0.005
     timings = []
@@ -77,7 +77,7 @@ def test_criterion_01_decay_weight_oracle():
 def test_criterion_02_weighted_exposure_oracle():
     tasks = make_tasks(REFERENCE_SCORES)
     # the reference arithmetic carries weights at 2 decimal places
-    rounded = role_exposure(tasks, DecayWeights.from_values(ROUNDED_WEIGHTS))
+    rounded = role_exposure(tasks, ROUNDED_WEIGHTS)
     assert abs(rounded.mean - 0.64) <= 0.005 + 1e-12
     equal = role_exposure(tasks, decay_weights(6, 1.0))
     assert abs(equal.mean - 0.53) <= 0.005
@@ -86,7 +86,7 @@ def test_criterion_02_weighted_exposure_oracle():
 
 def test_criterion_03_savings_oracle():
     tasks = make_tasks(REFERENCE_SCORES)
-    aggregates = role_exposure(tasks, DecayWeights.from_values(ROUNDED_WEIGHTS), 38680.0)
+    aggregates = role_exposure(tasks, ROUNDED_WEIGHTS)
     high, medium = aggregates.high_share, aggregates.medium_share
     at_80 = savings_from_shares("table2", high, medium, 38680.0, theta=0.8)
     assert abs(at_80.productivity_gain - 20500) <= 1.0
@@ -236,7 +236,7 @@ def test_criterion_07_redesign_conservation(fixture_profiles):
     assert not theme_failures
 
     weights_by_role = {
-        p.vacancy_id: dict(zip((t.task_number for t in p.tasks), p.weights.normalized))
+        p.vacancy_id: dict(zip((t.task_number for t in p.tasks), p.weights))
         for p in eligible
     }
     for plan in plans:

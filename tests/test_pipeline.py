@@ -23,6 +23,7 @@ from taskshift.cli import main
 from taskshift.config import PROVIDERS, PipelineConfig
 from taskshift.corpus import Vacancy
 from taskshift.errors import DataError, UsageError
+from taskshift.exposure import RoleProfile
 from taskshift.gateway import MockProvider, ResponseCache
 from taskshift.pipeline import (
     STAGE_TABLE,
@@ -982,6 +983,22 @@ class TestProfileReader:
             pipeline.run_stage(stage)
             if stage == "weight":
                 assert len(calls) == 10
+        assert len(calls) == 10
+
+    def test_savings_reads_weight_tables_through_the_profile_reader(
+        self, fixture_config, monkeypatch
+    ):
+        pipeline = Pipeline(fixture_config)
+        for stage in STAGES[: STAGES.index("savings")]:
+            pipeline.run_stage(stage)
+        out = Path(fixture_config.out_dir)
+        joined = iter_joined(out / "roles.jsonl", out / "task_weights.jsonl")
+        calls = record_calls(monkeypatch, RoleProfile, "from_rows")
+        pipeline.run_stage("savings")
+        # one call per joined role, raked or not: from_rows is the one reader
+        assert [role["vacancy_id"] for role, _ in calls] == [
+            role["vacancy_id"] for role, _ in joined
+        ]
         assert len(calls) == 10
 
 

@@ -63,8 +63,6 @@ RECORDS = {
             "std": 0.2,
             "high_share": 0.5,
             "medium_share": 0.25,
-            "hours_per_task": (24.0, 13.0),
-            "value_per_task": (20000.0, 10000.0),
         },
         {},
     ),

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from taskshift.errors import UsageError
-from taskshift.exposure import DecayWeights, RoleProfile, role_exposure, task_record
+from taskshift.exposure import RoleProfile, decay_weights, role_exposure, task_record
 from taskshift.gateway import BatchManager, MockProvider, ResponseCache, RetryPolicy
 from taskshift.gateway import batch
 from taskshift.prompts import (
@@ -24,12 +24,7 @@ REFERENCE_SCORES = [0.8, 0.9, 0.6, 0.4, 0.3, 0.2]
 
 def build_role(scores, weights=None, vacancy_id="R1", title="Officer", salary=38680.0, delta=0.75):
     tasks = [task_record(i, f"duty number {i}", s) for i, s in enumerate(scores, start=1)]
-    if weights is None:
-        from taskshift.exposure import decay_weights
-
-        decay = decay_weights(len(tasks), delta)
-    else:
-        decay = DecayWeights.from_values(weights)
+    weights = decay_weights(len(tasks), delta) if weights is None else tuple(weights)
     return RoleProfile(
         vacancy_id=vacancy_id,
         title=title,
@@ -39,8 +34,8 @@ def build_role(scores, weights=None, vacancy_id="R1", title="Officer", salary=38
         salary=salary,
         delta=delta,
         tasks=tasks,
-        weights=decay,
-        aggregates=role_exposure(tasks, decay, salary),
+        weights=weights,
+        aggregates=role_exposure(tasks, weights),
     )
 
 
@@ -108,7 +103,7 @@ class TestApplyFocus:
     def test_no_automated_tasks_leaves_weights_unchanged(self):
         role = build_role([0.2, 0.4, 0.6])
         post = redesign.apply_focus(role, focus_task=2)
-        assert post == dict(zip((1, 2, 3), role.weights.normalized))
+        assert post == dict(zip((1, 2, 3), role.weights))
 
     def test_focus_must_survive(self):
         with pytest.raises(UsageError):
@@ -164,7 +159,7 @@ class TestSelectFocus:
         plan = single(redesign.select_focus_bulk, role, mock_manager())
         redesign.check_plan(plan)
         assert plan.post_weights[plan.focus_task] - dict(
-            zip((t.task_number for t in role.tasks), role.weights.normalized)
+            zip((t.task_number for t in role.tasks), role.weights)
         )[plan.focus_task] == pytest.approx(plan.freed_share, abs=1e-12)
 
 
@@ -291,10 +286,8 @@ class TestReorder:
         role = reference_role()
         plan = single(redesign.reorder_plan_bulk, role, mock_manager())
         redesign.check_plan(plan)
-        from taskshift.exposure import decay_weights
-
         survivors = [t.task_number for t in role.tasks if not t.high]
-        expected = decay_weights(len(survivors), role.delta).normalized
+        expected = decay_weights(len(survivors), role.delta)
         assert [plan.post_weights[n] for n in survivors] == pytest.approx(list(expected))
 
     def test_reversed_order_weights(self):
@@ -387,9 +380,7 @@ class TestNewTasks:
         ]
         manager = mock_manager(self.fixture_for(role, {"tasks": tasks}))
         plan = single(redesign.new_tasks_plan_bulk, role, manager)
-        from taskshift.exposure import decay_weights
-
-        expected = decay_weights(5, role.delta).normalized
+        expected = decay_weights(5, role.delta)
         assert plan.post_weights[-1] == pytest.approx(expected[0])
         assert plan.new_tasks[0].task_category == "risk_management"
         redesign.check_plan(plan)

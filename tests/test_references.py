@@ -23,9 +23,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ALLOWED = {
     "taskshift.metrics.spearman": "acceptance criterion 9",
     "taskshift.metrics.krippendorff_alpha": "acceptance criterion 9",
-    "taskshift.exposure.DecayWeights.from_values": (
-        "acceptance criteria 2 and 3 weight tasks by the rounded reference weights"
-    ),
     "taskshift.raking.WeightedSample.weighted_share": "acceptance criterion 4",
     "taskshift.savings.savings_from_shares": (
         "the reference oracle for sweep; acceptance criteria 3 and 5"

@@ -31,7 +31,7 @@ TABLE_ROLE = dict(role_key="table2", high_share=0.53, medium_share=0.17, salary=
 
 
 def oracle_shares(exposures, delta):
-    weights = decay_weights(len(exposures), delta).normalized
+    weights = decay_weights(len(exposures), delta)
     high = sum(w for w, e in zip(weights, exposures) if e >= 0.7)
     medium = sum(w for w, e in zip(weights, exposures) if 0.5 <= e < 0.7)
     return high, medium
