@@ -8,6 +8,7 @@ parameter changes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -33,7 +34,14 @@ _LOWER_BOUNDS = {
 
 
 def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float that a float holds finitely: not NaN, an infinity or an
+    integer beyond the float range (``json.loads`` reads all three)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # what a config-file value of each annotated setting type must be: a bool is
@@ -42,18 +50,23 @@ _JSON_TYPES = {
     "str": ("a string", lambda value: isinstance(value, str)),
     "bool": ("a boolean", lambda value: isinstance(value, bool)),
     "int": ("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)),
-    "float": ("a number", _is_number),
+    "float": ("a finite number", _is_number),
     "list[float]": (
-        "a list of numbers",
+        "a list of finite numbers",
         lambda value: isinstance(value, list) and all(map(_is_number, value)),
     ),
 }
 
 
-def _check_json_types(values: dict) -> None:
+def _check_json_types(values: dict) -> dict:
     """Refuse a config-file setting whose JSON type does not fit the setting's
-    annotation (``T`` or ``T | None``), before any is compared or used."""
+    annotation (``T`` or ``T | None``), before any is compared or used.
+
+    Returns the values with each number of a float setting as a float, so
+    that ``1`` and ``1.0`` make one configuration and one set of bytes.
+    """
     annotations = {f.name: f.type for f in fields(PipelineConfig)}
+    typed = dict(values)
     for name, value in values.items():
         kind = annotations[name].removesuffix(" | None")
         nullable = kind != annotations[name]
@@ -63,6 +76,11 @@ def _check_json_types(values: dict) -> None:
         if not accepts(value):
             expected = f"{expected} or null" if nullable else expected
             raise UsageError(f"{name} {json.dumps(value)} is not {expected}")
+        if kind == "float":
+            typed[name] = float(value)
+        elif kind == "list[float]":
+            typed[name] = [float(item) for item in value]
+    return typed
 
 
 @dataclass
@@ -147,7 +165,7 @@ class PipelineConfig:
         unknown = set(values) - known
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        _check_json_types(values)
+        values = _check_json_types(values)
         if overrides:
             values.update({k: v for k, v in overrides.items() if v is not None})
         config = cls(**values)

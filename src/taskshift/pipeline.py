@@ -51,7 +51,6 @@ from .gateway import BatchManager, HttpProvider, MockProvider, ResponseCache, Re
 from .inputs import read_object
 from .raking import (
     SampleRow,
-    WeightedSample,
     append_other_depts,
     build_marginals,
     collapse_unsampled,
@@ -753,11 +752,10 @@ class Pipeline:
             )
         if not rows:
             raise DataError("no rakeable roles (all grades unmapped?)")
-        sample = WeightedSample.unit(rows)
-        marginals = collapse_unsampled(marginals, sample, "profession", OTHER_PROFESSION)
-        sample = append_other_depts(sample, marginals)
-        raked = rake(sample, marginals)
-        scaled = scale_to_population(raked, marginals.population_total)
+        marginals = collapse_unsampled(marginals, rows, "profession", OTHER_PROFESSION)
+        rows = append_other_depts(rows, marginals)
+        raked = rake(rows, marginals)
+        weights = scale_to_population(raked.weights, marginals.population_total)
         write_jsonl(
             self.out_dir / "raked_weights.jsonl",
             sorted(
@@ -769,7 +767,7 @@ class Pipeline:
                         "profession": row.profession,
                         "weight": float(weight),
                     }
-                    for row, weight in zip(scaled.rows, scaled.weights)
+                    for row, weight in zip(rows, weights)
                 ),
                 key=lambda record: record["role_key"],
             ),
@@ -777,12 +775,12 @@ class Pipeline:
         write_json(
             self.out_dir / "rake_summary.json",
             {
-                "converged": scaled.converged,
-                "iterations": scaled.iterations,
-                "history": scaled.history,
+                "converged": raked.converged,
+                "iterations": raked.iterations,
+                "history": raked.history,
                 "population_total": marginals.population_total,
                 "dropped_unmapped_grades": dropped_unmapped,
-                "rows": len(scaled.rows),
+                "rows": len(rows),
             },
         )
 
@@ -809,19 +807,17 @@ class Pipeline:
         inputs = self._build_role_inputs()
         if not inputs:
             raise DataError("no roles available for the savings sweep")
-        curve = savings.sweep(inputs, theta_grid=config.theta_grid, delta=config.delta)
+        # the main curve is the sensitivity curve at config.delta; each rate is swept once
+        curves = {
+            delta: savings.sweep(inputs, theta_grid=config.theta_grid, delta=delta)
+            for delta in dict.fromkeys([config.delta, *config.sensitivity_deltas])
+        }
+        curve = curves[config.delta]
         write_jsonl(self.out_dir / "sweep.jsonl", curve.to_rows())
-        # the main curve is the sensitivity curve at config.delta; sweep it once
-        other_deltas = [delta for delta in config.sensitivity_deltas if delta != config.delta]
-        sensitivity = savings.decay_sensitivity(
-            inputs, deltas=other_deltas, theta_grid=config.theta_grid
+        write_jsonl(
+            self.out_dir / "sensitivity.jsonl",
+            [{"delta": d, **row} for d in config.sensitivity_deltas for row in curves[d].to_rows()],
         )
-        sensitivity[config.delta] = curve
-        sensitivity_rows = []
-        for delta in config.sensitivity_deltas:
-            for row in sensitivity[delta].to_rows():
-                sensitivity_rows.append({"delta": delta, **row})
-        write_jsonl(self.out_dir / "sensitivity.jsonl", sensitivity_rows)
 
         at = min(range(len(curve.thetas)), key=lambda i: abs(curve.thetas[i] - config.theta))
         write_json(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,36 +31,14 @@ class SampleRow(NamedTuple):
     grade: str
     profession: str
 
-    def category(self, dimension: str) -> str:
-        return getattr(self, dimension)
 
+class Raked(NamedTuple):
+    """Raked weights, one per row, with the residual history of the run."""
 
-@dataclass
-class WeightedSample:
-    rows: list[SampleRow]
     weights: np.ndarray
-    history: list[float] = field(default_factory=list)
-    converged: bool | None = None
-    iterations: int = 0
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (len(self.rows),):
-            raise UsageError("one weight per row required")
-        if (self.weights < 0).any():
-            raise UsageError("weights must be non-negative")
-
-    @classmethod
-    def unit(cls, rows: list[SampleRow]) -> "WeightedSample":
-        return cls(rows=rows, weights=np.ones(len(rows)))
-
-    def weighted_share(self, dimension: str) -> dict[str, float]:
-        total = float(self.weights.sum())
-        shares: dict[str, float] = {}
-        for row, weight in zip(self.rows, self.weights):
-            key = row.category(dimension)
-            shares[key] = shares.get(key, 0.0) + float(weight)
-        return {key: value / total for key, value in sorted(shares.items())}
+    history: list[float]
+    converged: bool
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -124,17 +102,14 @@ def build_marginals(ref: ReferenceTables) -> MarginalSet:
 
 
 def collapse_unsampled(
-    marginals: MarginalSet,
-    sample: WeightedSample,
-    dimension: str,
-    sink: str,
+    marginals: MarginalSet, rows: list[SampleRow], dimension: str, sink: str
 ) -> MarginalSet:
     """Fold target mass of categories absent from the sample into ``sink``.
 
     Raking treats a positive target with zero sample mass as fatal; this
     is the supported way to merge such categories beforehand.
     """
-    present = {row.category(dimension) for row in sample.rows} | {sink}
+    present = {getattr(row, dimension) for row in rows} | {sink}
     targets = {dim: dict(categories) for dim, categories in marginals.targets.items()}
     moved = 0.0
     for category in list(targets[dimension]):
@@ -146,7 +121,7 @@ def collapse_unsampled(
     return MarginalSet(targets=targets, population_total=marginals.population_total)
 
 
-def append_other_depts(sample: WeightedSample, marginals: MarginalSet) -> WeightedSample:
+def append_other_depts(rows: list[SampleRow], marginals: MarginalSet) -> list[SampleRow]:
     """Append one OTHER_DEPTS row per (grade, profession) combination.
 
     Idempotent: combinations that already have a synthetic row are left
@@ -154,16 +129,8 @@ def append_other_depts(sample: WeightedSample, marginals: MarginalSet) -> Weight
     """
     if OTHER_DEPTS not in marginals.targets["department"]:
         raise UsageError("department marginals lack an OTHER_DEPTS share")
-    existing = {
-        (row.grade, row.profession) for row in sample.rows if row.department == OTHER_DEPTS
-    }
-    combos = sorted(
-        {
-            (row.grade, row.profession)
-            for row in sample.rows
-            if row.department != OTHER_DEPTS
-        }
-    )
+    existing = {(row.grade, row.profession) for row in rows if row.department == OTHER_DEPTS}
+    combos = sorted({(row.grade, row.profession) for row in rows if row.department != OTHER_DEPTS})
     new_rows = [
         SampleRow(
             role_key=f"synthetic:{OTHER_DEPTS}:{grade}:{profession}",
@@ -174,31 +141,25 @@ def append_other_depts(sample: WeightedSample, marginals: MarginalSet) -> Weight
         for grade, profession in combos
         if (grade, profession) not in existing
     ]
-    rows = sample.rows + new_rows
-    weights = np.concatenate([sample.weights, np.ones(len(new_rows))])
-    return WeightedSample(rows=rows, weights=weights)
+    return rows + new_rows
 
 
 def _category_indexes(rows: list[SampleRow], dimension: str) -> dict[str, np.ndarray]:
     buckets: dict[str, list[int]] = {}
     for index, row in enumerate(rows):
-        buckets.setdefault(row.category(dimension), []).append(index)
+        buckets.setdefault(getattr(row, dimension), []).append(index)
     return {key: np.asarray(indexes) for key, indexes in sorted(buckets.items())}
 
 
 def rake(
-    sample: WeightedSample,
-    marginals: MarginalSet,
-    tol: float = 1e-6,
-    max_iter: int = 30,
-) -> WeightedSample:
+    rows: list[SampleRow], marginals: MarginalSet, tol: float = 1e-6, max_iter: int = 30
+) -> Raked:
     """IPF from unit weights until max relative weight change < tol.
 
-    Hitting the iteration cap is a warning, not an error; the returned
-    sample records the residual history, iteration count and whether the
-    run converged.
+    Hitting the iteration cap is a warning, not an error; the result
+    records the residual history, iteration count and whether the run
+    converged.
     """
-    rows = sample.rows
     if not rows:
         raise UsageError("cannot rake an empty sample")
     index_maps = {dimension: _category_indexes(rows, dimension) for dimension in DIMENSIONS}
@@ -247,24 +208,12 @@ def rake(
         log.warning(
             "raking stopped at %d iterations with residual %.3e", iterations, history[-1]
         )
-    return WeightedSample(
-        rows=rows,
-        weights=weights,
-        history=history,
-        converged=converged,
-        iterations=iterations,
-    )
+    return Raked(weights, history, converged, iterations)
 
 
-def scale_to_population(sample: WeightedSample, population_total: float) -> WeightedSample:
+def scale_to_population(weights: np.ndarray, total: float) -> np.ndarray:
     """Scale weights so they sum to the population total, preserving ratios."""
-    total = float(sample.weights.sum())
-    if total <= 0:
+    mass = float(weights.sum())
+    if mass <= 0:
         raise DataError("cannot scale all-zero weights")
-    return WeightedSample(
-        rows=sample.rows,
-        weights=sample.weights * (population_total / total),
-        history=list(sample.history),
-        converged=sample.converged,
-        iterations=sample.iterations,
-    )
+    return weights * (total / mass)

@@ -229,12 +229,3 @@ def sweep(
         n_no_impact=tuple(n_none),
         n_missing_salary=missing_salary,
     )
-
-
-def decay_sensitivity(
-    roles: Sequence[RoleInput],
-    deltas: Sequence[float] = (0.5, 0.75, 1.0),
-    theta_grid: Sequence[float] | None = None,
-) -> dict[float, SweepCurve]:
-    """Re-run the sweep with shares recomputed under each decay rate."""
-    return {delta: sweep(roles, theta_grid=theta_grid, delta=delta) for delta in deltas}

@@ -32,7 +32,6 @@ from taskshift.prompts import (
 from taskshift.raking import (
     MarginalSet,
     SampleRow,
-    WeightedSample,
     append_other_depts,
     rake,
     scale_to_population,
@@ -48,6 +47,7 @@ from taskshift.savings import (
 from conftest import make_tasks, write_config
 from test_clustering import brute_force_min_inertia
 from test_metrics import oracle_alpha_interval, oracle_pearson, oracle_spearman_no_ties
+from test_raking import weighted_share
 
 OTHER_DEPTS = "OTHER_DEPTS"
 
@@ -128,17 +128,17 @@ def test_criterion_04_ipf_convergence():
         },
         population_total=516150.0,
     )
-    sample = append_other_depts(WeightedSample.unit(rows), marginals)
+    rows = append_other_depts(rows, marginals)
     start = time.perf_counter()
-    raked = rake(sample, marginals, tol=1e-6, max_iter=30)
+    raked = rake(rows, marginals, tol=1e-6, max_iter=30)
     elapsed = time.perf_counter() - start
     assert raked.converged and raked.iterations <= 30
     assert elapsed < 0.1
-    scaled = scale_to_population(raked, marginals.population_total)
-    assert scaled.weights.sum() == pytest.approx(516150.0, abs=1e-6 * 516150.0)
+    scaled = scale_to_population(raked.weights, marginals.population_total)
+    assert scaled.sum() == pytest.approx(516150.0, abs=1e-6 * 516150.0)
     worst = 0.0
     for dimension in ("department", "grade", "profession"):
-        for category, share in scaled.weighted_share(dimension).items():
+        for category, share in weighted_share(rows, scaled, dimension).items():
             worst = max(worst, abs(share - marginals.targets[dimension][category]))
     assert worst < 1e-5
     report(

@@ -1447,6 +1447,10 @@ class TestCli:
             ([], {"pca_dim": True}),
             ([], {"strict_fixtures": 1}),
             ([], {"corpus_path": None}),
+            ([], {"population_total": math.nan}),
+            ([], {"population_total": math.inf}),
+            ([], {"backoff_base": math.nan}),
+            ([], {"population_total": 10**400}),
         ],
         ids=[
             "seed",
@@ -1468,6 +1472,10 @@ class TestCli:
             "pca_dim_bool",
             "strict_fixtures_int",
             "corpus_path_null",
+            "population_total_nan",
+            "population_total_infinity",
+            "backoff_base_nan",
+            "population_total_beyond_float",
         ],
     )
     def test_usage_error_exit_one_before_any_stage_writes(self, tmp_path, capsys, flags, settings):
@@ -1482,6 +1490,16 @@ class TestCli:
     def test_integer_counts_as_a_number_in_config(self, tmp_path):
         config = PipelineConfig.load(write_config(tmp_path, delta=1, theta_grid=[0, 1]))
         assert config.delta == 1 and config.theta_grid == [0, 1]
+
+    def test_integer_in_a_float_setting_makes_the_float_bytes(self, tmp_path):
+        runs = []
+        for name, one in (("integer", 1), ("float", 1.0)):
+            base = tmp_path / name
+            base.mkdir()
+            config = write_config(base, delta=one, sensitivity_deltas=[0.5, one])
+            assert main(["all", "--config", str(config)]) == 0
+            runs.append((artifacts(base / "out"), manifests(base / "out")))
+        assert runs[0] == runs[1]
 
     def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -8,7 +8,6 @@ from taskshift.raking import (
     DIMENSIONS,
     MarginalSet,
     SampleRow,
-    WeightedSample,
     append_other_depts,
     build_marginals,
     collapse_unsampled,
@@ -38,6 +37,16 @@ def oracle_rake(rows, targets, tol=1e-12, max_iter=10000):
         if change < tol:
             break
     return np.array([weights[i] for i in range(len(rows))])
+
+
+def weighted_share(rows, weights, dimension):
+    """Each category's share of the total weight, summed per row."""
+    total = float(weights.sum())
+    shares = {}
+    for row, weight in zip(rows, weights):
+        key = getattr(row, dimension)
+        shares[key] = shares.get(key, 0.0) + float(weight)
+    return {key: value / total for key, value in sorted(shares.items())}
 
 
 def simple_rows():
@@ -109,8 +118,8 @@ class TestAppendOtherDepts:
             SampleRow("c", "D2", "G1", "P2"),
             SampleRow("d", "D2", "G2", "P1"),
         ]
-        appended = append_other_depts(WeightedSample.unit(rows), self.marginals())
-        synthetic = [row for row in appended.rows if row.department == OTHER_DEPTS]
+        appended = append_other_depts(rows, self.marginals())
+        synthetic = [row for row in appended if row.department == OTHER_DEPTS]
         assert len(synthetic) == 4
         assert {(row.grade, row.profession) for row in synthetic} == {
             ("G1", "P1"),
@@ -121,14 +130,14 @@ class TestAppendOtherDepts:
 
     def test_idempotent(self):
         rows = [SampleRow("a", "D1", "G1", "P1"), SampleRow("b", "D2", "G2", "P2")]
-        once = append_other_depts(WeightedSample.unit(rows), self.marginals())
+        once = append_other_depts(rows, self.marginals())
         twice = append_other_depts(once, self.marginals())
-        assert len(once.rows) == len(twice.rows)
+        assert len(once) == len(twice)
 
     def test_requires_other_depts_target(self):
         marginals = simple_marginals()
         with pytest.raises(UsageError):
-            append_other_depts(WeightedSample.unit(simple_rows()), marginals)
+            append_other_depts(simple_rows(), marginals)
 
     def test_zero_mass_rows_converge_to_nothing(self):
         rows = [SampleRow("a", "D1", "G1", "P1"), SampleRow("b", "D2", "G1", "P1")]
@@ -140,11 +149,11 @@ class TestAppendOtherDepts:
             },
             population_total=100.0,
         )
-        appended = append_other_depts(WeightedSample.unit(rows), marginals)
-        assert len(appended.rows) == 3
-        raked = scale_to_population(rake(appended, marginals), 100.0)
+        appended = append_other_depts(rows, marginals)
+        assert len(appended) == 3
+        weights = scale_to_population(rake(appended, marginals).weights, 100.0)
         synthetic_weight = sum(
-            w for row, w in zip(raked.rows, raked.weights) if row.department == OTHER_DEPTS
+            w for row, w in zip(appended, weights) if row.department == OTHER_DEPTS
         )
         assert synthetic_weight <= 1e-6 * 100.0
 
@@ -160,20 +169,20 @@ class TestRake:
             },
             population_total=6.0,
         )
-        raked = rake(WeightedSample.unit(rows), marginals)
+        raked = rake(rows, marginals)
         assert raked.converged and raked.iterations == 1
         assert np.allclose(raked.weights, 1.0)
 
     def test_two_by_two_matches_long_iteration_oracle(self):
         rows = simple_rows()
         marginals = simple_marginals()
-        raked = rake(WeightedSample.unit(rows), marginals)
+        raked = rake(rows, marginals)
         assert raked.converged
         expected = oracle_rake(rows, marginals.targets)
         scale = expected.sum() / raked.weights.sum()
         assert np.allclose(raked.weights * scale, expected, atol=1e-6)
         for dimension in DIMENSIONS:
-            for category, share in raked.weighted_share(dimension).items():
+            for category, share in weighted_share(rows, raked.weights, dimension).items():
                 assert abs(share - marginals.targets[dimension][category]) < 1e-6
 
     def test_single_dimension_single_iteration_scales_by_ratio(self):
@@ -186,14 +195,14 @@ class TestRake:
             },
             population_total=3.0,
         )
-        raked = rake(WeightedSample.unit(rows), marginals, max_iter=1)
+        raked = rake(rows, marginals, max_iter=1)
         # shares: D1 1/3, D2 2/3 -> multipliers 1.8 and 0.6; other dims are no-ops
         assert np.allclose(raked.weights, [0.6 / (1 / 3), 0.4 / (2 / 3) , 0.4 / (2 / 3)])
 
     def test_sample_category_missing_from_marginals(self):
         rows = simple_rows() + [SampleRow("x", "D3", "G1", "P")]
         with pytest.raises(DataError, match="D3"):
-            rake(WeightedSample.unit(rows), simple_marginals())
+            rake(rows, simple_marginals())
 
     def test_positive_target_with_empty_cell_names_it(self):
         marginals = MarginalSet(
@@ -205,21 +214,21 @@ class TestRake:
             population_total=6.0,
         )
         with pytest.raises(DataError, match="D9"):
-            rake(WeightedSample.unit(simple_rows()), marginals)
+            rake(simple_rows(), marginals)
 
     def test_row_order_invariance(self):
         rows = simple_rows()
         marginals = simple_marginals()
-        forward = rake(WeightedSample.unit(rows), marginals)
-        backward = rake(WeightedSample.unit(rows[::-1]), marginals)
-        by_key_fwd = dict(zip((r.role_key for r in forward.rows), forward.weights))
-        by_key_bwd = dict(zip((r.role_key for r in backward.rows), backward.weights))
+        forward = rake(rows, marginals)
+        backward = rake(rows[::-1], marginals)
+        by_key_fwd = dict(zip((r.role_key for r in rows), forward.weights))
+        by_key_bwd = dict(zip((r.role_key for r in rows[::-1]), backward.weights))
         assert by_key_fwd.keys() == by_key_bwd.keys()
         for key in by_key_fwd:
             assert by_key_fwd[key] == pytest.approx(by_key_bwd[key], abs=1e-12)
 
     def test_weights_stay_strictly_positive(self):
-        raked = rake(WeightedSample.unit(simple_rows()), simple_marginals())
+        raked = rake(simple_rows(), simple_marginals())
         assert (raked.weights > 0).all()
 
     def test_iteration_cap_warns_not_raises(self, caplog):
@@ -233,7 +242,7 @@ class TestRake:
             population_total=6.0,
         )
         with caplog.at_level("WARNING", logger="taskshift.raking"):
-            raked = rake(WeightedSample.unit(rows), marginals, tol=1e-30, max_iter=2)
+            raked = rake(rows, marginals, tol=1e-30, max_iter=2)
         assert raked.converged is False
         assert raked.iterations == 2
         assert len(raked.history) == 2
@@ -274,37 +283,33 @@ class TestFeasibleTargetsProperty:
                 c: mass / total for c, mass in masses.items() if mass > 0
             }
         marginals = MarginalSet(targets=targets, population_total=1000.0)
-        raked = rake(WeightedSample.unit(rows), marginals, tol=1e-10, max_iter=600)
+        raked = rake(rows, marginals, tol=1e-10, max_iter=600)
         for dimension in DIMENSIONS:
-            for category, share in raked.weighted_share(dimension).items():
+            for category, share in weighted_share(rows, raked.weights, dimension).items():
                 assert abs(share - marginals.targets[dimension][category]) < 1e-8
 
 
 class TestScaleToPopulation:
     def test_proportional_scaling(self):
-        sample = WeightedSample(rows=simple_rows()[:3], weights=np.array([1.0, 1.0, 2.0]))
-        scaled = scale_to_population(sample, 8.0)
-        assert scaled.weights.tolist() == [2.0, 2.0, 4.0]
+        scaled = scale_to_population(np.array([1.0, 1.0, 2.0]), 8.0)
+        assert scaled.tolist() == [2.0, 2.0, 4.0]
 
     def test_already_at_total_unchanged(self):
-        sample = WeightedSample(rows=simple_rows()[:2], weights=np.array([3.0, 5.0]))
-        scaled = scale_to_population(sample, 8.0)
-        assert scaled.weights.tolist() == [3.0, 5.0]
+        scaled = scale_to_population(np.array([3.0, 5.0]), 8.0)
+        assert scaled.tolist() == [3.0, 5.0]
 
     def test_zero_weights_rejected(self):
-        sample = WeightedSample(rows=simple_rows()[:2], weights=np.zeros(2))
         with pytest.raises(DataError):
-            scale_to_population(sample, 10.0)
+            scale_to_population(np.zeros(2), 10.0)
 
     def test_ratio_preservation(self):
         rng = np.random.default_rng(0)
         weights = rng.uniform(0.1, 5.0, 20)
-        rows = [SampleRow(f"r{i}", "D", "G", "P") for i in range(20)]
-        scaled = scale_to_population(WeightedSample(rows=rows, weights=weights), 12345.0)
+        scaled = scale_to_population(weights, 12345.0)
         ratios_before = weights[:-1] / weights[1:]
-        ratios_after = scaled.weights[:-1] / scaled.weights[1:]
+        ratios_after = scaled[:-1] / scaled[1:]
         assert np.allclose(ratios_before, ratios_after, rtol=1e-12)
-        assert scaled.weights.sum() == pytest.approx(12345.0, rel=1e-12)
+        assert scaled.sum() == pytest.approx(12345.0, rel=1e-12)
 
 
 class TestBuildMarginals:
@@ -341,6 +346,6 @@ class TestBuildMarginals:
             },
             population_total=10.0,
         )
-        sample = WeightedSample.unit([SampleRow("a", "D1", "G1", "P1")])
+        sample = [SampleRow("a", "D1", "G1", "P1")]
         collapsed = collapse_unsampled(marginals, sample, "profession", "Other")
         assert collapsed.targets["profession"] == {"P1": 0.5, "Other": 0.5}

@@ -23,7 +23,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ALLOWED = {
     "taskshift.metrics.spearman": "acceptance criterion 9",
     "taskshift.metrics.krippendorff_alpha": "acceptance criterion 9",
-    "taskshift.raking.WeightedSample.weighted_share": "acceptance criterion 4",
     "taskshift.savings.savings_from_shares": (
         "the reference oracle for sweep; acceptance criteria 3 and 5"
     ),

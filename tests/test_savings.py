@@ -15,7 +15,6 @@ from taskshift.savings import (
     RoleInput,
     classify_role,
     classify_roles,
-    decay_sensitivity,
     exposure_shares,
     savings_from_shares,
     sweep,
@@ -224,9 +223,8 @@ class TestSweep:
 class TestDecaySensitivity:
     def test_recompute_oracle_per_delta(self):
         roles = three_role_corpus()
-        curves = decay_sensitivity(roles, deltas=(0.5, 0.75, 1.0))
-        assert set(curves) == {0.5, 0.75, 1.0}
-        for delta, curve in curves.items():
+        for delta in (0.5, 0.75, 1.0):
+            curve = sweep(roles, delta=delta)
             for index, theta in enumerate(curve.thetas):
                 cost, gain, _, _ = oracle_totals(roles, [r.weight for r in roles], theta, delta)
                 assert curve.cost_reduction[index] == pytest.approx(cost, abs=1e-6)
@@ -234,7 +232,7 @@ class TestDecaySensitivity:
 
     def test_all_high_role_invariant_across_deltas(self):
         role = RoleInput("allhigh", (0.9, 0.8, 0.7, 1.0), salary=20000.0)
-        curves = decay_sensitivity([role], deltas=(0.5, 0.75, 1.0))
+        curves = {delta: sweep([role], delta=delta) for delta in (0.5, 0.75, 1.0)}
         reference = curves[0.75]
         for delta in (0.5, 1.0):
             assert curves[delta].cost_reduction == reference.cost_reduction
