@@ -62,8 +62,9 @@ def _check_json_types(values: dict) -> dict:
     """Refuse a config-file setting whose JSON type does not fit the setting's
     annotation (``T`` or ``T | None``), before any is compared or used.
 
-    Returns the values with each number of a float setting as a float, so
-    that ``1`` and ``1.0`` make one configuration and one set of bytes.
+    Returns the values with each number of a float setting as a float, ``-0.0`` as ``0.0``,
+    and each list sorted and distinct, so ``1`` and ``1.0``, or ``[1, 0.5, 1]`` and
+    ``[0.5, 1]``, give one configuration and one set of bytes.
     """
     annotations = {f.name: f.type for f in fields(PipelineConfig)}
     typed = dict(values)
@@ -77,9 +78,9 @@ def _check_json_types(values: dict) -> dict:
             expected = f"{expected} or null" if nullable else expected
             raise UsageError(f"{name} {json.dumps(value)} is not {expected}")
         if kind == "float":
-            typed[name] = float(value)
+            typed[name] = float(value) + 0.0  # -0.0 + 0.0 is 0.0
         elif kind == "list[float]":
-            typed[name] = [float(item) for item in value]
+            typed[name] = sorted({float(item) + 0.0 for item in value})
     return typed
 
 

@@ -1,7 +1,7 @@
 """Staged pipeline driver with content-addressed, resumable artifacts.
 
-Each stage writes deterministic line-delimited outputs plus a manifest
-recording input hashes, a parameter fingerprint and output hashes.
+Each stage returns its outputs, and ``Pipeline.run_stage`` alone writes them, hashing
+the bytes as it writes, with a manifest of input hashes, parameter fingerprint and output hashes.
 Downstream stages verify upstream manifests before running; a rerun with
 unchanged inputs and parameters is a no-op, and any upstream content or
 parameter change invalidates everything below it.
@@ -20,6 +20,7 @@ import csv
 import fcntl
 import functools
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -68,20 +69,20 @@ _MANIFEST_FIELDS = {"stage": str, "params_fingerprint": str, "outputs": dict, "c
 class Stage(NamedTuple):
     """One pipeline stage.
 
-    ``params`` names exactly the ``PipelineConfig`` fields that ``run``
-    reads. Its fingerprint covers the value of each, except that a ``*_path``
-    field stands for the contents of its file (an unset path is left out); the
-    output hashes of every stage in ``deps``, the stages whose outputs it
-    opens; and, for a stage that asks the provider (``provider``), the
-    provider identity of ``build_provider``. ``run(pipeline)`` must write
-    each of ``outputs`` under the output directory.
+    ``params`` names exactly the ``PipelineConfig`` fields that ``run`` reads. Its
+    fingerprint covers the value of each, except that a ``*_path`` field stands for the
+    contents of its file (an unset path is left out); the output hashes of every stage in
+    ``deps``, the stages whose outputs it opens; and, for a stage that asks the provider
+    (``provider``), the provider identity of ``build_provider``. ``run(pipeline)`` writes
+    nothing: it returns each of ``outputs`` by name, a ``.jsonl`` as a list of row dicts,
+    a ``.json`` as an object and a ``.csv`` as a ``(header, rows)`` pair.
     """
 
     name: str
     deps: tuple[str, ...]
     outputs: tuple[str, ...]
     params: tuple[str, ...]
-    run: Callable[["Pipeline"], None]
+    run: Callable[["Pipeline"], dict[str, object]]
     provider: bool = False
 
 
@@ -117,18 +118,31 @@ def _canonical(data: object) -> str:
 _ROW_SETTINGS = json.JSONEncoder(sort_keys=True)
 
 
+class _HashingWriter(io.BufferedWriter):
+    """A file's buffered writer that feeds each buffer the text layer passes it to a SHA-256."""
+
+    def __init__(self, raw: IO[bytes]):
+        super().__init__(raw, 1 << 16)  # a system call per 8 of the text layer's 8 KiB pieces
+        self.digest = hashlib.sha256()
+
+    def write(self, data: bytes) -> int:
+        self.digest.update(data)
+        return super().write(data)
+
+
 @contextlib.contextmanager
-def _replacing(path: Path) -> Iterator[IO[str]]:
-    """Write ``path`` through ``.<name>.<pid>.tmp`` beside it, renamed into place, so
-    a reader or a concurrent run sees the old file or the whole new one. On an
-    error the temporary file is removed and the target keeps its old bytes. Each
-    ``\n`` is written as it is, on every platform.
-    """
+def _replacing(path: Path) -> Iterator[tuple[IO[str], "hashlib._Hash"]]:
+    """Write ``path`` through ``.<name>.<pid>.tmp`` beside it, renamed into place, so a
+    reader or a concurrent run sees the old file or the whole new one; on an error the
+    temporary file goes and the target keeps its old bytes. Each ``\n`` is written as it is,
+    on every platform. Gives the handle and a SHA-256 fed the bytes as they are written."""
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with temp.open("w", encoding="utf-8", newline="\n") as handle:
-            yield handle
+        with temp.open("wb", buffering=0) as raw:
+            hashing = _HashingWriter(raw)
+            with io.TextIOWrapper(hashing, encoding="utf-8", newline="\n") as handle:
+                yield handle, hashing.digest
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -160,13 +174,14 @@ def _row_encoder() -> Callable[[object, int], Iterable[str]]:
     )
 
 
-def write_jsonl(path: Path, records: list[dict]) -> None:
+def write_jsonl(path: Path, records: list[dict]) -> str:
     """One ``json.dumps(record, sort_keys=True)`` line per record; ``records`` is only iterated."""
     encode = _row_encoder()
-    with _replacing(path) as handle:
+    with _replacing(path) as (handle, digest):
         write = handle.write
         for record in records:
             write("".join(encode(record, 0)) + "\n")
+    return digest.hexdigest()
 
 
 def decode_own(text: str | bytes) -> object:
@@ -239,12 +254,13 @@ def iter_joined(roles: Path, tasks: Path) -> Iterator[tuple[dict, list[dict]]]:
         yield role, task_rows
 
 
-def write_json(path: Path, data: object) -> None:
+def write_json(path: Path, data: object) -> str:
     """Write ``json.dumps(data, sort_keys=True, indent=1)`` and a newline, a piece at a
     time rather than as one string."""
-    with _replacing(path) as handle:
+    with _replacing(path) as (handle, digest):
         _write_indented(handle.write, data, "\n", set())
         handle.write("\n")
+    return digest.hexdigest()
 
 
 def _write_indented(
@@ -290,11 +306,10 @@ def _write_indented(
     open_ids.discard(id(value))
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with _replacing(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def write_csv(path: Path, header: list[str], rows: list[list]) -> str:
+    with _replacing(path) as (handle, digest):
+        csv.writer(handle, lineterminator="\n").writerows(itertools.chain([header], rows))
+    return digest.hexdigest()
 
 
 def build_provider(config: PipelineConfig) -> tuple[MockProvider | HttpProvider, dict]:
@@ -495,16 +510,20 @@ class Pipeline:
             log.info("stage %s is up to date; skipping", stage)
             return StageArtifact.from_manifest(existing, reused=True)
 
-        spec.run(self)
-
+        produced = spec.run(self)
+        if produced.keys() != set(spec.outputs):
+            raise DataError(f"stage {stage!r} returned {sorted(produced)}, not {spec.outputs}")
         outputs = {}
-        for name in spec.outputs:
-            path = self.out_dir / name
-            if not path.exists():
-                raise DataError(f"stage {stage!r} did not produce {name}")
-            # hashed afresh; the memo then serves later checks of this output
-            self._digests.pop(path, None)
-            outputs[name] = self._hash(path)
+        for name in spec.outputs:  # popped, so each output's rows go once written
+            path, content = self.out_dir / name, produced.pop(name)
+            if path.suffix == ".jsonl":
+                outputs[name] = write_jsonl(path, content)
+            elif path.suffix == ".json":
+                outputs[name] = write_json(path, content)
+            else:
+                outputs[name] = write_csv(path, *content)
+            stat = path.stat()  # the digest of the bytes written serves every later check
+            self._digests[path] = ((stat.st_size, stat.st_mtime_ns), outputs[name])
         content_hash = hashlib.sha256(_canonical(outputs).encode("utf-8")).hexdigest()
         manifest = {
             "stage": stage,
@@ -553,7 +572,7 @@ class Pipeline:
 
     # -- stage bodies ---------------------------------------------------------
 
-    def _run_ingest(self) -> None:
+    def _run_ingest(self) -> dict[str, object]:
         config = self.config
         vocab = load_vocabulary(config.vocab_path) if config.vocab_path else None
         parsed = parse_vacancies(
@@ -574,15 +593,12 @@ class Pipeline:
             population_total=config.population_total,
             vocab=vocab,
         )
-        records = []
-        for vacancy in sorted(kept, key=lambda v: v.vacancy_id):
-            record = vacancy.to_record()
-            record["salary"] = join_salary(vacancy, ref)
-            records.append(record)
-        write_jsonl(self.out_dir / "vacancies.jsonl", records)
-        write_json(
-            self.out_dir / "ingest_issues.json",
-            {
+        return {
+            "vacancies.jsonl": [
+                {**vacancy.to_record(), "salary": join_salary(vacancy, ref)}
+                for vacancy in sorted(kept, key=lambda v: v.vacancy_id)
+            ],
+            "ingest_issues.json": {
                 "parsed": len(parsed.vacancies),
                 "kept": len(kept),
                 "filtered_departments": sorted(small),
@@ -591,9 +607,9 @@ class Pipeline:
                     for issue in parsed.issues
                 ],
             },
-        )
+        }
 
-    def _run_extract(self) -> None:
+    def _run_extract(self) -> dict[str, object]:
         vacancies = [Vacancy.from_record(r) for r in iter_jsonl(self.out_dir / "vacancies.jsonl")]
         cap = self.config.truncate_chars
         if cap:
@@ -611,7 +627,6 @@ class Pipeline:
             for vacancy_id in sorted(result.tasks_by_vacancy)
             for task in result.tasks_by_vacancy[vacancy_id]
         ]
-        write_jsonl(self.out_dir / "tasks.jsonl", rows)
         for report in result.reports:
             log.info(
                 "extraction batch: %d submitted, %d ok, %d tokens in, %d out (%d cache hits)",
@@ -623,9 +638,9 @@ class Pipeline:
             )
         # token and cache-hit counts are advisory and vary with cache warmth,
         # so they stay out of the hashed artifact
-        write_json(
-            self.out_dir / "extract_summary.json",
-            {
+        return {
+            "tasks.jsonl": rows,
+            "extract_summary.json": {
                 "roles_in": len(vacancies),
                 "roles_with_tasks": len(result.tasks_by_vacancy),
                 "dropped": [
@@ -641,22 +656,26 @@ class Pipeline:
                     for report in result.reports
                 ],
             },
-        )
+        }
 
-    def _run_weight(self) -> None:
+    def _run_weight(self) -> dict[str, object]:
         role_rows, task_rows = [], []
         for profile in self._built_profiles():
             role, tasks = profile.to_rows()
             role_rows.append(role)
             task_rows.extend(tasks)
-        write_jsonl(self.out_dir / "roles.jsonl", role_rows)
-        write_jsonl(self.out_dir / "task_weights.jsonl", task_rows)
+        return {"roles.jsonl": role_rows, "task_weights.jsonl": task_rows}
 
-    def _run_cluster(self) -> None:
+    def _run_cluster(self) -> dict[str, object]:
         config = self.config
         store = self.manager.arrays
         before = store.replayed, store.computed
-        self._write_role_clusters()
+        vacancy_ids, points = [], []
+        for row in iter_jsonl(self.out_dir / "roles.jsonl"):
+            vacancy_ids.append(row["vacancy_id"])
+            points.append((row["exposure_mean"], row["exposure_std"]))
+        labels = clustering.cluster_roles(points, seed=config.seed, store=store).labels
+        del points  # each role's id and label are kept, their rows made on return
         stopwords = self._stopwords
         # one (vacancy_id, task_number) key and one normalised text per task
         # row; task texts repeat across roles (reposted template duties), so
@@ -700,31 +719,21 @@ class Pipeline:
                     "subcategory_label": subcategory_label,
                 }
             )
-        write_jsonl(self.out_dir / "taxonomy.jsonl", rows)
-        write_json(self.out_dir / "projection.json", projection.to_dict())
         log.info(
             "cluster: %d PCA and k-means results replayed from the cache, %d computed",
             store.replayed - before[0],
             store.computed - before[1],
         )
-
-    def _write_role_clusters(self) -> None:
-        vacancy_ids, points = [], []
-        for row in iter_jsonl(self.out_dir / "roles.jsonl"):
-            vacancy_ids.append(row["vacancy_id"])
-            points.append((row["exposure_mean"], row["exposure_std"]))
-        clusters = clustering.cluster_roles(
-            points, seed=self.config.seed, store=self.manager.arrays
-        )
-        write_jsonl(
-            self.out_dir / "role_clusters.jsonl",
-            [
+        return {
+            "role_clusters.jsonl": [
                 {"vacancy_id": vacancy_id, "cluster": label.value}
-                for vacancy_id, label in zip(vacancy_ids, clusters.labels)
+                for vacancy_id, label in zip(vacancy_ids, labels)
             ],
-        )
+            "taxonomy.jsonl": rows,
+            "projection.json": projection.to_dict(),
+        }
 
-    def _run_rake(self) -> None:
+    def _run_rake(self) -> dict[str, object]:
         config = self.config
         ref = load_reference_tables(
             config.fte_path,
@@ -756,9 +765,8 @@ class Pipeline:
         rows = append_other_depts(rows, marginals)
         raked = rake(rows, marginals)
         weights = scale_to_population(raked.weights, marginals.population_total)
-        write_jsonl(
-            self.out_dir / "raked_weights.jsonl",
-            sorted(
+        return {
+            "raked_weights.jsonl": sorted(
                 (
                     {
                         "role_key": row.role_key,
@@ -771,10 +779,7 @@ class Pipeline:
                 ),
                 key=lambda record: record["role_key"],
             ),
-        )
-        write_json(
-            self.out_dir / "rake_summary.json",
-            {
+            "rake_summary.json": {
                 "converged": raked.converged,
                 "iterations": raked.iterations,
                 "history": raked.history,
@@ -782,7 +787,7 @@ class Pipeline:
                 "dropped_unmapped_grades": dropped_unmapped,
                 "rows": len(rows),
             },
-        )
+        }
 
     def _build_role_inputs(self) -> list[savings.RoleInput]:
         """Each raked role's scores in task order, salary and weight, from the stored profiles."""
@@ -802,28 +807,27 @@ class Pipeline:
             if profile.vacancy_id in weights
         ]
 
-    def _run_savings(self) -> None:
+    def _run_savings(self) -> dict[str, object]:
         config = self.config
         inputs = self._build_role_inputs()
         if not inputs:
             raise DataError("no roles available for the savings sweep")
+        # the grid is swept with theta on it, so the summary is taken at theta itself;
         # the main curve is the sensitivity curve at config.delta; each rate is swept once
+        thetas = sorted({*config.theta_grid, config.theta})
         curves = {
-            delta: savings.sweep(inputs, theta_grid=config.theta_grid, delta=delta)
+            delta: savings.sweep(inputs, theta_grid=thetas, delta=delta)
             for delta in dict.fromkeys([config.delta, *config.sensitivity_deltas])
         }
         curve = curves[config.delta]
-        write_jsonl(self.out_dir / "sweep.jsonl", curve.to_rows())
-        write_jsonl(
-            self.out_dir / "sensitivity.jsonl",
-            [{"delta": d, **row} for d in config.sensitivity_deltas for row in curves[d].to_rows()],
-        )
-
-        at = min(range(len(curve.thetas)), key=lambda i: abs(curve.thetas[i] - config.theta))
-        write_json(
-            self.out_dir / "savings_summary.json",
-            {
-                "theta": curve.thetas[at],
+        at = curve.thetas.index(config.theta)
+        return {
+            "sweep.jsonl": curve.to_rows(),
+            "sensitivity.jsonl": [
+                {"delta": d, **r} for d in config.sensitivity_deltas for r in curves[d].to_rows()
+            ],
+            "savings_summary.json": {
+                "theta": config.theta,
                 "cost_reduction": curve.cost_reduction[at],
                 "productivity_gain": curve.productivity_gain[at],
                 "productivity_upper": curve.productivity_upper[at],
@@ -833,9 +837,9 @@ class Pipeline:
                 "n_no_impact": curve.n_no_impact[at],
                 "n_missing_salary": curve.n_missing_salary,
             },
-        )
+        }
 
-    def _run_redesign(self) -> None:
+    def _run_redesign(self) -> dict[str, object]:
         config = self.config
         eligible = redesign.eligible_roles(self._stored_profiles(), config.theta)
         sampled = redesign.stratified_sample(
@@ -864,12 +868,10 @@ class Pipeline:
         )
         for plan in plans:
             redesign.check_plan(plan)
-        write_jsonl(self.out_dir / "plans.jsonl", [plan.to_record() for plan in plans])
-
         freed = [plan.freed_share for plan in ordered_focus]
-        write_json(
-            self.out_dir / "redesign_summary.json",
-            {
+        return {
+            "plans.jsonl": [plan.to_record() for plan in plans],
+            "redesign_summary.json": {
                 "eligible": len(eligible),
                 "sampled_for_new_tasks": len(sampled),
                 "failures": {variant: dict(sorted(f.items())) for variant, f in failures.items()},
@@ -877,9 +879,9 @@ class Pipeline:
                 "theme_shares": redesign.theme_shares(themes),
                 "median_freed_share": statistics.median(freed) if freed else None,
             },
-        )
+        }
 
-    def _run_report(self) -> None:
+    def _run_report(self) -> dict[str, object]:
         out = self.out_dir
         gathered = report.Gathered(
             profiles=self._stored_profiles(),
@@ -887,14 +889,12 @@ class Pipeline:
             taxonomy=iter_jsonl(out / "taxonomy.jsonl"),
             sweep=iter_jsonl(out / "sweep.jsonl"),
             sensitivity=iter_jsonl(out / "sensitivity.jsonl"),
-            savings_summary=json.loads((out / "savings_summary.json").read_text("utf-8")),
             plans=iter_jsonl(out / "plans.jsonl"),
             redesign_summary=json.loads((out / "redesign_summary.json").read_text("utf-8")),
             raked=iter_jsonl(out / "raked_weights.jsonl"),
             theta=self.config.theta,
         )
-        for name, cells in report.TABLES.items():
-            write_csv(out / name, *cells(gathered))
+        return {name: cells(gathered) for name, cells in report.TABLES.items()}
 
 
 STAGE_TABLE: tuple[Stage, ...] = (

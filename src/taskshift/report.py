@@ -31,7 +31,8 @@ class Gathered:
 
     ``clusters`` holds one ``role_clusters.jsonl`` row per profile, in order; a missing,
     extra or other role is a ``DataError``. Category labels are kept only for the tasks
-    of the roles eligible at ``theta``, the only roles with plans.
+    of the roles eligible at ``theta``, the only roles with plans, and sensitivity rows
+    only at ``theta``, which the savings stage adds to the grid it sweeps.
     """
 
     def __init__(
@@ -42,7 +43,6 @@ class Gathered:
         taxonomy: Iterable[dict],
         sweep: Iterable[dict],
         sensitivity: Iterable[dict],
-        savings_summary: dict,
         plans: Iterable[dict],
         redesign_summary: dict,
         raked: Iterable[dict],
@@ -61,8 +61,7 @@ class Gathered:
             if row["vacancy_id"] in eligible_ids:
                 self.category_of[(row["vacancy_id"], row["task_number"])] = row["category_label"]
         self.sweep = list(sweep)
-        grid_theta = savings_summary["theta"]  # the savings grid point nearest theta
-        self.sensitivity = {row["delta"]: row for row in sensitivity if row["theta"] == grid_theta}
+        self.sensitivity = {row["delta"]: row for row in sensitivity if row["theta"] == theta}
         self.plans_by_variant: dict[str, dict[str, redesign.RedesignPlan]] = {}
         for record in plans:
             plan = redesign.RedesignPlan.from_record(record)

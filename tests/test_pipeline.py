@@ -1,7 +1,9 @@
+import ast
 import csv
 import gc
 import hashlib
 import inspect
+import io
 import itertools
 import json
 import math
@@ -135,6 +137,35 @@ class TestStageDeclarations:
             pipeline.__dict__.pop("_stopwords", None)
             stage.run(pipeline)
         assert read == {stage.name: set(stage.params) for stage in STAGE_TABLE}
+
+    def test_no_stage_body_names_a_writer(self):
+        # a stage returns its outputs; run_stage alone writes them and hashes the bytes
+        writers = {"write_jsonl", "write_json", "write_csv", "_replacing"}
+        bodies = {stage.run.__name__ for stage in STAGE_TABLE}
+        named = {}
+        for node in ast.walk(ast.parse(inspect.getsource(pipeline_module))):
+            if isinstance(node, ast.FunctionDef) and node.name in bodies:
+                named[node.name] = {
+                    getattr(name, "id", None) or getattr(name, "attr", None)
+                    for name in ast.walk(node)
+                    if isinstance(name, (ast.Name, ast.Attribute))
+                } & writers
+        assert named == {body: set() for body in bodies}
+
+    @pytest.mark.parametrize(
+        "returned",
+        [("vacancies.jsonl",), ("vacancies.jsonl", "ingest_issues.json", "extra.json")],
+        ids=["missing", "extra"],
+    )
+    def test_a_stage_returning_other_outputs_raises_and_writes_nothing(
+        self, fixture_config, monkeypatch, returned
+    ):
+        spec = pipeline_module._STAGE_BY_NAME["ingest"]
+        other = spec._replace(run=lambda pipeline: dict.fromkeys(returned, []))
+        monkeypatch.setitem(pipeline_module._STAGE_BY_NAME, "ingest", other)
+        with pytest.raises(DataError, match="^stage 'ingest' returned"):
+            Pipeline(fixture_config).run_stage("ingest")
+        assert not list(Path(fixture_config.out_dir).iterdir())
 
     def test_every_config_field_is_declared_or_cannot_change_an_output(self):
         names = {field.name for field in fields(PipelineConfig)}
@@ -421,12 +452,16 @@ class TestEndToEnd:
 
         monkeypatch.setattr(pipeline_module, "_sha256_file", counting)
         run_all(fixture_config)
+        # a cold run hashes its outputs as it writes them, so it reads none of them back
+        out = Path(fixture_config.out_dir)
         assert hashed and max(hashed.values()) == 1, hashed.most_common(3)
-        first = set(hashed)
+        assert not [path for path in hashed if path.is_relative_to(out)]
+        written = {out / name for manifest in manifests(out).values() for name in manifest["outputs"]}
+        expected = set(hashed) | written
         hashed.clear()
         rerun = Pipeline(fixture_config)
         assert all(artifact.reused for artifact in rerun.run_all())
-        assert set(hashed) == first and max(hashed.values()) == 1, hashed.most_common(3)
+        assert set(hashed) == expected and max(hashed.values()) == 1, hashed.most_common(3)
 
     def test_fixtures_file_read_at_most_once_per_pipeline(self, tmp_path, monkeypatch):
         fixtures = tmp_path / "fixtures.json"
@@ -723,19 +758,35 @@ class TestReplacingWriters:
     @pytest.mark.parametrize("kind", sorted(WRITERS))
     def test_line_ends_are_not_translated(self, tmp_path, monkeypatch, kind):
         # newline="\n" writes each "\n" as it is; None would write os.linesep,
-        # so a manifest's bytes and hash would depend on the platform
+        # so a manifest's bytes and hash would depend on the platform. The one
+        # text layer a writer makes, by Path.open or by io.TextIOWrapper over a
+        # binary file, must say so.
         write, good, _ = WRITERS[kind]
         newlines = []
-        real_open = Path.open
+        real_open, real_wrapper = Path.open, io.TextIOWrapper
 
         def recording_open(self, *args, **kwargs):
             bound = inspect.signature(real_open).bind(self, *args, **kwargs)
-            newlines.append(bound.arguments.get("newline"))
+            if "b" not in bound.arguments.get("mode", "r"):
+                newlines.append(bound.arguments.get("newline"))
             return real_open(self, *args, **kwargs)
 
+        def recording_wrapper(*args, **kwargs):
+            bound = inspect.signature(real_wrapper).bind(*args, **kwargs)
+            newlines.append(bound.arguments.get("newline"))
+            return real_wrapper(*args, **kwargs)
+
         monkeypatch.setattr(Path, "open", recording_open)
+        monkeypatch.setattr(io, "TextIOWrapper", recording_wrapper)
         write(tmp_path / f"table.{kind}", good)
         assert newlines == ["\n"]
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_returned_digest_is_that_of_the_bytes_written(self, tmp_path, kind):
+        write, good, _ = WRITERS[kind]
+        path = tmp_path / f"table.{kind}"
+        # enough rows that the bytes reach the hashing writer in many buffers
+        assert write(path, good * 20_000) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_manifests_are_written_as_indented_json_with_a_trailing_newline(self, fixture_config):
         run_all(fixture_config)
@@ -771,12 +822,15 @@ class TestWriterBytes:
 
     @staticmethod
     def assert_dumped(tmp_path, rows, document):
-        write_jsonl(tmp_path / "rows.jsonl", rows)
+        # each writer also returns the SHA-256 of the bytes it wrote
+        digest = write_jsonl(tmp_path / "rows.jsonl", rows)
         lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
         assert (tmp_path / "rows.jsonl").read_bytes() == lines.encode("utf-8")
-        write_json(tmp_path / "document.json", document)
+        assert digest == hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest()
+        digest = write_json(tmp_path / "document.json", document)
         text = json.dumps(document, sort_keys=True, indent=1) + "\n"
         assert (tmp_path / "document.json").read_bytes() == text.encode("utf-8")
+        assert digest == hashlib.sha256((tmp_path / "document.json").read_bytes()).hexdigest()
 
     @settings(
         max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -1501,6 +1555,37 @@ class TestCli:
             runs.append((artifacts(base / "out"), manifests(base / "out")))
         assert runs[0] == runs[1]
 
+    @settings(
+        max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_list_settings_in_any_order_or_repetition_load_to_one_config(self, tmp_path, data):
+        grid, deltas = [0.0, 0.25, 0.5, 0.8, 1.0], [0.5, 0.75, 1.0]
+
+        def spelled(values: list, *aliases: float) -> list:
+            # every value at least once, in any order, some repeated or spelled otherwise
+            extra = data.draw(st.lists(st.sampled_from([*values, *aliases]), max_size=4))
+            return data.draw(st.permutations([*values, *extra]))
+
+        plain = PipelineConfig.load(
+            write_config(tmp_path, theta=0.0, theta_grid=grid, sensitivity_deltas=deltas)
+        )
+        config = PipelineConfig.load(
+            write_config(
+                tmp_path,
+                theta=data.draw(st.sampled_from([0.0, -0.0, 0])),
+                theta_grid=spelled(grid, 1, -0.0),
+                sensitivity_deltas=spelled(deltas, 1),
+            )
+        )
+        assert config == plain
+        # -0.0 == 0.0, so the stored values' text is compared too
+        stored = (config.theta, config.theta_grid, config.sensitivity_deltas)
+        assert repr(stored) == repr((0.0, grid, deltas))
+        savings_stage = next(stage for stage in STAGE_TABLE if stage.name == "savings")
+        fingerprints = {Pipeline(c)._fingerprint(savings_stage, {}) for c in (config, plain)}
+        assert len(fingerprints) == 1
+
     def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[]")
@@ -1624,12 +1709,19 @@ class TestCli:
         assert main(["all", "--config", str(config)]) == 1
         assert capsys.readouterr().err.count("\n") == 1
 
-    def test_off_grid_theta_reports_sensitivity_at_the_savings_grid_point(self, tmp_path):
-        config = write_config(tmp_path)
-        assert main(["all", "--config", str(config), "--theta", "0.82"]) == 0
+    def test_off_grid_theta_reports_savings_and_sensitivity_at_theta(self, tmp_path):
+        # savings sweeps the grid with theta on it, so its summary, the sensitivity
+        # rows and redesign's eligible roles all describe theta itself
+        config = write_config(tmp_path, theta_grid=[0.0, 0.5, 1.0])
+        assert main(["all", "--config", str(config), "--theta", "0.55"]) == 0
         out = tmp_path / "out"
-        theta = json.loads((out / "savings_summary.json").read_text())["theta"]
-        assert theta == 0.8
+        summary = json.loads((out / "savings_summary.json").read_text())
+        assert summary["theta"] == 0.55
+        sweep = {row["theta"]: row for row in read_jsonl(out / "sweep.jsonl")}
+        assert list(sweep) == [0.0, 0.5, 0.55, 1.0]
+        for field in ("cost_reduction", "productivity_gain", "n_cost", "n_productivity"):
+            assert summary[field] == sweep[0.55][field], field
+        theta = summary["theta"]
         at_theta = {
             row["delta"]: row for row in read_jsonl(out / "sensitivity.jsonl") if row["theta"] == theta
         }

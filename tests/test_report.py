@@ -89,7 +89,6 @@ def gather(**overrides) -> report.Gathered:
         ),
         "sweep": iter(SWEEP),
         "sensitivity": iter(SENSITIVITY),
-        "savings_summary": {"theta": 0.8},
         "plans": (plan.to_record() for plan in PLANS),
         "redesign_summary": {"theme_shares": {"upskilling": 2 / 3, "quality": 1 / 3}},
         "raked": ({"role_key": key, "weight": weight} for key, weight in RAKED.items()),
