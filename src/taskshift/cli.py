@@ -52,14 +52,13 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {key: value for key, value in vars(args).items() if key in fields}
         config = PipelineConfig.load(args.config, overrides)
         pipeline = Pipeline(config)
-        stages = (args.stage,)
         if args.stage == "all":
-            pipeline.read_whole_inputs()
-            stages = STAGES
-        for stage in stages:
-            artifact = pipeline.run_stage(stage, force=args.force)
+            artifacts = pipeline.run_all(args.force)
+        else:
+            artifacts = [pipeline.run_stage(args.stage, force=args.force)]
+        for artifact in artifacts:  # each line prints as its stage finishes
             state = "reused" if artifact.reused else "built"
-            print(f"{stage}: {state} ({artifact.content_hash[:12]})")
+            print(f"{artifact.stage}: {state} ({artifact.content_hash[:12]})")
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

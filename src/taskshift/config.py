@@ -58,16 +58,10 @@ _JSON_TYPES = {
 }
 
 
-def _check_json_types(values: dict) -> dict:
+def _check_json_types(values: dict) -> None:
     """Refuse a config-file setting whose JSON type does not fit the setting's
-    annotation (``T`` or ``T | None``), before any is compared or used.
-
-    Returns the values with each number of a float setting as a float, ``-0.0`` as ``0.0``,
-    and each list sorted and distinct, so ``1`` and ``1.0``, or ``[1, 0.5, 1]`` and
-    ``[0.5, 1]``, give one configuration and one set of bytes.
-    """
+    annotation (``T`` or ``T | None``), before any is compared or used."""
     annotations = {f.name: f.type for f in fields(PipelineConfig)}
-    typed = dict(values)
     for name, value in values.items():
         kind = annotations[name].removesuffix(" | None")
         nullable = kind != annotations[name]
@@ -77,11 +71,6 @@ def _check_json_types(values: dict) -> dict:
         if not accepts(value):
             expected = f"{expected} or null" if nullable else expected
             raise UsageError(f"{name} {json.dumps(value)} is not {expected}")
-        if kind == "float":
-            typed[name] = float(value) + 0.0  # -0.0 + 0.0 is 0.0
-        elif kind == "list[float]":
-            typed[name] = sorted({float(item) + 0.0 for item in value})
-    return typed
 
 
 @dataclass
@@ -131,9 +120,18 @@ class PipelineConfig:
     new_tasks_fraction: float = 0.10
 
     def __post_init__(self) -> None:
-        # 0 and None both mean "no truncation"; one spelling gives one fingerprint
+        """Give each setting one spelling, so one configuration has one fingerprint
+        however it was given: 0 and None both mean "no truncation", a float setting's
+        number is a float with ``-0.0`` as ``0.0``, and a list is sorted and distinct,
+        so ``1`` and ``1.0``, or ``[1, 0.5, 1]`` and ``[0.5, 1]``, are one value."""
         if self.truncate_chars == 0:
             self.truncate_chars = None
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.removesuffix(" | None") == "float" and _is_number(value):
+                setattr(self, f.name, float(value) + 0.0)  # -0.0 + 0.0 is 0.0
+            elif f.type == "list[float]" and all(map(_is_number, value)):
+                setattr(self, f.name, sorted({float(item) + 0.0 for item in value}))
 
     def validate(self) -> None:
         if not 0.0 < self.delta <= 1.0:
@@ -166,7 +164,7 @@ class PipelineConfig:
         unknown = set(values) - known
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        values = _check_json_types(values)
+        _check_json_types(values)
         if overrides:
             values.update({k: v for k, v in overrides.items() if v is not None})
         config = cls(**values)

@@ -470,13 +470,6 @@ class Pipeline:
         """The cluster stage's stopwords, read once per ``Pipeline``."""
         return clustering.load_stopwords(self.config.stopwords_path)
 
-    def read_whole_inputs(self) -> None:
-        """Read the files that a later stage reads whole, the fixtures and the
-        stopwords, so that a bad one stops a run of every stage before any writes.
-        The first stage reads the corpus, the tables and the lists before it writes."""
-        self._provider
-        self._stopwords
-
     def run_stage(self, stage: str, force: bool = False) -> StageArtifact:
         """Run one stage, or no-op when its fingerprint already matches.
 
@@ -537,9 +530,18 @@ class Pipeline:
         write_json(self._manifest_path(stage), manifest)
         return StageArtifact.from_manifest(manifest, reused=False)
 
-    def run_all(self, force: bool = False) -> list[StageArtifact]:
-        self.read_whole_inputs()
-        return [self.run_stage(stage, force=force) for stage in STAGES]
+    def run_all(self, force: bool = False) -> Iterator[StageArtifact]:
+        """Run every stage in order, yielding each one's artifact as it finishes.
+
+        The files that a later stage reads whole, the fixtures and the
+        stopwords, are read first, so that a bad one stops the run before
+        any writes; the first stage reads the corpus, the tables and the
+        lists before it writes. A generator runs nothing until it is iterated.
+        """
+        self._provider
+        self._stopwords
+        for stage in STAGES:
+            yield self.run_stage(stage, force=force)
 
     # -- shared readers ------------------------------------------------------
 

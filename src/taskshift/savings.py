@@ -1,4 +1,4 @@
-"""Automation-threshold classification, per-role money, and grid sweeps.
+"""Automation-threshold classification, and sweeps of weighted money over a threshold grid.
 
 A role spending at least the threshold share of its time on high-exposure
 tasks is treated as fully displaceable (cost reduction = full salary);
@@ -17,7 +17,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_THETA_GRID
 from .errors import UsageError
 from .exposure import HOURS_PER_WEEK, decay_weights, time_shares
 
@@ -40,16 +39,6 @@ class RoleInput:
     exposures: tuple[float, ...]
     salary: float | None
     weight: float = 1.0
-
-
-class RoleSavings(NamedTuple):
-    role_key: str
-    high_share: float
-    role_class: RoleClass
-    cost_reduction: float | None
-    productivity_gain: float | None
-    productivity_upper: float | None
-    freed_hours: float
 
 
 # the class of each code that ``class_codes`` gives a share
@@ -89,39 +78,6 @@ def classify_roles(high_shares: np.ndarray, theta: float) -> np.ndarray:
     return class_codes(high_shares, theta)
 
 
-def savings_from_shares(
-    role_key: str,
-    high_share: float,
-    medium_share: float,
-    salary: float | None,
-    theta: float,
-) -> RoleSavings:
-    """Per-role amounts from precomputed time shares.
-
-    Missing salary keeps the classification and freed hours but leaves
-    every monetary field absent.
-    """
-    role_class = classify_role(high_share, theta)
-    is_cost = role_class is RoleClass.COST_REDUCTION
-    is_gain = role_class is RoleClass.PRODUCTIVITY_GAIN
-    if salary is None:
-        cost = gain = upper = None
-    else:
-        cost = salary if is_cost else 0.0
-        gain = high_share * salary if is_gain else 0.0
-        upper = (high_share + medium_share) * salary if is_gain else 0.0
-    freed = high_share * HOURS_PER_WEEK if is_gain else 0.0
-    return RoleSavings(
-        role_key=role_key,
-        high_share=high_share,
-        role_class=role_class,
-        cost_reduction=cost,
-        productivity_gain=gain,
-        productivity_upper=upper,
-        freed_hours=freed,
-    )
-
-
 def exposure_shares(exposures: Sequence[float], delta: float) -> tuple[float, float]:
     """(high, medium) time shares of an ordered score list under decay."""
     return time_shares(exposures, decay_weights(len(exposures), delta))
@@ -159,20 +115,23 @@ class SweepCurve(NamedTuple):
 
 def sweep(
     roles: Sequence[RoleInput],
-    theta_grid: Sequence[float] | None = None,
-    delta: float = 0.75,
+    theta_grid: Sequence[float],
+    delta: float,
 ) -> SweepCurve:
     """Classify and total every role at every threshold on the grid.
 
-    Totals are those of summing ``w * amount`` over each role's
-    ``savings_from_shares`` entry, bit for bit. Only a role's class depends
-    on the threshold, so each weighted amount is computed once, with the
-    same float operations, and each threshold sums the terms of the roles
-    in the amount's class. ``math.fsum`` rounds the exact sum once, so
-    neither the zero terms of roles outside the class (or without a
-    salary) nor the order of the terms can change a total.
+    A role's high and medium shares come from its exposures at decay rate
+    ``delta``. At each threshold a CostReduction role adds ``w * salary`` to
+    the cost total, and a ProductivityGain role adds ``w * high * salary``
+    to the gain, ``w * (high + medium) * salary`` to its upper bound and
+    ``w * high * HOURS_PER_WEEK`` to the freed hours; a role without a
+    salary adds no money. Only a role's class depends on the threshold, so
+    each weighted amount is computed once, and each threshold sums the
+    terms of the roles in the amount's class. ``math.fsum`` rounds the
+    exact sum once, so neither the zero terms of roles outside the class
+    (or without a salary) nor the order of the terms can change a total.
     """
-    thetas = tuple(theta_grid) if theta_grid is not None else DEFAULT_THETA_GRID
+    thetas = tuple(theta_grid)
     # decay_weights is cached, so roles with equal task counts share one tuple
     shares = [exposure_shares(role.exposures, delta) for role in roles]
     missing_salary = sum(1 for role in roles if role.salary is None)

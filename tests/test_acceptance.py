@@ -15,7 +15,7 @@ import pytest
 
 from taskshift import redesign
 from taskshift.clustering import ExposureCluster, cluster_roles, kmeans
-from taskshift.config import PipelineConfig
+from taskshift.config import DEFAULT_THETA_GRID, PipelineConfig
 from taskshift.errors import DataError, EnumViolation, RangeViolation
 from taskshift.exposure import decay_weights, role_exposure
 from taskshift.gateway import BatchManager, MockProvider, RetryPolicy, validate_payload
@@ -36,18 +36,13 @@ from taskshift.raking import (
     rake,
     scale_to_population,
 )
-from taskshift.savings import (
-    DEFAULT_THETA_GRID,
-    RoleClass,
-    RoleInput,
-    savings_from_shares,
-    sweep,
-)
+from taskshift.savings import RoleClass, RoleInput, classify_role, exposure_shares, sweep
 
 from conftest import make_tasks, write_config
 from test_clustering import brute_force_min_inertia
 from test_metrics import oracle_alpha_interval, oracle_pearson, oracle_spearman_no_ties
 from test_raking import weighted_share
+from test_savings import savings_from_shares
 
 OTHER_DEPTS = "OTHER_DEPTS"
 
@@ -86,14 +81,26 @@ def test_criterion_02_weighted_exposure_oracle():
 
 def test_criterion_03_savings_oracle():
     tasks = make_tasks(REFERENCE_SCORES)
+    # the reference arithmetic carries weights at 2 decimal places (high share 0.53);
+    # sweep's exact decay weights give 0.53222, and a gain of £20,586.44 at theta 0.8
     aggregates = role_exposure(tasks, ROUNDED_WEIGHTS)
     high, medium = aggregates.high_share, aggregates.medium_share
+    assert classify_role(high, 0.8) is RoleClass.PRODUCTIVITY_GAIN
+    assert classify_role(high, 0.5) is RoleClass.COST_REDUCTION
     at_80 = savings_from_shares("table2", high, medium, 38680.0, theta=0.8)
     assert abs(at_80.productivity_gain - 20500) <= 1.0
     assert at_80.cost_reduction == 0.0
     at_50 = savings_from_shares("table2", high, medium, 38680.0, theta=0.5)
     assert at_50.cost_reduction == pytest.approx(38680.0)
     assert at_50.productivity_gain == 0.0
+    # the sweep puts the role, at weight 1, in the same class at each theta,
+    # with money from its own share
+    role = RoleInput("table2", tuple(REFERENCE_SCORES), salary=38680.0)
+    exact_high, _ = exposure_shares(role.exposures, 0.75)
+    curve = sweep([role], theta_grid=[0.8, 0.5], delta=0.75)
+    assert (curve.n_productivity, curve.n_cost) == ((1, 0), (0, 1))
+    assert curve.productivity_gain == (exact_high * 38680.0, 0.0)
+    assert curve.cost_reduction == (0.0, 38680.0)
     report(
         3,
         f"theta=0.8: P=£{at_80.productivity_gain:.0f}, C=0; "
@@ -155,20 +162,15 @@ def test_criterion_05_threshold_monotonicity():
         count = int(rng.integers(2, 12))
         exposures = tuple(float(rng.integers(0, 11)) / 10.0 for _ in range(count))
         roles.append(RoleInput(f"r{index}", exposures, salary=float(rng.uniform(2e4, 9e4))))
-    curve = sweep(roles, delta=0.75)
+    curve = sweep(roles, DEFAULT_THETA_GRID, delta=0.75)
     for earlier, later in zip(curve.cost_reduction, curve.cost_reduction[1:]):
         assert later <= earlier + 1e-9
     for earlier, later in zip(curve.n_cost, curve.n_cost[1:]):
         assert later <= earlier
-    from taskshift.savings import exposure_shares
-
     transitions_checked = 0
     for role in roles:
         high, _ = exposure_shares(role.exposures, 0.75)
-        classes = [
-            savings_from_shares(role.role_key, high, 0.0, role.salary, theta).role_class
-            for theta in DEFAULT_THETA_GRID
-        ]
+        classes = [classify_role(high, theta) for theta in DEFAULT_THETA_GRID]
         if high == 0.0:
             assert all(c is RoleClass.NO_IMPACT for c in classes)
             continue
@@ -365,11 +367,11 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     first = PipelineConfig.load(
         write_config(tmp_path, out_dir=str(tmp_path / "out1"), cache_dir=str(tmp_path / "cache1"))
     )
-    Pipeline(first).run_all()
+    list(Pipeline(first).run_all())
     second = PipelineConfig.load(
         write_config(tmp_path, out_dir=str(tmp_path / "out2"), cache_dir=str(tmp_path / "cache2"))
     )
-    Pipeline(second).run_all()
+    list(Pipeline(second).run_all())
     elapsed = time.perf_counter() - start
 
     first_digests = _artifact_digests(Path(first.out_dir))

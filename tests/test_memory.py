@@ -89,7 +89,7 @@ def generated_run(tmp_path_factory):
     config = work / "config.json"
     config.write_text(json.dumps(paths))
     pipeline = Pipeline(PipelineConfig.load(config))
-    pipeline.run_all()
+    list(pipeline.run_all())
     pipeline.manager  # made outside the traced runs
     return pipeline
 

@@ -45,7 +45,7 @@ from conftest import artifacts, child_env, manifests, record_calls, write_config
 
 def run_all(config: PipelineConfig) -> Pipeline:
     pipeline = Pipeline(config)
-    pipeline.run_all()
+    list(pipeline.run_all())
     return pipeline
 
 
@@ -248,7 +248,7 @@ class TestStageDeclarations:
         pipeline.run_stage("ingest")
         pipeline.run_stage("extract")
         fixtures.write_text(json.dumps(second))
-        pipeline.run_all()
+        list(pipeline.run_all())
         assert artifacts(pipeline.out_dir) == expected_a
 
         later = Pipeline(config)
@@ -1459,13 +1459,24 @@ class TestCli:
                 seen.append(config)
 
             def run_stage(self, stage, force=False):
-                return SimpleNamespace(reused=True, content_hash="0" * 64)
+                return SimpleNamespace(stage=stage, reused=True, content_hash="0" * 64)
 
         monkeypatch.setattr(cli, "Pipeline", Recorder)
         argv = ["ingest", "--config", str(write_config(tmp_path))]
         assert main(argv + ["--theta", "0.5", "--delta", "0.6", "--seed", "3"]) == 0
         (config,) = seen
         assert (config.theta, config.delta, config.seed) == (0.5, 0.6, 3)
+
+    def test_all_prints_each_stage_as_it_finishes(self, tmp_path, monkeypatch, capsys):
+        def broken(pipeline):
+            raise DataError("cluster broke")
+
+        spec = pipeline_module._STAGE_BY_NAME["cluster"]
+        monkeypatch.setitem(pipeline_module._STAGE_BY_NAME, "cluster", spec._replace(run=broken))
+        assert main(["all", "--config", str(write_config(tmp_path))]) == 2
+        out, err = capsys.readouterr()
+        assert [line.split(":")[0] for line in out.splitlines()] == ["ingest", "extract", "weight"]
+        assert err == "data error: cluster broke\n"
 
     def test_usage_error_exit_one_unknown_stage(self, capsys):
         assert main(["transmogrify"]) == 1
@@ -1540,6 +1551,15 @@ class TestCli:
 
     def test_every_default_has_its_annotated_json_type(self):
         config_module._check_json_types(asdict(PipelineConfig()))
+
+    def test_flag_and_keyword_values_are_stored_as_file_values_are(self):
+        # -0.0 == 0.0 and lists compare in order, so the configs' JSON is compared
+        plain = PipelineConfig(theta=0.0, delta=1.0, theta_grid=[0.5, 1.0], population_total=2.0)
+        flagged = PipelineConfig.load(None, {"theta": -0.0, "delta": 1})
+        unflagged = PipelineConfig(theta=0.0, delta=1.0)
+        assert json.dumps(asdict(flagged)) == json.dumps(asdict(unflagged))
+        keyword = PipelineConfig(theta=-0.0, delta=1, theta_grid=[1, 0.5, 1.0], population_total=2)
+        assert json.dumps(asdict(keyword)) == json.dumps(asdict(plain))
 
     def test_integer_counts_as_a_number_in_config(self, tmp_path):
         config = PipelineConfig.load(write_config(tmp_path, delta=1, theta_grid=[0, 1]))

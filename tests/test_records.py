@@ -18,7 +18,7 @@ from taskshift.gateway.schema import FieldSpec
 from taskshift.pipeline import Stage, StageArtifact
 from taskshift.raking import SampleRow
 from taskshift.redesign import NewTask
-from taskshift.savings import RoleClass, RoleSavings, SweepCurve
+from taskshift.savings import SweepCurve
 
 
 def _run(pipeline):
@@ -87,18 +87,6 @@ RECORDS = {
     ),
     NewTask: (
         {"task_number": 4, "task_details": "Review flagged cases", "task_category": "Oversight"},
-        {},
-    ),
-    RoleSavings: (
-        {
-            "role_key": "V001",
-            "high_share": 0.85,
-            "role_class": RoleClass.COST_REDUCTION,
-            "cost_reduction": 31000.0,
-            "productivity_gain": None,
-            "productivity_upper": None,
-            "freed_hours": 31.45,
-        },
         {},
     ),
     SweepCurve: (

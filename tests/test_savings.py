@@ -1,24 +1,69 @@
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taskshift import savings as savings_module
+from taskshift.config import DEFAULT_THETA_GRID
 from taskshift.errors import UsageError
-from taskshift.exposure import decay_weights
+from taskshift.exposure import HOURS_PER_WEEK, decay_weights
 from taskshift.savings import (
     CLASS_BY_CODE,
-    DEFAULT_THETA_GRID,
     RoleClass,
     RoleInput,
     classify_role,
     classify_roles,
     exposure_shares,
-    savings_from_shares,
     sweep,
 )
+
+
+class RoleSavings(NamedTuple):
+    role_key: str
+    high_share: float
+    role_class: RoleClass
+    cost_reduction: float | None
+    productivity_gain: float | None
+    productivity_upper: float | None
+    freed_hours: float
+
+
+def savings_from_shares(
+    role_key: str,
+    high_share: float,
+    medium_share: float,
+    salary: float | None,
+    theta: float,
+) -> RoleSavings:
+    """One role's amounts at one threshold, from precomputed time shares: the
+    per-role rule that ``sweep`` totals, kept here as its bit-identity oracle.
+
+    Missing salary keeps the classification and freed hours but leaves
+    every monetary field absent.
+    """
+    role_class = classify_role(high_share, theta)
+    is_cost = role_class is RoleClass.COST_REDUCTION
+    is_gain = role_class is RoleClass.PRODUCTIVITY_GAIN
+    if salary is None:
+        cost = gain = upper = None
+    else:
+        cost = salary if is_cost else 0.0
+        gain = high_share * salary if is_gain else 0.0
+        upper = (high_share + medium_share) * salary if is_gain else 0.0
+    freed = high_share * HOURS_PER_WEEK if is_gain else 0.0
+    return RoleSavings(
+        role_key=role_key,
+        high_share=high_share,
+        role_class=role_class,
+        cost_reduction=cost,
+        productivity_gain=gain,
+        productivity_upper=upper,
+        freed_hours=freed,
+    )
+
 
 def role_savings(role, theta, delta=0.75):
     """One role's entry at ``delta``: its shares under decay, then the money."""
@@ -141,7 +186,7 @@ def three_role_corpus():
 class TestSweep:
     def test_matches_enumeration_oracle_at_every_grid_point(self):
         roles = three_role_corpus()
-        curve = sweep(roles, delta=0.75)
+        curve = sweep(roles, DEFAULT_THETA_GRID, delta=0.75)
         for index, theta in enumerate(curve.thetas):
             cost, gain, upper, counts = oracle_totals(
                 roles, [r.weight for r in roles], theta, 0.75
@@ -154,7 +199,7 @@ class TestSweep:
             assert curve.n_no_impact[index] == counts["none"]
 
     def test_theta_zero_floor(self):
-        curve = sweep(three_role_corpus(), delta=0.75)
+        curve = sweep(three_role_corpus(), DEFAULT_THETA_GRID, delta=0.75)
         assert curve.productivity_gain[0] == 0.0
         assert curve.n_cost[0] == 2 and curve.n_no_impact[0] == 1
 
@@ -168,7 +213,7 @@ class TestSweep:
 
     def test_cost_non_increasing_and_counts_reconcile(self):
         roles = three_role_corpus()
-        curve = sweep(roles, delta=0.75)
+        curve = sweep(roles, DEFAULT_THETA_GRID, delta=0.75)
         for earlier, later in zip(curve.cost_reduction, curve.cost_reduction[1:]):
             assert later <= earlier + 1e-9
         for index in range(len(curve.thetas)):
@@ -197,8 +242,8 @@ class TestSweep:
         scaled = [
             RoleInput(r.role_key, r.exposures, r.salary * 3.0, r.weight) for r in roles
         ]
-        base = sweep(roles, delta=0.75)
-        tripled = sweep(scaled, delta=0.75)
+        base = sweep(roles, DEFAULT_THETA_GRID, delta=0.75)
+        tripled = sweep(scaled, DEFAULT_THETA_GRID, delta=0.75)
         for index in range(len(base.thetas)):
             assert tripled.cost_reduction[index] == pytest.approx(
                 3.0 * base.cost_reduction[index], rel=1e-12
@@ -224,7 +269,7 @@ class TestDecaySensitivity:
     def test_recompute_oracle_per_delta(self):
         roles = three_role_corpus()
         for delta in (0.5, 0.75, 1.0):
-            curve = sweep(roles, delta=delta)
+            curve = sweep(roles, DEFAULT_THETA_GRID, delta=delta)
             for index, theta in enumerate(curve.thetas):
                 cost, gain, _, _ = oracle_totals(roles, [r.weight for r in roles], theta, delta)
                 assert curve.cost_reduction[index] == pytest.approx(cost, abs=1e-6)
@@ -232,7 +277,9 @@ class TestDecaySensitivity:
 
     def test_all_high_role_invariant_across_deltas(self):
         role = RoleInput("allhigh", (0.9, 0.8, 0.7, 1.0), salary=20000.0)
-        curves = {delta: sweep([role], delta=delta) for delta in (0.5, 0.75, 1.0)}
+        curves = {
+            delta: sweep([role], DEFAULT_THETA_GRID, delta=delta) for delta in (0.5, 0.75, 1.0)
+        }
         reference = curves[0.75]
         for delta in (0.5, 1.0):
             assert curves[delta].cost_reduction == reference.cost_reduction
@@ -349,7 +396,7 @@ class TestSweepBitIdentity:
             RoleInput("d", (0.8, 0.6), None),
         ]
         thetas = sorted({0.0, 0.5, 1.0} | {exposure_shares(r.exposures, 0.75)[0] for r in roles})
-        curve = sweep(roles, theta_grid=thetas)
+        curve = sweep(roles, theta_grid=thetas, delta=0.75)
         assert curve.n_no_impact == (no_impact,) * len(thetas)
         # the per-role entries follow the same rule, so the totals still match theirs
         expected = per_role_curve(roles, thetas, 0.75, [role.weight for role in roles])
@@ -359,7 +406,7 @@ class TestSweepBitIdentity:
     def test_bad_threshold_raises_as_per_role_check_does(self):
         roles = [RoleInput("a", (0.9,), 1.0), RoleInput("b", (0.9,), 1.0)]
         with pytest.raises(UsageError, match="threshold 1.5"):
-            sweep(roles, theta_grid=[0.5, 1.5])
+            sweep(roles, theta_grid=[0.5, 1.5], delta=0.75)
         with pytest.raises(UsageError, match="threshold -0.1"):
-            sweep(roles, theta_grid=[-0.1, 1.5])
-        assert sweep([], theta_grid=[1.5]).n_cost == (0,)
+            sweep(roles, theta_grid=[-0.1, 1.5], delta=0.75)
+        assert sweep([], theta_grid=[1.5], delta=0.75).n_cost == (0,)
