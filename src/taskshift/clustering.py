@@ -491,7 +491,6 @@ class TaskTaxonomy:
     category_labels: dict[int, str]
     subcategory_labels: dict[tuple[int, int], str]
     assignments: list[tuple[int, int]]
-    label_failures: list[str]
 
     def label_of(self, index: int) -> tuple[str, str]:
         category, subcategory = self.assignments[index]
@@ -579,7 +578,6 @@ def build_taxonomy(
         category_labels=category_labels,
         subcategory_labels=subcategory_labels,
         assignments=list(zip(top.assignments.tolist(), subcategories.tolist())),
-        label_failures=failures,
     )
     return taxonomy, projection
 

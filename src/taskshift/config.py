@@ -2,7 +2,8 @@
 
 Precedence is defaults < config file < command-line flags. Everything
 that affects results is carried here so stage fingerprints can detect
-parameter changes.
+parameter changes. A config is checked once, when it is built, whether its
+values come from a file, a flag or a keyword, and is frozen after.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ def _is_number(value: object) -> bool:
         return False
 
 
-# what a config-file value of each annotated setting type must be: a bool is
-# not an integer, and an integer counts as a number
+# what a value of each annotated setting type must be: a bool is not an
+# integer, and an integer counts as a number
 _JSON_TYPES = {
     "str": ("a string", lambda value: isinstance(value, str)),
     "bool": ("a boolean", lambda value: isinstance(value, bool)),
@@ -58,22 +59,7 @@ _JSON_TYPES = {
 }
 
 
-def _check_json_types(values: dict) -> None:
-    """Refuse a config-file setting whose JSON type does not fit the setting's
-    annotation (``T`` or ``T | None``), before any is compared or used."""
-    annotations = {f.name: f.type for f in fields(PipelineConfig)}
-    for name, value in values.items():
-        kind = annotations[name].removesuffix(" | None")
-        nullable = kind != annotations[name]
-        if value is None and nullable:
-            continue
-        expected, accepts = _JSON_TYPES[kind]
-        if not accepts(value):
-            expected = f"{expected} or null" if nullable else expected
-            raise UsageError(f"{name} {json.dumps(value)} is not {expected}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     # inputs
     corpus_path: str = "corpus.jsonl"
@@ -120,20 +106,32 @@ class PipelineConfig:
     new_tasks_fraction: float = 0.10
 
     def __post_init__(self) -> None:
-        """Give each setting one spelling, so one configuration has one fingerprint
-        however it was given: 0 and None both mean "no truncation", a float setting's
-        number is a float with ``-0.0`` as ``0.0``, and a list is sorted and distinct,
-        so ``1`` and ``1.0``, or ``[1, 0.5, 1]`` and ``[0.5, 1]``, are one value."""
-        if self.truncate_chars == 0:
-            self.truncate_chars = None
+        """Refuse a setting whose value does not fit its annotation (``T`` or
+        ``T | None``) or its range, and give each one spelling, so one configuration
+        has one fingerprint however it was given: 0 and None both mean "no
+        truncation", a float setting's number is a float with ``-0.0`` as ``0.0``,
+        and a list is sorted and distinct, so ``1`` and ``1.0``, or ``[1, 0.5, 1]``
+        and ``[0.5, 1]``, are one value."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type.removesuffix(" | None") == "float" and _is_number(value):
-                setattr(self, f.name, float(value) + 0.0)  # -0.0 + 0.0 is 0.0
-            elif f.type == "list[float]" and all(map(_is_number, value)):
-                setattr(self, f.name, sorted({float(item) + 0.0 for item in value}))
+            kind = f.type.removesuffix(" | None")
+            nullable = kind != f.type
+            if value is None and nullable:
+                continue
+            expected, accepts = _JSON_TYPES[kind]
+            if not accepts(value):
+                # a value of a type JSON lacks, such as a keyword Path or tuple, by its repr
+                json_typed = type(value) in (str, int, float, bool, list, dict, type(None))
+                shown = json.dumps(value) if json_typed else repr(value)
+                expected = f"{expected} or null" if nullable else expected
+                raise UsageError(f"{f.name} {shown} is not {expected}")
+            if kind == "float":
+                object.__setattr__(self, f.name, float(value) + 0.0)  # -0.0 + 0.0 is 0.0
+            elif kind == "list[float]":
+                object.__setattr__(self, f.name, sorted({float(item) + 0.0 for item in value}))
+        if self.truncate_chars == 0:
+            object.__setattr__(self, "truncate_chars", None)
 
-    def validate(self) -> None:
         if not 0.0 < self.delta <= 1.0:
             raise UsageError(f"delta {self.delta} outside (0, 1]")
         if not 0.0 <= self.theta <= 1.0:
@@ -150,9 +148,7 @@ class PipelineConfig:
             raise UsageError("new_tasks_fraction must lie in (0, 1]")
         for name, least in _LOWER_BOUNDS.items():
             value = getattr(self, name)
-            if value is None and name == "truncate_chars":  # no truncation
-                continue
-            if value < least:
+            if value is not None and value < least:
                 raise UsageError(f"{name} {value} is below {least}")
 
     @classmethod
@@ -160,13 +156,9 @@ class PipelineConfig:
         values: dict = {}
         if path is not None:
             values, _ = read_object(path, "config", error=UsageError)
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
+        unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        _check_json_types(values)
         if overrides:
             values.update({k: v for k, v in overrides.items() if v is not None})
-        config = cls(**values)
-        config.validate()
-        return config
+        return cls(**values)

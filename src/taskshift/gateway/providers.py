@@ -106,11 +106,8 @@ class MockProvider:
     fixtures: dict[str, dict] = field(default_factory=dict)
     strict: bool = False
     dimension: int = 768
-    calls: int = 0
-    embed_calls: int = 0
 
     def complete(self, request: StructuredRequest) -> ProviderResult:
-        self.calls += 1
         if self.fixtures and (fingerprint := request.fingerprint()) in self.fixtures:
             payload = self.fixtures[fingerprint]
         elif self.strict:
@@ -122,7 +119,6 @@ class MockProvider:
         return ProviderResult(raw, input_tokens=prompt_chars // 4, output_tokens=len(raw) // 4)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        self.embed_calls += 1
         vectors = np.empty((len(texts), self.dimension))
         for row, text in enumerate(texts):
             rng = np.random.default_rng(stable_hash("embed:" + text))

@@ -338,7 +338,6 @@ def build_provider(config: PipelineConfig) -> tuple[MockProvider | HttpProvider,
 
 class Pipeline:
     def __init__(self, config: PipelineConfig):
-        config.validate()
         self.config = config
         self.out_dir = Path(config.out_dir)
         self.manifest_dir = self.out_dir / "manifests"

@@ -635,9 +635,8 @@ class TestBuildTaxonomy:
         manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
         taxonomy, _ = build_taxonomy(texts, manager, seed=3)
         assert taxonomy.category_labels[0] == "cluster-0"
-        assert taxonomy.label_failures
 
-    def test_every_failed_label_names_its_cluster_key(self):
+    def test_every_failed_label_names_its_cluster_key(self, caplog):
         texts, vectors, _ = grouped_tasks()
         provider = GroupedEmbedProvider(vectors, inner=MockProvider(strict=True))
         manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
@@ -647,7 +646,10 @@ class TestBuildTaxonomy:
             key: f"cluster-{key[0]}-{key[1]}" for key in taxonomy.subcategory_labels
         }
         assert (3, 1) in taxonomy.subcategory_labels
-        assert len(taxonomy.label_failures) == 10 + len(taxonomy.subcategory_labels)
+        (failed,) = [
+            record.args[0] for record in caplog.records if record.msg.startswith("placeholder")
+        ]
+        assert len(failed) == 10 + len(taxonomy.subcategory_labels)
 
     def test_sampling_caps_at_population(self):
         texts = [f"duty {i}" for i in range(150)]

@@ -46,6 +46,8 @@ from taskshift.prompts import (
     task_extraction_request,
 )
 
+from conftest import record_calls
+
 SUPPORT_OFFICER_DESCRIPTION = """The support officer keeps the programme running. This includes:
 - Arrange programme meetings and capture minutes with clear owners for actions
 - Prepare outline packs for the delivery board ahead of each cycle
@@ -233,12 +235,13 @@ class TestMockProvider:
         with pytest.raises(ProviderError):
             MockProvider(fixtures=fixtures, strict=True).complete(extraction_request("miss", "- c"))
 
-    def test_seven_task_fixture_returns_seven_tasks(self):
+    def test_seven_task_fixture_returns_seven_tasks(self, monkeypatch):
         request = task_extraction_request("support", SUPPORT_OFFICER_DESCRIPTION)
         payload = tasks_payload(*([0.5] * 7))
         provider = MockProvider(fixtures={request.fingerprint(): payload})
+        calls = record_calls(monkeypatch, provider, "complete")
         (response,), report = BatchManager(provider).submit_batch([request])
-        assert report.failed == [] and provider.calls == 1
+        assert report.failed == [] and len(calls) == 1
         assert len(response.payload["tasks"]) == 7
 
     def test_synthesizer_extracts_bullets_deterministically(self):
@@ -320,15 +323,16 @@ class TestBulkScaleBatch:
 
 
 class TestCaching:
-    def test_warm_cache_makes_zero_provider_calls(self, tmp_path):
+    def test_warm_cache_makes_zero_provider_calls(self, tmp_path, monkeypatch):
         provider = MockProvider()
+        calls = record_calls(monkeypatch, provider, "complete")
         cache = ResponseCache(tmp_path / "cache")
         manager = BatchManager(provider, cache=cache)
         requests = [extraction_request(f"r{i}", f"- p {i}\n- q {i}") for i in range(4)]
         first, _ = manager.submit_batch(requests)
-        calls_after_cold = provider.calls
+        calls_after_cold = len(calls)
         second, report = manager.submit_batch(requests)
-        assert provider.calls == calls_after_cold
+        assert len(calls) == calls_after_cold
         assert report.cache_hits == 4
         assert [r.raw for r in first] == [r.raw for r in second]
 
@@ -343,35 +347,38 @@ class TestCaching:
         assert len(responses) == 1
         assert report.cache_hits == 0
 
-    def test_batch_of_pure_hits_creates_no_file(self, tmp_path):
+    def test_batch_of_pure_hits_creates_no_file(self, tmp_path, monkeypatch):
         requests = [extraction_request(f"r{i}", f"- p {i}\n- q {i}") for i in range(4)]
         BatchManager(MockProvider(), cache=ResponseCache(tmp_path)).submit_batch(requests)
         before = sorted(tmp_path.iterdir())
         provider = MockProvider()
+        calls = record_calls(monkeypatch, provider, "complete")
         _, report = BatchManager(provider, cache=ResponseCache(tmp_path)).submit_batch(requests)
-        assert report.cache_hits == 4 and provider.calls == 0
+        assert report.cache_hits == 4 and calls == []
         assert sorted(tmp_path.iterdir()) == before
 
-    def test_torn_last_line_skipped_and_refetched(self, tmp_path):
+    def test_torn_last_line_skipped_and_refetched(self, tmp_path, monkeypatch):
         requests = [extraction_request(f"r{i}", f"- p {i}\n- q {i}") for i in range(2)]
         first, _ = BatchManager(MockProvider(), cache=ResponseCache(tmp_path)).submit_batch(requests)
         (segment,) = tmp_path.glob("*.answers")
         data = segment.read_bytes()
         segment.write_bytes(data[: len(data) - 20])  # a crash mid-record: the last answer is lost
         provider = MockProvider()
+        calls = record_calls(monkeypatch, provider, "complete")
         second, report = BatchManager(provider, cache=ResponseCache(tmp_path)).submit_batch(
             requests
         )
-        assert provider.calls == 1 and report.cache_hits == 1
+        assert len(calls) == 1 and report.cache_hits == 1
         assert [r.raw for r in second] == [r.raw for r in first]
         # a crash mid-index-line: the refetched answer's line loses its newline
         index = sorted(tmp_path.glob("*.answers.index"))[-1]
         index.write_bytes(index.read_bytes()[:-1])
         provider = MockProvider()
+        calls = record_calls(monkeypatch, provider, "complete")
         third, report = BatchManager(provider, cache=ResponseCache(tmp_path)).submit_batch(
             requests
         )
-        assert provider.calls == 1 and report.cache_hits == 1
+        assert len(calls) == 1 and report.cache_hits == 1
         assert [r.raw for r in third] == [r.raw for r in first]
 
     def test_round_trip_keeps_any_text_and_skips_torn_last_line(self, tmp_path):
@@ -419,21 +426,23 @@ class TestCaching:
         assert ResponseCache(tmp_path, scope="remote:").get("k") is None
         assert ResponseCache(tmp_path, scope="mock:").get("k") == "answer"
 
-    def test_manager_without_cache_keeps_answers_in_a_temporary_store(self):
+    def test_manager_without_cache_keeps_answers_in_a_temporary_store(self, monkeypatch):
         provider = MockProvider()
+        calls = record_calls(monkeypatch, provider, "complete")
         manager = BatchManager(provider)
         requests = [extraction_request(f"r{i}") for i in range(3)]
         responses, report = manager.submit_batch(requests)
         assert [r.request_id for r in responses] == ["r0", "r1", "r2"]
-        assert provider.calls == 1 and report.cache_hits == 2
+        assert len(calls) == 1 and report.cache_hits == 2
 
-    def test_duplicates_in_inline_batch_make_one_call(self, tmp_path):
+    def test_duplicates_in_inline_batch_make_one_call(self, tmp_path, monkeypatch):
         provider = MockProvider()
+        calls = record_calls(monkeypatch, provider, "complete")
         manager = BatchManager(provider, cache=ResponseCache(tmp_path))
         requests = [extraction_request("first"), extraction_request("again")]
         responses, report = manager.submit_batch(requests)
         assert [r.request_id for r in responses] == ["first", "again"]
-        assert provider.calls == 1 and report.cache_hits == 1
+        assert len(calls) == 1 and report.cache_hits == 1
         assert reconciles(report)
 
 
@@ -688,8 +697,9 @@ class TestRetry:
         assert len(report.failed) == 4 and provider.calls == 3
         assert sleeps == [0.5, 1.0]
 
-    def test_check_failing_every_attempt_becomes_failure_entry(self, tmp_path):
+    def test_check_failing_every_attempt_becomes_failure_entry(self, tmp_path, monkeypatch):
         provider = MockProvider()
+        calls = record_calls(monkeypatch, provider, "complete")
         manager = BatchManager(
             provider, cache=ResponseCache(tmp_path), policy=RetryPolicy(backoff_base=0.0)
         )
@@ -704,13 +714,14 @@ class TestRetry:
         assert responses == []
         assert report.failed == [("r0", "RangeViolation"), ("r1", "RangeViolation")]
         # without a nudge each retry repeats the same bytes, straight to the provider
-        assert seen == [0, 1] * 3 and provider.calls == 6 and report.cache_hits == 0
+        assert seen == [0, 1] * 3 and len(calls) == 6 and report.cache_hits == 0
         assert reconciles(report)
 
-    def test_nudged_retry_is_looked_up_in_the_cache(self, tmp_path):
+    def test_nudged_retry_is_looked_up_in_the_cache(self, tmp_path, monkeypatch):
         request = extraction_request("r", "- a\n- b")
         bad = tasks_payload(0.5)
         provider = MockProvider(fixtures={request.fingerprint(): bad})
+        calls = record_calls(monkeypatch, MockProvider, "complete")
         cache = ResponseCache(tmp_path)
         manager = BatchManager(provider, cache=cache, policy=RetryPolicy(backoff_base=0.0))
 
@@ -719,14 +730,14 @@ class TestRetry:
                 raise MissingField("$.tasks", "too few tasks")
 
         cold, cold_report = manager.submit_batch([request], check=check, nudge="list two")
-        assert provider.calls == 2 and cold_report.cache_hits == 0
+        assert len(calls) == 2 and cold_report.cache_hits == 0
         warm = BatchManager(MockProvider(strict=True), cache=ResponseCache(tmp_path))
         again, warm_report = warm.submit_batch([request], check=check, nudge="list two")
-        assert warm.provider.calls == 0 and warm_report.cache_hits == 2
+        assert len(calls) == 2 and warm_report.cache_hits == 2
         assert [r.raw for r in again] == [r.raw for r in cold]
         assert cold[0].request_id == "r" and len(cold[0].payload["tasks"]) == 2
 
-    def test_refused_call_is_sent_again_as_it_was(self, tmp_path):
+    def test_refused_call_is_sent_again_as_it_was(self, tmp_path, monkeypatch):
         @dataclass
         class RefusingOnce(MockProvider):
             """Refuses each request id's first call, records every prompt it is sent."""
@@ -748,8 +759,9 @@ class TestRetry:
         answers, report = cold.submit_batch(requests, nudge="list two")
         assert len(answers) == 5 and report.failed == []
         warm = BatchManager(MockProvider(strict=True), cache=ResponseCache(tmp_path), policy=policy)
+        calls = record_calls(monkeypatch, warm.provider, "complete")
         again, warm_report = warm.submit_batch(requests, nudge="list two")
-        assert warm.provider.calls == 0 and warm_report.cache_hits == 5
+        assert calls == [] and warm_report.cache_hits == 5
         assert [r.raw for r in again] == [r.raw for r in answers]
         # no reply was seen, so no nudge: the same bytes twice
         assert provider.prompts == [r.user_prompt for r in requests] * 2
@@ -840,7 +852,7 @@ class TestEmbeddings:
         assert provider.sent == [c0, c1, c2, c0, c1, c0, c1]
         assert sleeps == [0.5, 1.0]
 
-    def test_rerun_embeds_only_the_chunk_that_failed(self, tmp_path):
+    def test_rerun_embeds_only_the_chunk_that_failed(self, tmp_path, monkeypatch):
         texts = ["a", "b", "c", "d"]
         failing = ChunkFailingProvider(dimension=4, failing=frozenset({"a"}))
         manager = BatchManager(
@@ -849,10 +861,11 @@ class TestEmbeddings:
         with pytest.raises(ProviderError, match=r"texts \[0, 1\]"):
             manager.embed_texts(texts, chunk_size=2)
         healthy = MockProvider(dimension=4)
+        calls = record_calls(monkeypatch, healthy, "embed")
         rows = BatchManager(healthy, cache=ResponseCache(tmp_path, scope="s:")).embed_texts(
             texts, chunk_size=2
         )
-        assert healthy.embed_calls == 1
+        assert len(calls) == 1
         assert stored_matrix(rows).tobytes() == MockProvider(dimension=4).embed(texts).tobytes()
 
 

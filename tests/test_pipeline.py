@@ -12,7 +12,7 @@ import subprocess
 import sys
 from collections import Counter
 import socket
-from dataclasses import asdict, fields
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from taskshift import cli, clustering, config as config_module, pipeline as pipeline_module
+from taskshift import cli, clustering, pipeline as pipeline_module
 from taskshift.cli import main
 from taskshift.config import PROVIDERS, PipelineConfig
 from taskshift.corpus import Vacancy
@@ -172,9 +172,11 @@ class TestStageDeclarations:
         declared = {name for stage in STAGE_TABLE for name in stage.params}
         assert declared <= names, declared - names
         identity: set = set()
-        for provider in ("mock", "remote"):
-            config = FieldRecorder(PipelineConfig(provider=provider), identity)
-            pipeline_module.build_provider(config)
+        remote = PipelineConfig(
+            provider="remote", remote_base_url="http://localhost:9", remote_model="chat"
+        )
+        for config in (PipelineConfig(), remote):
+            pipeline_module.build_provider(FieldRecorder(config, identity))
         no_output = {
             "out_dir", "cache_dir", "api_key_env", "max_attempts", "max_in_flight", "backoff_base"
         }
@@ -211,11 +213,7 @@ class TestStageDeclarations:
         assert {name: getattr(built, name) for name in params} == params
         # the constructor's other fields cannot change an answer
         unhashed = {field.name for field in fields(built)} - set(params)
-        assert unhashed == (
-            {"fixtures", "calls", "embed_calls"}
-            if provider == "mock"
-            else {"api_key_env", "timeout"}
-        )
+        assert unhashed == ({"fixtures"} if provider == "mock" else {"api_key_env", "timeout"})
 
     def test_fixtures_edited_mid_run_are_seen_by_the_next_invocation(self, tmp_path, monkeypatch):
         # one Pipeline builds its provider once: a fixtures edit after extract
@@ -338,7 +336,7 @@ class TestEndToEnd:
         with pytest.raises(DataError, match="different parameters"):
             pipeline.run_stage("savings")
 
-    def test_pinned_fixture_not_shadowed_by_cached_answer(self, tmp_path):
+    def test_pinned_fixture_not_shadowed_by_cached_answer(self, tmp_path, monkeypatch):
         # the cache is keyed by provider identity too: a new fixture table
         # must reach the provider, not replay the synthesized answer
         assert main(["ingest", "--config", str(write_config(tmp_path))]) == 0
@@ -359,8 +357,9 @@ class TestEndToEnd:
         pipeline = Pipeline(
             PipelineConfig.load(write_config(tmp_path, fixtures_path=str(fixtures)))
         )
+        calls = record_calls(monkeypatch, pipeline.manager.provider, "complete")
         assert not pipeline.run_stage("extract").reused
-        assert pipeline.manager.provider.calls > 0
+        assert calls
         tasks = read_jsonl(out / "tasks.jsonl")
         assert [row["task_details"] for row in tasks if row["vacancy_id"] == "V001"] == pinned
 
@@ -1203,13 +1202,15 @@ def run_to_cluster(config: PipelineConfig) -> Pipeline:
 
 
 class TestEmbeddingCache:
-    def test_warm_rerun_makes_no_embedding_calls(self, tmp_path):
+    def test_warm_rerun_makes_no_embedding_calls(self, tmp_path, monkeypatch):
         cache, first, second = tmp_path / "cache", tmp_path / "out1", tmp_path / "out2"
-        cold = run_to_cluster(PipelineConfig.load(write_config(tmp_path, out_dir=str(first))))
-        assert cold.manager.provider.embed_calls > 0
+        calls = record_calls(monkeypatch, MockProvider, "embed")
+        run_to_cluster(PipelineConfig.load(write_config(tmp_path, out_dir=str(first))))
+        cold_calls = len(calls)
+        assert cold_calls > 0
         files = sorted(cache.iterdir())
-        warm = run_to_cluster(PipelineConfig.load(write_config(tmp_path, out_dir=str(second))))
-        assert warm.manager.provider.embed_calls == 0
+        run_to_cluster(PipelineConfig.load(write_config(tmp_path, out_dir=str(second))))
+        assert len(calls) == cold_calls
         for name in ("projection.json", "taxonomy.jsonl"):
             assert (second / name).read_bytes() == (first / name).read_bytes()
         assert sorted(cache.iterdir()) == files
@@ -1440,6 +1441,40 @@ class TestKernelReplay:
         assert (len(eigh_calls), len(lloyd_runs)) == (0, 0)
 
 
+# settings each refused when a config is built, whether from a file, by keyword
+# or through dataclasses.replace
+REFUSED_SETTINGS = {
+    "seed": {"seed": -1},
+    "truncate_chars": {"truncate_chars": -40},
+    "label_sample_cap": {"label_sample_cap": 0},
+    "max_attempts": {"max_attempts": 0},
+    "max_in_flight": {"max_in_flight": 0},
+    "sensitivity_deltas": {"sensitivity_deltas": []},
+    "embed_dimension": {"embed_dimension": 0},
+    "pca_dim": {"pca_dim": 0},
+    "taxonomy_categories": {"taxonomy_categories": 0},
+    "taxonomy_subclusters": {"taxonomy_subclusters": 0},
+    "backoff_base": {"backoff_base": -0.5},
+    "min_department_vacancies": {"min_department_vacancies": -1},
+    "delta_string": {"delta": "0.5"},
+    "theta_grid_string": {"theta_grid": "ab"},
+    "sensitivity_deltas_string_item": {"sensitivity_deltas": [0.5, "1"]},
+    "seed_float": {"seed": 1.5},
+    "pca_dim_bool": {"pca_dim": True},
+    "strict_fixtures_int": {"strict_fixtures": 1},
+    "corpus_path_null": {"corpus_path": None},
+    "population_total_nan": {"population_total": math.nan},
+    "population_total_infinity": {"population_total": math.inf},
+    "backoff_base_nan": {"backoff_base": math.nan},
+    "population_total_beyond_float": {"population_total": 10**400},
+    "theta_above_one": {"theta": 1.5},
+    "new_tasks_fraction_zero": {"new_tasks_fraction": 0},
+    "new_tasks_fraction_above_one": {"new_tasks_fraction": 1.5},
+    "provider_unknown": {"provider": "other"},
+    "provider_remote_without_url": {"provider": "remote", "remote_model": "chat"},
+}
+
+
 class TestCli:
     def test_success_exit_zero(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -1486,71 +1521,35 @@ class TestCli:
         bad.write_text(json.dumps({"no_such_key": 1}))
         assert main(["ingest", "--config", str(bad)]) == 1
 
-    def test_usage_error_exit_one_bad_delta(self, tmp_path):
+    @pytest.mark.parametrize("flags", [["--delta", "1.5"], ["--seed", "-1"]], ids=["delta", "seed"])
+    def test_usage_error_exit_one_bad_flag(self, tmp_path, flags):
         config = write_config(tmp_path)
-        assert main(["ingest", "--config", str(config), "--delta", "1.5"]) == 1
+        assert main(["ingest", "--config", str(config), *flags]) == 1
 
     @pytest.mark.parametrize(
-        "flags, settings",
-        [
-            (["--seed", "-1"], {}),
-            ([], {"truncate_chars": -40}),
-            ([], {"label_sample_cap": 0}),
-            ([], {"max_attempts": 0}),
-            ([], {"max_in_flight": 0}),
-            ([], {"sensitivity_deltas": []}),
-            ([], {"embed_dimension": 0}),
-            ([], {"pca_dim": 0}),
-            ([], {"taxonomy_categories": 0}),
-            ([], {"taxonomy_subclusters": 0}),
-            ([], {"backoff_base": -0.5}),
-            ([], {"min_department_vacancies": -1}),
-            ([], {"delta": "0.5"}),
-            ([], {"theta_grid": "ab"}),
-            ([], {"sensitivity_deltas": [0.5, "1"]}),
-            ([], {"seed": 1.5}),
-            ([], {"pca_dim": True}),
-            ([], {"strict_fixtures": 1}),
-            ([], {"corpus_path": None}),
-            ([], {"population_total": math.nan}),
-            ([], {"population_total": math.inf}),
-            ([], {"backoff_base": math.nan}),
-            ([], {"population_total": 10**400}),
-        ],
-        ids=[
-            "seed",
-            "truncate_chars",
-            "label_sample_cap",
-            "max_attempts",
-            "max_in_flight",
-            "sensitivity_deltas",
-            "embed_dimension",
-            "pca_dim",
-            "taxonomy_categories",
-            "taxonomy_subclusters",
-            "backoff_base",
-            "min_department_vacancies",
-            "delta_string",
-            "theta_grid_string",
-            "sensitivity_deltas_string_item",
-            "seed_float",
-            "pca_dim_bool",
-            "strict_fixtures_int",
-            "corpus_path_null",
-            "population_total_nan",
-            "population_total_infinity",
-            "backoff_base_nan",
-            "population_total_beyond_float",
-        ],
+        "settings", list(REFUSED_SETTINGS.values()), ids=list(REFUSED_SETTINGS)
     )
-    def test_usage_error_exit_one_before_any_stage_writes(self, tmp_path, capsys, flags, settings):
-        config = write_config(tmp_path, **settings)
-        assert main(["all", "--config", str(config), *flags]) == 1
-        assert capsys.readouterr().err.count("\n") == 1
+    @pytest.mark.parametrize("entry", ["file", "keyword", "replace"])
+    def test_usage_error_exit_one_before_any_stage_writes(self, tmp_path, capsys, entry, settings):
+        if entry == "file":
+            assert main(["all", "--config", str(write_config(tmp_path, **settings))]) == 1
+            assert capsys.readouterr().err.count("\n") == 1
+        else:
+            with pytest.raises(UsageError):
+                if entry == "keyword":
+                    PipelineConfig(**settings)
+                else:
+                    replace(PipelineConfig.load(write_config(tmp_path)), **settings)
         assert not (tmp_path / "out").exists()
 
+    def test_a_built_config_refuses_assignment(self):
+        # so no setting reaches a stage without the checks a config is built with
+        with pytest.raises(FrozenInstanceError):
+            PipelineConfig().delta = 1.5
+
     def test_every_default_has_its_annotated_json_type(self):
-        config_module._check_json_types(asdict(PipelineConfig()))
+        # every setting is checked against its annotation when a config is built
+        PipelineConfig()
 
     def test_flag_and_keyword_values_are_stored_as_file_values_are(self):
         # -0.0 == 0.0 and lists compare in order, so the configs' JSON is compared

@@ -18,6 +18,8 @@ from taskshift import redesign
 from taskshift.pipeline import read_jsonl, write_jsonl
 from taskshift.savings import RoleClass, classify_role
 
+from conftest import record_calls
+
 REFERENCE_WEIGHTS = [0.30, 0.23, 0.17, 0.13, 0.10, 0.07]
 REFERENCE_SCORES = [0.8, 0.9, 0.6, 0.4, 0.3, 0.2]
 
@@ -121,24 +123,26 @@ class TestSelectFocus:
         plan = single(redesign.select_focus_bulk, role, mock_manager(fixtures))
         assert plan.focus_task == 3 and plan.reasoning == "Deepest leverage."
 
-    def test_automated_choice_rejected_then_retried(self):
+    def test_automated_choice_rejected_then_retried(self, monkeypatch):
         role = reference_role()
         request = focus_choice_request("x", role.title, self.survivors(role))
         # attempt 1 answers an automated task; attempt 2 falls to the synthesizer
         fixtures = {request.fingerprint(): {"task_number": 1, "reasoning": "bad"}}
         provider = MockProvider(fixtures=fixtures)
+        calls = record_calls(monkeypatch, provider, "complete")
         manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
         plan = single(redesign.select_focus_bulk, role, manager)
         assert plan.focus_task == 3  # synthesizer picks the lowest surviving number
-        assert provider.calls >= 2
+        assert len(calls) >= 2
 
-    def test_single_survivor_short_circuits_without_provider(self):
+    def test_single_survivor_short_circuits_without_provider(self, monkeypatch):
         role = build_role([0.9, 0.8, 0.4])
         provider = MockProvider(strict=True)
+        calls = record_calls(monkeypatch, provider, "complete")
         manager = BatchManager(provider)
         plan = single(redesign.select_focus_bulk, role, manager)
         assert plan.focus_task == 3
-        assert provider.calls == 0
+        assert calls == []
         assert plan.reasoning
 
     def test_unfixable_choice_flags_role(self):
@@ -163,24 +167,11 @@ class TestSelectFocus:
         )[plan.focus_task] == pytest.approx(plan.freed_share, abs=1e-12)
 
 
-def record_calls(provider):
-    """List every request that reaches ``provider.complete``."""
-    sent = []
-    complete = provider.complete
-
-    def record(request):
-        sent.append(request)
-        return complete(request)
-
-    provider.complete = record
-    return sent
-
-
 class TestWaves:
-    def test_retry_appends_nudge_to_first_attempt_prompt(self):
+    def test_retry_appends_nudge_to_first_attempt_prompt(self, monkeypatch):
         role = reference_role()
         provider = MockProvider(strict=True)  # no fixture: every attempt fails
-        sent = record_calls(provider)
+        sent = record_calls(monkeypatch, provider, "complete")
         manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
         results, failures = redesign.select_focus_bulk([role], manager)
         assert results == {} and failures == {role.vacancy_id: "ProviderError"}
@@ -189,7 +180,7 @@ class TestWaves:
             "\n(attempt {}: the previous reply violated the rules; "
             "answer with one of the listed task numbers)"
         )
-        assert [request.user_prompt for request in sent] == [
+        assert [request.user_prompt for (request,) in sent] == [
             first.user_prompt,
             first.user_prompt + note.format(2),
             first.user_prompt + note.format(3),
@@ -199,12 +190,13 @@ class TestWaves:
         "bulk",
         [redesign.select_focus_bulk, redesign.reorder_plan_bulk, redesign.new_tasks_plan_bulk],
     )
-    def test_request_that_never_passes_costs_max_attempts_calls(self, bulk):
+    def test_request_that_never_passes_costs_max_attempts_calls(self, bulk, monkeypatch):
         provider = MockProvider(strict=True)
+        calls = record_calls(monkeypatch, provider, "complete")
         manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
         results, failures = bulk([reference_role()], manager)
         assert results == {} and failures == {"R1": "ProviderError"}
-        assert provider.calls == 3
+        assert len(calls) == 3
 
     def test_warm_rerun_replays_rejected_and_nudged_answers(self, tmp_path, monkeypatch):
         role = reference_role()
@@ -216,8 +208,9 @@ class TestWaves:
 
         def run():
             provider = MockProvider(fixtures=fixtures)
+            calls = record_calls(monkeypatch, provider, "complete")
             manager = BatchManager(provider, cache=ResponseCache(tmp_path))
-            return redesign.select_focus_bulk([role], manager), provider.calls
+            return redesign.select_focus_bulk([role], manager), len(calls)
 
         cold, cold_calls = run()
         warm, warm_calls = run()

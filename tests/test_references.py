@@ -10,6 +10,11 @@ allow-listed definition is not a root: what only it names stays unreached.
 The match is by name alone, so a same-named reference elsewhere hides a
 definition: the list errs short, never long.
 
+Every annotated field of a class in ``src/`` is read by name in ``src/``:
+as an attribute load, or as a string constant (``getattr(provider,
+"waits_on_io")``). It matches by name too, so a field only a test reads
+shows, while a same-named read elsewhere hides one.
+
 The same reading checks that the exposure band cutoffs, the sink labels,
 the grade buckets and the report's file names each have one owner.
 """
@@ -103,6 +108,30 @@ def unreached_definitions() -> set[str]:
 def test_unreached_definitions_are_exactly_the_allowed_ones():
     assert unreached_definitions() == set(ALLOWED)
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def unread_fields() -> set[str]:
+    """Each annotated class field in ``src/`` whose name ``src/`` never reads,
+    by qualified name."""
+    declared: dict[str, str] = {}
+    read: set[str] = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                        declared[f"{module}.{node.name}.{member.target.id}"] = member.target.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return {qualified for qualified, name in declared.items() if name not in read}
+
+
+def test_every_class_field_is_read_in_src():
+    assert unread_fields() == set()
 
 
 def test_band_cutoffs_are_read_only_in_exposure():
