@@ -558,15 +558,14 @@ def build_taxonomy(
                 )
             )
 
-    responses, report = manager.submit_batch(label_requests)
-    by_id = {response.request_id: response for response in responses}
+    labels, report = manager.submit_batch(label_requests, check=lambda _, payload: payload["label"])
     failures = [request_id for request_id, _ in report.failed]
 
     category_labels: dict[int, str] = {}
     subcategory_labels: dict[tuple[int, int], str] = {}
-    for key, request in zip(label_keys, label_requests):
-        response = by_id.get(request.request_id)
-        label = response.payload["label"] if response else "cluster-" + "-".join(map(str, key))
+    for key, label in zip(label_keys, labels):
+        if label is None:
+            label = "cluster-" + "-".join(map(str, key))
         if len(key) == 1:
             category_labels[key[0]] = label
         else:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import DataError, UsageError
-from .gateway import BatchManager, BatchReport, StructuredResponse
+from .gateway import BatchManager, BatchReport
 from .prompts import task_extraction_request
 
 if TYPE_CHECKING:
@@ -233,11 +233,11 @@ def build_profile(role: Mapping, tasks: Sequence[TaskRecord], delta: float) -> R
     )
 
 
-def _tasks_from_response(response: StructuredResponse) -> list[TaskRecord]:
-    """Renumber payload tasks 1..T in response order, dropping blanks."""
+def _tasks_from_payload(payload: dict) -> list[TaskRecord]:
+    """Renumber payload tasks 1..T in payload order, dropping blanks."""
     entries = [
         (entry["task_details"].strip(), float(entry["exposure_score"]))
-        for entry in response.payload["tasks"]
+        for entry in payload["tasks"]
     ]
     return [
         task_record(position, details, score)
@@ -262,18 +262,22 @@ def _extract_pass(
     request, by vacancy id, and the batch's report.
 
     The requests quote every text, so they are built in the call that sends
-    them and freed, with their responses, when this returns.
+    them and freed when this returns; each reply is the tasks of its payload,
+    lined up with ``vacancies``.
     """
-    vacancy_of = {f"extract:{v.vacancy_id}:{field}": v for v in vacancies}
-    responses, report = manager.submit_batch(
+    replies, report = manager.submit_batch(
         [
-            task_extraction_request(request_id, getattr(vacancy, f"job_{field}"))
-            for request_id, vacancy in vacancy_of.items()
-        ]
+            task_extraction_request(
+                f"extract:{vacancy.vacancy_id}:{field}", getattr(vacancy, f"job_{field}")
+            )
+            for vacancy in vacancies
+        ],
+        check=lambda _, payload: _tasks_from_payload(payload),
     )
     tasks = {
-        vacancy_of[response.request_id].vacancy_id: _tasks_from_response(response)
-        for response in responses
+        vacancy.vacancy_id: records
+        for vacancy, records in zip(vacancies, replies)
+        if records is not None
     }
     return tasks, report
 

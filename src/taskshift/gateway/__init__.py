@@ -8,7 +8,6 @@ from .providers import (
     Provider,
     ProviderResult,
     StructuredRequest,
-    StructuredResponse,
     request_fingerprint,
     stable_hash,
     subseed,
@@ -28,7 +27,6 @@ __all__ = [
     "Provider",
     "ProviderResult",
     "StructuredRequest",
-    "StructuredResponse",
     "request_fingerprint",
     "stable_hash",
     "subseed",

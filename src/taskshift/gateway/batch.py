@@ -1,7 +1,7 @@
 """Batch submission with retries, caching and, for remote providers, threads.
 
-Every request yields exactly one response or one failure entry; results
-come back in input order (keyed by request_id, never by arrival). Schema
+Every request gets exactly one reply, lined up with the requests by index:
+the checked value of its payload, or ``None`` and a failure entry. Schema
 validation runs on every payload, including cache hits. Chat requests and
 embedding chunks share one attempt loop and one dispatch, which sends only
 what the cache lacks, once per distinct request. Only providers whose calls
@@ -41,7 +41,7 @@ import numpy as np
 
 from ..errors import ProviderError, ProviderRefused, SchemaInvalid, UsageError
 from .cache import ArrayStore, EmbeddingRows, ResponseCache, SegmentStore
-from .providers import Provider, StructuredRequest, StructuredResponse
+from .providers import Provider, StructuredRequest
 from .schema import validate_payload
 
 log = logging.getLogger(__name__)
@@ -91,11 +91,15 @@ class BatchManager:
         requests: Sequence[StructuredRequest],
         check: Callable[[int, dict], object] | None = None,
         nudge: str = "",
-    ) -> tuple[list[StructuredResponse], BatchReport]:
+    ) -> tuple[list, BatchReport]:
         """Answer each request, retrying failures; see the module docstring.
 
-        ``check(index, payload)`` may raise :class:`SchemaInvalid` to reject
-        the reply to ``requests[index]``; its return value is ignored.
+        Returns one reply per request, in request order: what
+        ``check(index, payload)`` returns for the payload that answered
+        ``requests[index]`` (the payload itself without a ``check``), or
+        ``None`` when every attempt failed; ``report.failed`` names those
+        requests in the same order. ``check`` rejects a payload by raising
+        :class:`SchemaInvalid`; a ``None`` from it raises :class:`UsageError`.
         """
         ids = [request.request_id for request in requests]
         if len(set(ids)) != len(ids):
@@ -104,19 +108,19 @@ class BatchManager:
         report = BatchReport(submitted=len(requests))
         sent = list(requests)
         fingerprints = [request.fingerprint() for request in sent]
-        replies: list[StructuredResponse | None] = [None] * len(sent)
+        replies: list = [None] * len(sent)
         errors = [""] * len(sent)
         # whether the provider refused the last attempt, so that no reply was seen
         refused = [False] * len(sent)
 
         def settle(group: list[int], raw: str) -> SchemaInvalid | None:
-            """Give ``raw`` to each index of ``group``, or return why it fails the schema."""
+            """Give each index of ``group`` the payload of ``raw``, or return why it fails."""
             try:
                 payload = validate_payload(raw, sent[group[0]].output_schema)
             except SchemaInvalid as exc:
                 return exc
             for index in group:
-                replies[index] = StructuredResponse(ids[index], payload, raw)
+                replies[index] = payload
 
         def wave(attempt: int, pending: Sequence[int]) -> tuple[list[int], bool]:
             if attempt > 1 and nudge:
@@ -164,18 +168,23 @@ class BatchManager:
                     if replies[index] is None:
                         continue
                     try:
-                        check(index, replies[index].payload)
+                        value = check(index, replies[index])
                     except SchemaInvalid as exc:
                         log.info("request %s attempt %d rejected: %s", ids[index], attempt, exc)
                         replies[index] = None
                         errors[index] = exc.error_class
+                        continue
+                    if value is None:
+                        raise UsageError(
+                            f"check returned None for {ids[index]}; it rejects by raising SchemaInvalid"
+                        )
+                    replies[index] = value
             return [index for index in pending if replies[index] is None], throttled
 
         self._attempts(len(sent), wave)
-        responses = [reply for reply in replies if reply is not None]
         report.failed = [(ids[i], errors[i]) for i, reply in enumerate(replies) if reply is None]
-        report.succeeded = len(responses)
-        return responses, report
+        report.succeeded = len(replies) - len(report.failed)
+        return replies, report
 
     def embed_texts(self, texts: Sequence[str], chunk_size: int = 256) -> EmbeddingRows:
         """Embed texts, sending only those not in the embedding store.

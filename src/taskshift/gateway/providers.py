@@ -38,12 +38,6 @@ class StructuredRequest(NamedTuple):
         return request_fingerprint(self.system_prompt, self.user_prompt, self.output_schema)
 
 
-class StructuredResponse(NamedTuple):
-    request_id: str
-    payload: dict
-    raw: str
-
-
 class ProviderResult(NamedTuple):
     raw: str
     input_tokens: int = 0

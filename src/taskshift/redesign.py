@@ -22,7 +22,7 @@ import numpy as np
 
 from .clustering import UNCATEGORIZED
 from .errors import DataError, SchemaInvalid, UsageError
-from .exposure import HOURS_PER_WEEK, RoleProfile, decay_weights
+from .exposure import RoleProfile, decay_weights
 from .gateway import BatchManager, StructuredRequest, subseed
 from .prompts import (
     THEME_NAMES,
@@ -167,15 +167,14 @@ def _run_waves(
     if not contexts:
         return {}, {}
     keys = list(contexts)
-    results: dict = {}
-
-    def checked(index: int, payload: dict) -> None:
-        results[keys[index]] = check(contexts[keys[index]], payload)
-
-    requests = [build(f"{kind}:{key}", contexts[key]) for key in keys]
-    key_of = {request.request_id: key for request, key in zip(requests, keys)}
-    _, report = manager.submit_batch(requests, check=checked, nudge=nudge)
-    failures = {key_of[request_id]: error for request_id, error in report.failed}
+    replies, report = manager.submit_batch(
+        [build(f"{kind}:{key}", contexts[key]) for key in keys],
+        check=lambda index, payload: check(contexts[keys[index]], payload),
+        nudge=nudge,
+    )
+    results = {key: reply for key, reply in zip(keys, replies) if reply is not None}
+    missing = [key for key, reply in zip(keys, replies) if reply is None]
+    failures = {key: error for key, (_, error) in zip(missing, report.failed)}
     for key, error in failures.items():
         log.warning("redesign request for %s flagged after retries: %s", key, error)
     return results, failures
@@ -457,8 +456,7 @@ def time_shift_report(
 
     Columns: pre-automation, post-automation proportional, then one per
     plan variant that was run. Shares are fractions of the week (each
-    column sums to 1 over categories); minutes columns are share deltas
-    against pre-automation, in minutes per week.
+    column sums to 1 over categories).
     """
     keyed = {profile.vacancy_id: profile for profile in profiles}
 
@@ -498,14 +496,7 @@ def time_shift_report(
         columns[variant] = accumulate(post, plans)
 
     categories = sorted({name for totals in columns.values() for name in totals})
-    rows = []
-    for name in categories:
-        row: dict[str, object] = {"category": name}
-        for column, totals in columns.items():
-            share = totals.get(name, 0.0)
-            row[column] = share
-            if column != "pre_automation":
-                baseline = columns["pre_automation"].get(name, 0.0)
-                row[f"{column}_minutes_delta"] = (share - baseline) * HOURS_PER_WEEK * 60.0
-        rows.append(row)
-    return rows
+    return [
+        {"category": name} | {column: totals.get(name, 0.0) for column, totals in columns.items()}
+        for name in categories
+    ]

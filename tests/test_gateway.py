@@ -60,7 +60,7 @@ SUPPORT_OFFICER_DESCRIPTION = """The support officer keeps the programme running
 
 
 def reconciles(report) -> bool:
-    """Every submitted request ended as one response or one failure entry."""
+    """Every submitted request ended as one reply or one failure entry."""
     return report.submitted == report.succeeded + len(report.failed)
 
 
@@ -75,6 +75,11 @@ def tasks_payload(*scores):
 
 def extraction_request(request_id, text="- Do one thing\n- Do another thing"):
     return task_extraction_request(request_id, text)
+
+
+def mock_payloads(requests):
+    """The payload the mock provider gives each request, in request order."""
+    return [json.loads(MockProvider().complete(request).raw) for request in requests]
 
 
 class TestValidatePayload:
@@ -240,9 +245,9 @@ class TestMockProvider:
         payload = tasks_payload(*([0.5] * 7))
         provider = MockProvider(fixtures={request.fingerprint(): payload})
         calls = record_calls(monkeypatch, provider, "complete")
-        (response,), report = BatchManager(provider).submit_batch([request])
+        (reply,), report = BatchManager(provider).submit_batch([request])
         assert report.failed == [] and len(calls) == 1
-        assert len(response.payload["tasks"]) == 7
+        assert len(reply["tasks"]) == 7
 
     def test_synthesizer_extracts_bullets_deterministically(self):
         provider = MockProvider()
@@ -256,8 +261,8 @@ class TestMockProvider:
 class TestSubmitBatch:
     def test_happy_path_three_requests(self, manager):
         requests = [extraction_request(f"r{i}", f"- a thing {i}\n- b thing {i}") for i in range(3)]
-        responses, report = manager.submit_batch(requests)
-        assert [r.request_id for r in responses] == ["r0", "r1", "r2"]
+        replies, report = manager.submit_batch(requests)
+        assert replies == mock_payloads(requests)
         assert report.failed == []
         assert report.submitted == report.succeeded == 3
         assert reconciles(report)
@@ -267,8 +272,8 @@ class TestSubmitBatch:
         request = extraction_request("bad")
         provider = MockProvider(fixtures={request.fingerprint(): tasks_payload(1.3)})
         manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
-        responses, report = manager.submit_batch([request])
-        assert responses == []
+        replies, report = manager.submit_batch([request])
+        assert replies == [None]
         assert report.failed == [("bad", "RangeViolation")]
         assert reconciles(report)
 
@@ -279,8 +284,51 @@ class TestSubmitBatch:
     def test_results_keyed_by_request_id_not_arrival(self):
         requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(32)]
         manager = BatchManager(MockProvider(), policy=RetryPolicy(max_in_flight=16))
-        responses, _ = manager.submit_batch(requests)
-        assert [r.request_id for r in responses] == [r.request_id for r in requests]
+        replies, _ = manager.submit_batch(requests)
+        assert replies == mock_payloads(requests)
+
+    @pytest.mark.parametrize("waits_on_io", [False, True], ids=["inline", "pool"])
+    def test_one_reply_per_request_in_request_order(self, waits_on_io):
+        class Strict(MockProvider):
+            """A strict mock, on the thread pool when its calls wait on I/O."""
+
+        Strict.waits_on_io = waits_on_io
+        requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(3)]
+        fixtures = {
+            request.fingerprint(): tasks_payload(0.5) for request in (requests[0], requests[2])
+        }
+        marker = object()
+        policy = RetryPolicy(max_in_flight=4, backoff_base=0.0)
+        manager = BatchManager(Strict(fixtures=fixtures, strict=True), policy=policy)
+        replies, report = manager.submit_batch(requests, check=lambda index, payload: marker)
+        assert replies == [marker, None, marker]
+        assert report.failed == [("r1", "ProviderError")] and report.succeeded == 2
+
+    def test_no_reply_keeps_its_raw_text(self, tmp_path):
+        class PaddedProvider:
+            """Answers every request with 100,000 spaces before its JSON."""
+
+            def complete(self, request):
+                return ProviderResult(" " * 100_000 + json.dumps({"label": request.request_id}))
+
+            def embed(self, texts):
+                raise NotImplementedError
+
+        requests = [
+            prompts.cluster_label_request(f"label:{i}", [f"task {i}", f"other {i}"])
+            for i in range(20)
+        ]
+        for run in ("cold", "warm"):
+            manager = BatchManager(PaddedProvider(), cache=ResponseCache(tmp_path))
+            tracemalloc.start()
+            try:
+                replies, report = manager.submit_batch(requests)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert replies == [{"label": request.request_id} for request in requests]
+            assert report.cache_hits == (20 if run == "warm" else 0)
+            assert peak < 500_000, run  # five answers' worth
 
     def test_counts_reconcile_with_mixed_failures(self):
         good = extraction_request("good")
@@ -292,7 +340,8 @@ class TestSubmitBatch:
             }
         )
         manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
-        responses, report = manager.submit_batch([good, bad])
+        replies, report = manager.submit_batch([good, bad])
+        assert replies == [tasks_payload(0.5, 0.6), None]
         assert report.submitted == 2 and report.succeeded == 1 and len(report.failed) == 1
         assert reconciles(report)
 
@@ -315,10 +364,10 @@ class TestBulkScaleBatch:
             for i in range(216_548)
         ]
         manager = BatchManager(ConstantProvider(), policy=RetryPolicy(max_in_flight=1))
-        responses, report = manager.submit_batch(requests)
+        replies, report = manager.submit_batch(requests)
         assert report.submitted == 216_548
-        assert report.succeeded + len(report.failed) == 216_548
-        assert len(responses) == 216_548
+        assert report.succeeded == 216_548 and report.failed == []
+        assert replies == [{"tasks": []}] * 216_548
         assert reconciles(report)
 
 
@@ -334,7 +383,7 @@ class TestCaching:
         second, report = manager.submit_batch(requests)
         assert len(calls) == calls_after_cold
         assert report.cache_hits == 4
-        assert [r.raw for r in first] == [r.raw for r in second]
+        assert first == second
 
     def test_corrupt_cache_entry_refetched(self, tmp_path):
         provider = MockProvider()
@@ -343,8 +392,8 @@ class TestCaching:
         request = extraction_request("r")
         manager.submit_batch([request])
         cache.put(request.fingerprint(), "{broken")
-        responses, report = manager.submit_batch([request])
-        assert len(responses) == 1
+        replies, report = manager.submit_batch([request])
+        assert replies == mock_payloads([request])
         assert report.cache_hits == 0
 
     def test_batch_of_pure_hits_creates_no_file(self, tmp_path, monkeypatch):
@@ -369,7 +418,7 @@ class TestCaching:
             requests
         )
         assert len(calls) == 1 and report.cache_hits == 1
-        assert [r.raw for r in second] == [r.raw for r in first]
+        assert second == first
         # a crash mid-index-line: the refetched answer's line loses its newline
         index = sorted(tmp_path.glob("*.answers.index"))[-1]
         index.write_bytes(index.read_bytes()[:-1])
@@ -379,7 +428,7 @@ class TestCaching:
             requests
         )
         assert len(calls) == 1 and report.cache_hits == 1
-        assert [r.raw for r in third] == [r.raw for r in first]
+        assert third == first
 
     def test_round_trip_keeps_any_text_and_skips_torn_last_line(self, tmp_path):
         raws = {
@@ -431,8 +480,8 @@ class TestCaching:
         calls = record_calls(monkeypatch, provider, "complete")
         manager = BatchManager(provider)
         requests = [extraction_request(f"r{i}") for i in range(3)]
-        responses, report = manager.submit_batch(requests)
-        assert [r.request_id for r in responses] == ["r0", "r1", "r2"]
+        replies, report = manager.submit_batch(requests)
+        assert replies == mock_payloads(requests)
         assert len(calls) == 1 and report.cache_hits == 2
 
     def test_duplicates_in_inline_batch_make_one_call(self, tmp_path, monkeypatch):
@@ -440,8 +489,8 @@ class TestCaching:
         calls = record_calls(monkeypatch, provider, "complete")
         manager = BatchManager(provider, cache=ResponseCache(tmp_path))
         requests = [extraction_request("first"), extraction_request("again")]
-        responses, report = manager.submit_batch(requests)
-        assert [r.request_id for r in responses] == ["first", "again"]
+        replies, report = manager.submit_batch(requests)
+        assert replies == mock_payloads(requests)
         assert len(calls) == 1 and report.cache_hits == 1
         assert reconciles(report)
 
@@ -525,8 +574,8 @@ class TestConcurrency:
         BatchManager(MockProvider(), cache=cache).submit_batch(requests[:8])
         provider = SleepyProvider()
         manager = BatchManager(provider, cache=cache, policy=RetryPolicy(max_in_flight=4))
-        responses, report = manager.submit_batch(requests)
-        assert [r.request_id for r in responses] == [r.request_id for r in requests]
+        replies, report = manager.submit_batch(requests)
+        assert replies == mock_payloads(requests)
         assert threading.get_ident() not in provider.threads
         assert len(provider.threads) > 1
         assert report.cache_hits == 8 and report.submitted == report.succeeded == 32
@@ -538,11 +587,11 @@ class TestConcurrency:
         policy = RetryPolicy(max_in_flight=4)
         cold, _ = BatchManager(provider, ResponseCache(tmp_path), policy).submit_batch(requests)
         assert provider.calls == 1
-        assert len({response.raw for response in cold}) == 1
+        assert cold == [cold[0]] * 4
         rerun = BatchManager(provider, ResponseCache(tmp_path), policy)
         warm, report = rerun.submit_batch(requests)
         assert provider.calls == 1 and report.cache_hits == 4
-        assert [response.raw for response in warm] == [response.raw for response in cold]
+        assert warm == cold
 
     def test_pool_retries_refused_calls_and_raises_other_errors(self):
         refused = set()
@@ -560,9 +609,9 @@ class TestConcurrency:
 
         requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(8)]
         policy = RetryPolicy(max_in_flight=4, backoff_base=0)
-        responses, report = BatchManager(RefusingOnce(), policy=policy).submit_batch(requests)
+        replies, report = BatchManager(RefusingOnce(), policy=policy).submit_batch(requests)
         assert len(refused) == report.succeeded == 8
-        assert [r.request_id for r in responses] == [r.request_id for r in requests]
+        assert replies == mock_payloads(requests)
         with pytest.raises(RuntimeError, match="not a provider failure"):
             BatchManager(Broken(), policy=policy).submit_batch(requests)
 
@@ -584,16 +633,18 @@ class TestConcurrency:
             manager = BatchManager(
                 provider, ResponseCache(tmp_path / run), RetryPolicy(max_in_flight=8)
             )
-            responses, _ = manager.submit_batch(requests)
+            replies, _ = manager.submit_batch(requests)
             assert provider.finished != order
             (segment,) = (tmp_path / run).glob("*.answers")
             index = segment.with_name(segment.name + ".index")
             stored.append((segment.read_bytes(), index.read_bytes()))
         assert stored[0] == stored[1]
         segment, index = stored[0]
-        assert segment == "".join(response.raw for response in responses).encode("utf-8")
-        offsets = [int(line.split()[1]) for line in index.splitlines()]
         reader = ResponseCache(tmp_path / "one")
+        raws = [reader.get(request.fingerprint()) for request in requests]
+        assert segment == "".join(raws).encode("utf-8")
+        assert replies == [json.loads(raw) for raw in raws]
+        offsets = [int(line.split()[1]) for line in index.splitlines()]
         assert offsets == [reader.find(request.fingerprint())[1] for request in requests]
         assert offsets == sorted(offsets)
 
@@ -611,8 +662,8 @@ class TestConcurrency:
         manager = BatchManager(
             provider, cache=ResponseCache(tmp_path), policy=RetryPolicy(max_in_flight=8)
         )
-        responses, report = manager.submit_batch(requests)
-        assert report.cache_hits == len(responses) == 8 and not provider.threads
+        replies, report = manager.submit_batch(requests)
+        assert report.cache_hits == len(replies) == 8 and not provider.threads
 
     def test_concurrent_puts_land_whole_in_one_segment(self, tmp_path):
         requests = [extraction_request(f"r{i}", f"- x {i}\n- y {i}") for i in range(200)]
@@ -622,7 +673,7 @@ class TestConcurrency:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            responses, _ = manager.submit_batch(requests)
+            replies, _ = manager.submit_batch(requests)
         finally:
             sys.setswitchinterval(interval)
         (segment,) = tmp_path.glob("*.answers")
@@ -631,8 +682,8 @@ class TestConcurrency:
         lines = index.read_bytes().split(b"\n")
         assert lines[-1] == b"" and len(set(lines[:-1])) == 200
         reader = ResponseCache(tmp_path)
-        for request, response in zip(requests, responses):
-            assert reader.get(request.fingerprint()) == response.raw
+        for request, reply in zip(requests, replies):
+            assert json.loads(reader.get(request.fingerprint())) == reply
 
     def test_in_process_provider_runs_on_calling_thread(self):
         seen = set()
@@ -677,15 +728,15 @@ class TestRetry:
     def test_transient_failures_retried_to_success(self):
         provider = FlakyProvider(failures=2)
         manager = BatchManager(provider, policy=RetryPolicy(max_attempts=3, backoff_base=0.0))
-        responses, report = manager.submit_batch([extraction_request("r")])
-        assert len(responses) == 1
+        replies, report = manager.submit_batch([extraction_request("r")])
+        assert replies == mock_payloads([extraction_request("r")])
         assert provider.calls == 3
 
     def test_exhausted_retries_become_failure_entry(self):
         provider = FlakyProvider(failures=99)
         manager = BatchManager(provider, policy=RetryPolicy(max_attempts=3, backoff_base=0.0))
-        responses, report = manager.submit_batch([extraction_request("r")])
-        assert responses == []
+        replies, report = manager.submit_batch([extraction_request("r")])
+        assert replies == [None]
         assert report.failed == [("r", "ProviderError")]
 
     def test_one_backoff_sleep_per_wave(self, monkeypatch):
@@ -710,12 +761,20 @@ class TestRetry:
             raise RangeViolation("$.tasks", "never good enough")
 
         requests = [extraction_request("r0", "- a\n- b"), extraction_request("r1", "- c\n- d")]
-        responses, report = manager.submit_batch(requests, check=check)
-        assert responses == []
+        replies, report = manager.submit_batch(requests, check=check)
+        assert replies == [None, None]
         assert report.failed == [("r0", "RangeViolation"), ("r1", "RangeViolation")]
         # without a nudge each retry repeats the same bytes, straight to the provider
         assert seen == [0, 1] * 3 and len(calls) == 6 and report.cache_hits == 0
         assert reconciles(report)
+
+    def test_check_returning_none_is_a_usage_error(self, monkeypatch):
+        provider = MockProvider()
+        calls = record_calls(monkeypatch, provider, "complete")
+        manager = BatchManager(provider, policy=RetryPolicy(backoff_base=0.0))
+        with pytest.raises(UsageError, match="r0"):
+            manager.submit_batch([extraction_request("r0")], check=lambda index, payload: None)
+        assert len(calls) == 1  # not retried as a failure
 
     def test_nudged_retry_is_looked_up_in_the_cache(self, tmp_path, monkeypatch):
         request = extraction_request("r", "- a\n- b")
@@ -728,14 +787,15 @@ class TestRetry:
         def check(index, payload):
             if len(payload["tasks"]) < 2:
                 raise MissingField("$.tasks", "too few tasks")
+            return payload
 
         cold, cold_report = manager.submit_batch([request], check=check, nudge="list two")
         assert len(calls) == 2 and cold_report.cache_hits == 0
         warm = BatchManager(MockProvider(strict=True), cache=ResponseCache(tmp_path))
         again, warm_report = warm.submit_batch([request], check=check, nudge="list two")
         assert len(calls) == 2 and warm_report.cache_hits == 2
-        assert [r.raw for r in again] == [r.raw for r in cold]
-        assert cold[0].request_id == "r" and len(cold[0].payload["tasks"]) == 2
+        assert again == cold
+        assert len(cold[0]["tasks"]) == 2
 
     def test_refused_call_is_sent_again_as_it_was(self, tmp_path, monkeypatch):
         @dataclass
@@ -757,12 +817,12 @@ class TestRetry:
         provider = RefusingOnce()
         cold = BatchManager(provider, cache=ResponseCache(tmp_path), policy=policy)
         answers, report = cold.submit_batch(requests, nudge="list two")
-        assert len(answers) == 5 and report.failed == []
+        assert None not in answers and report.failed == []
         warm = BatchManager(MockProvider(strict=True), cache=ResponseCache(tmp_path), policy=policy)
         calls = record_calls(monkeypatch, warm.provider, "complete")
         again, warm_report = warm.submit_batch(requests, nudge="list two")
         assert calls == [] and warm_report.cache_hits == 5
-        assert [r.raw for r in again] == [r.raw for r in answers]
+        assert again == answers
         # no reply was seen, so no nudge: the same bytes twice
         assert provider.prompts == [r.user_prompt for r in requests] * 2
 
@@ -949,8 +1009,8 @@ class TestHttpTransport:
         reply = {"choices": [{"message": {"content": None}}]}
         provider._post = lambda path, body: posts.append(path) or reply
         manager = BatchManager(provider, policy=RetryPolicy(max_attempts=3, backoff_base=0.0))
-        responses, report = manager.submit_batch([extraction_request("r")])
-        assert responses == [] and report.failed == [("r", "ProviderError")]
+        replies, report = manager.submit_batch([extraction_request("r")])
+        assert replies == [None] and report.failed == [("r", "ProviderError")]
         assert posts == ["/chat/completions"] * 3
 
     @pytest.mark.parametrize(
@@ -973,11 +1033,11 @@ class TestHttpTransport:
         }
         provider._post = lambda path, body: posts.append(path) or reply
         manager = BatchManager(provider, policy=RetryPolicy(max_attempts=3, backoff_base=0.0))
-        responses, report = manager.submit_batch([extraction_request("r")])
+        replies, report = manager.submit_batch([extraction_request("r")])
         if tokens is None:
-            assert responses == [] and report.failed == [("r", "ProviderError")]
+            assert replies == [None] and report.failed == [("r", "ProviderError")]
             assert posts == ["/chat/completions"] * 3
         else:
-            assert [response.request_id for response in responses] == ["r"]
+            assert replies == [tasks_payload(0.5)]
             assert (report.input_tokens, report.output_tokens) == tokens
             assert posts == ["/chat/completions"]

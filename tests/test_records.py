@@ -13,7 +13,7 @@ from taskshift.clustering import ExposureCluster, KMeansResult, RoleClusters
 from taskshift.corpus import Vocabulary
 from taskshift.exposure import Band, RoleExposure, TaskRecord
 from taskshift.gateway import Schema
-from taskshift.gateway.providers import ProviderResult, StructuredRequest, StructuredResponse
+from taskshift.gateway.providers import ProviderResult, StructuredRequest
 from taskshift.gateway.schema import FieldSpec
 from taskshift.pipeline import Stage, StageArtifact
 from taskshift.raking import SampleRow
@@ -111,10 +111,6 @@ RECORDS = {
             "user_prompt": "Job description",
             "output_schema": Schema("tasks", (FieldSpec("tasks", "array"),)),
         },
-        {},
-    ),
-    StructuredResponse: (
-        {"request_id": "extract:V001:description", "payload": {"tasks": []}, "raw": '{"tasks":[]}'},
         {},
     ),
     ProviderResult: (

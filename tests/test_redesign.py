@@ -507,8 +507,6 @@ class TestTimeShiftReport:
         assert by_category["records_management"]["pre_automation"] == pytest.approx(0.53)
         assert by_category["records_management"][redesign.FOCUS] == pytest.approx(0.0)
         assert by_category["service_delivery"][redesign.FOCUS] == pytest.approx(0.83)
-        minutes = by_category["records_management"][f"{redesign.FOCUS}_minutes_delta"]
-        assert minutes == pytest.approx(-0.53 * 37 * 60, abs=1e-6)
 
     def test_columns_each_sum_to_one(self, fixture_profiles):
         manager = mock_manager()
